@@ -1,9 +1,9 @@
 """Command-line interface: analyze a state file, sweep a model, verify.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid state,
-3 state-file parse error, 4 invalid sweep range or model.
+3 state-file parse error, 4 invalid sweep range, model or N.
 The environment variable SYMSQ_TOL overrides the default sign-test
-tolerance (1e-9).
+tolerance, numerics.SIGN_TOL.
 """
 
 from __future__ import annotations
@@ -18,11 +18,11 @@ import time
 import numpy as np
 
 from . import models, oracle
-from .collective import classify_invariants, pair_from_moments, squeezing
-from .covariance import bar_invariants, c_negativity_test
+from .collective import check_n, classify_invariants, pair_from_moments, squeezing
+from .covariance import bar_invariants, c_negativity_test, collective_criterion
 from .errors import SymsqError, ZeroMeanSpin
 from .invariants import makhlin_all, separability_flags, symmetric_six
-from .numerics import hermitian_eigenvalues
+from .numerics import SIGN_TOL, hermitian_eigenvalues
 from .states import (
     SymmetricTwoQubitState,
     apply_local_unitaries,
@@ -40,13 +40,11 @@ EXIT_INVALID_STATE = 2
 EXIT_PARSE_ERROR = 3
 EXIT_BAD_RANGE = 4
 
-DEFAULT_SIGN_TOL = 1e-9
-
 
 def _tol() -> float:
     raw = os.environ.get("SYMSQ_TOL")
     if raw is None:
-        return DEFAULT_SIGN_TOL
+        return SIGN_TOL
     try:
         val = float(raw)
     except ValueError as exc:
@@ -58,7 +56,7 @@ def _tol() -> float:
 
 # ----------------------------------------------------------------------
 # Deterministic serialization: floats at 17 significant digits in JSON,
-# identical values in the text rendering.
+# identical values in the text and CSV renderings.
 
 def _fmt_float(v: float) -> str:
     if math.isnan(v):
@@ -66,6 +64,17 @@ def _fmt_float(v: float) -> str:
     if math.isinf(v):
         return '"Infinity"' if v > 0 else '"-Infinity"'
     return format(float(v), ".17g")
+
+
+def _scalar_text(v) -> str:
+    """A scalar as text; JSON adds quotes to strings and CSV writes NaN as nan."""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if v is None:
+        return "null"
+    if isinstance(v, (float, np.floating)):
+        return _fmt_float(float(v))
+    return str(v)
 
 
 def _to_json(obj, indent: int = 0) -> str:
@@ -82,44 +91,20 @@ def _to_json(obj, indent: int = 0) -> str:
             return "[]"
         items = [f"{inner}{_to_json(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    return json.dumps(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    return _scalar_text(obj)
 
 
 def _render_text(obj, prefix: str = "") -> list:
     lines = []
-    if isinstance(obj, dict):
-        for k, v in obj.items():
-            key = f"{prefix}{k}"
-            if isinstance(v, (dict, list, tuple)):
-                lines.extend(_render_text(v, key + "."))
-            else:
-                lines.append(f"{key} = {_scalar_text(v)}")
-    elif isinstance(obj, (list, tuple)):
-        for i, v in enumerate(obj):
-            key = f"{prefix}{i}"
-            if isinstance(v, (dict, list, tuple)):
-                lines.extend(_render_text(v, key + "."))
-            else:
-                lines.append(f"{key} = {_scalar_text(v)}")
+    for k, v in obj.items() if isinstance(obj, dict) else enumerate(obj):
+        key = f"{prefix}{k}"
+        if isinstance(v, (dict, list, tuple)):
+            lines.extend(_render_text(v, key + "."))
+        else:
+            lines.append(f"{key} = {_scalar_text(v)}")
     return lines
-
-
-def _scalar_text(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if v is None:
-        return "null"
-    if isinstance(v, (float, np.floating)):
-        return _fmt_float(float(v))
-    return str(v)
 
 
 # ----------------------------------------------------------------------
@@ -130,9 +115,9 @@ def _parse_n_list(raw: str) -> list:
         values = [int(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError as exc:
         raise SymsqError(f"invalid N list: {raw!r}") from exc
-    if not values or any(n < 2 for n in values):
-        raise SymsqError("N values must be integers >= 2")
-    return values
+    if not values:
+        raise SymsqError("the N list is empty")
+    return [check_n(n) for n in values]
 
 
 def cmd_analyze(args) -> int:
@@ -153,7 +138,11 @@ def cmd_analyze(args) -> int:
     except SymsqError:
         sym = None
 
-    n_values = _parse_n_list(args.N)
+    try:
+        n_values = _parse_n_list(args.N)
+    except SymsqError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_RANGE
     pt_eigs = hermitian_eigenvalues(partial_transpose(state))
     report = {
         "input": os.fspath(args.path),
@@ -192,7 +181,6 @@ def cmd_analyze(args) -> int:
         except ZeroMeanSpin:
             report["xi_sq"] = float("nan")
         collective = []
-        from .covariance import collective_criterion
         for n in n_values:
             crit = collective_criterion(sym.s, sym.T, n, tol)
             collective.append({
@@ -245,9 +233,7 @@ def _sweep_rows(args):
 
 
 def _csv_cell(v) -> str:
-    if isinstance(v, float):
-        return _fmt_float(v) if not math.isnan(v) else "nan"
-    return str(v)
+    return "nan" if isinstance(v, float) and math.isnan(v) else _scalar_text(v)
 
 
 def cmd_sweep(args) -> int:

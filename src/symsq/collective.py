@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidN, TraceViolation, ZeroMeanSpin
 from .invariants import SymmetricInvariants, symmetric_six
-from .numerics import sym3_eigen
+from .numerics import SIGN_TOL, sym3_eigen
 from .states import SymmetricTwoQubitState
 
 _E3 = np.array([0.0, 0.0, 1.0])
@@ -66,14 +66,15 @@ class PairClassification:
     margin: float  # distance of the deciding invariant from the tol boundary
 
 
-def _check_n(n) -> int:
+def check_n(n) -> int:
+    """The number of qubits N as an int; raises InvalidN unless an integer >= 2."""
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise InvalidN("N must be an integer >= 2")
     return int(n)
 
 
 def moments_from_pair(s, T, N: int, tol: float = 1e-9) -> CollectiveMoments:
-    n = _check_n(N)
+    n = check_n(N)
     s = np.asarray(s, dtype=float)
     t = np.asarray(T, dtype=float)
     if abs(np.trace(t) - 1.0) > tol:
@@ -84,7 +85,7 @@ def moments_from_pair(s, T, N: int, tol: float = 1e-9) -> CollectiveMoments:
 
 
 def pair_from_moments(m: CollectiveMoments):
-    n = _check_n(m.N)
+    n = check_n(m.N)
     s = 2.0 * np.asarray(m.j_mean, dtype=float) / n
     second = np.asarray(m.j_second, dtype=float)
     t = (4.0 * second / n - np.eye(3)) / (n - 1)
@@ -104,7 +105,7 @@ def _rotation_to_axis3(direction: np.ndarray) -> np.ndarray:
 
 
 def squeezing(s, T, N: int, tol: float = 1e-12) -> SqueezingReport:
-    n = _check_n(N)
+    n = check_n(N)
     s = np.asarray(s, dtype=float)
     t = np.asarray(T, dtype=float)
     s0 = float(np.linalg.norm(s))
@@ -127,7 +128,7 @@ def squeezing(s, T, N: int, tol: float = 1e-12) -> SqueezingReport:
     )
 
 
-def classify_invariants(inv: SymmetricInvariants, tol: float = 1e-9) -> PairClassification:
+def classify_invariants(inv: SymmetricInvariants, tol: float = SIGN_TOL) -> PairClassification:
     combo = inv.combo_I4_minus_I3sq
     if inv.I3 > tol:
         if inv.I5 < -tol:
@@ -147,8 +148,9 @@ def classify_invariants(inv: SymmetricInvariants, tol: float = 1e-9) -> PairClas
     return PairClassification(branch=branch, collective_note=_NOTES[branch], margin=float(margin))
 
 
-def classify(state: SymmetricTwoQubitState, N: int = 2, tol: float = 1e-9) -> PairClassification:
-    _check_n(N)
+def classify(state: SymmetricTwoQubitState, N: int = 2,
+             tol: float = SIGN_TOL) -> PairClassification:
+    check_n(N)
     return classify_invariants(symmetric_six(state), tol)
 
 
@@ -172,7 +174,7 @@ def collective_forms(inv: SymmetricInvariants, s, T, N: int) -> CollectiveFormsR
     expressions) must coincide; the record carries both plus the largest
     deviation.
     """
-    n = _check_n(N)
+    n = check_n(N)
     s = np.asarray(s, dtype=float)
     t = np.asarray(T, dtype=float)
     s0 = float(np.linalg.norm(s))

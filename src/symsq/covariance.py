@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChainMismatch, InvalidN, NonUnitVector, NotSymmetricState
-from .numerics import hermitian_eigenvalues, sym3_eigen
+from .collective import check_n
+from .errors import ChainMismatch, NonUnitVector, NotSymmetricState
+from .numerics import SIGN_TOL, hermitian_eigenvalues, sym3_eigen
 from .states import (
     SymmetricTwoQubitState,
     TwoQubitState,
@@ -103,10 +104,10 @@ def c_matrix(state: SymmetricTwoQubitState) -> np.ndarray:
     return state.T - np.outer(state.s, state.s)
 
 
-def c_negativity_test(state: SymmetricTwoQubitState, tol: float = 1e-9):
+def c_negativity_test(state: SymmetricTwoQubitState, tol: float = SIGN_TOL):
     """(min eigenvalue of C, entangled flag); exact PPT-equivalent test."""
-    w, _ = sym3_eigen(c_matrix(state))
-    min_eig = float(w[0])
+    _require_symmetric(state)
+    min_eig = korbicz_minimum(state.s, state.T)
     return min_eig, min_eig < -tol
 
 
@@ -152,7 +153,7 @@ def ppt_equivalence_chain(state: SymmetricTwoQubitState) -> ChainDiagnostics:
     )
 
 
-def bar_invariants(state: SymmetricTwoQubitState, tol: float = 1e-9) -> BarInvariants:
+def bar_invariants(state: SymmetricTwoQubitState, tol: float = SIGN_TOL) -> BarInvariants:
     c = c_matrix(state)
     bar1 = float(np.linalg.det(c))
     bar2 = float(np.trace(c))
@@ -164,10 +165,9 @@ def bar_invariants(state: SymmetricTwoQubitState, tol: float = 1e-9) -> BarInvar
     )
 
 
-def collective_criterion(s, T, N: int, tol: float = 1e-9) -> CollectiveCriterion:
+def collective_criterion(s, T, N: int, tol: float = SIGN_TOL) -> CollectiveCriterion:
     """Pairwise-entanglement witness from collective first/second moments."""
-    if not isinstance(N, (int, np.integer)) or N < 2:
-        raise InvalidN("N must be an integer >= 2")
+    check_n(N)
     s = np.asarray(s, dtype=float)
     t = np.asarray(T, dtype=float)
     c = t - np.outer(s, s)

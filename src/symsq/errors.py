@@ -44,6 +44,10 @@ class DegenerateUnhandled(SymsqError):
     pass
 
 
+class NoConvergence(SymsqError):
+    """An iterative eigensolver hit its sweep limit above the off-diagonal target."""
+
+
 class ChainMismatch(SymsqError):
     pass
 

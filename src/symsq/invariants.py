@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateUnhandled, NotSymmetricState
-from .numerics import svd3, sym3_eigen
+from .numerics import SIGN_TOL, svd3, sym3_eigen
 from .states import SpecialClassState, SymmetricTwoQubitState, TwoQubitState
 
 # Levi-Civita tensor for the explicit epsilon contractions.
@@ -32,11 +32,6 @@ MAKHLIN_NAMES = tuple(f"I{k}" for k in range(1, 19))
 def _triple(a, b, c) -> float:
     """epsilon_ijk a_i b_j c_k (scalar triple product)."""
     return float(np.einsum("ijk,i,j,k->", EPS, a, b, c))
-
-
-def _cofactor3(t: np.ndarray) -> np.ndarray:
-    """Cofactor matrix: cof_il = (1/2) eps_ijk eps_lmn t_jm t_kn."""
-    return 0.5 * np.einsum("ijk,lmn,jm,kn->il", EPS, EPS, t, t)
 
 
 @dataclass(frozen=True)
@@ -163,7 +158,7 @@ class SeparabilityFlags:
         )
 
 
-def separability_flags(inv: SymmetricInvariants, tol: float = 1e-9) -> SeparabilityFlags:
+def separability_flags(inv: SymmetricInvariants, tol: float = SIGN_TOL) -> SeparabilityFlags:
     """Strict sign tests; each true flag is sufficient for entanglement."""
     return SeparabilityFlags(
         I4_negative=inv.I4 < -tol,

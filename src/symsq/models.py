@@ -27,14 +27,24 @@ from typing import Iterable, List
 
 import numpy as np
 
-from .collective import classify_invariants, squeezing
-from .errors import DomainError, InvalidN, NormalizationFailure, ParityViolation
+from .collective import check_n, classify_invariants, squeezing
+from .errors import DomainError, NormalizationFailure, ParityViolation
 from .invariants import (
     SymmetricInvariants,
     special_class_invariants,
     symmetric_six_from_bloch,
 )
+from .numerics import SIGN_TOL
 from .states import SpecialClassState
+
+
+def _log_d_pi2_sq(jp: int, jm: int) -> float:
+    """log [d^J_{M0}(pi/2)]^2 for even jp = J + M and jm = J - M."""
+    return (
+        math.lgamma(jp + 1) + math.lgamma(jm + 1)
+        - (jp + jm) * math.log(2.0)
+        - 2.0 * (math.lgamma(jp // 2 + 1) + math.lgamma(jm // 2 + 1))
+    )
 
 
 def wigner_d_pi2(J, M) -> float:
@@ -63,21 +73,14 @@ def wigner_d_pi2(J, M) -> float:
     if (jp % 2) != 0 or (jm % 2) != 0:
         # J + M odd, or half-integer J (no M' = 0 level to project onto)
         return 0.0
-    log_mag = (
-        0.5 * (math.lgamma(jp + 1) + math.lgamma(jm + 1))
-        - J * math.log(2.0)
-        - math.lgamma(jp // 2 + 1)
-        - math.lgamma(jm // 2 + 1)
-    )
-    return (-1.0) ** (jm // 2) * math.exp(log_mag)
+    return (-1.0) ** (jm // 2) * math.exp(0.5 * _log_d_pi2_sq(jp, jm))
 
 
 # ----------------------------------------------------------------------
 # Dicke states.
 
 def _check_dicke(N: int, M) -> int:
-    if not isinstance(N, (int, np.integer)) or N < 2:
-        raise InvalidN("N must be an integer >= 2")
+    check_n(N)
     twom = 2 * M
     if abs(twom - round(twom)) > 1e-12:
         raise ParityViolation("2M must be an integer")
@@ -105,8 +108,7 @@ def dicke_pair(N: int, M):
 
 def ku_pair(N: int, chi_t: float):
     """Pair Bloch data of exp(-i chi_t J1^2)|J, -J> and its invariants."""
-    if not isinstance(N, (int, np.integer)) or N < 2:
-        raise InvalidN("N must be an integer >= 2")
+    check_n(N)
     if not np.isfinite(chi_t):
         raise DomainError("chi_t must be finite")
     cosx = np.cos(chi_t)
@@ -123,8 +125,9 @@ def ku_pair(N: int, chi_t: float):
 # Atomic squeezed steady state.
 
 def _atomic_check(N: int, x: float) -> None:
-    if not isinstance(N, (int, np.integer)) or N < 2 or N % 2 != 0:
-        raise ParityViolation("the steady state requires an even N >= 2")
+    check_n(N)
+    if N % 2 != 0:
+        raise ParityViolation("the steady state requires an even N")
     if not (0.0 < x < 1.0):
         raise DomainError("x must lie strictly between 0 and 1")
 
@@ -132,18 +135,11 @@ def _atomic_check(N: int, x: float) -> None:
 def _atomic_j3(N: int, x: float) -> float:
     """<J_3> of the steady state: weighted mean of M over the amplitude
     weights [d^J_{M0}(pi/2)]^2 x^M, computed in log space."""
-    J = N / 2.0
     log_x = math.log(x)
     log_w = []
     ms = []
     for m in range(-N // 2, N // 2 + 1, 2):  # J + M even <-> M same parity as J
-        jp, jm = N // 2 + m, N // 2 - m
-        log_d2 = (
-            math.lgamma(jp + 1) + math.lgamma(jm + 1)
-            - N * math.log(2.0)
-            - 2.0 * (math.lgamma(jp // 2 + 1) + math.lgamma(jm // 2 + 1))
-        )
-        log_w.append(log_d2 + m * log_x)
+        log_w.append(_log_d_pi2_sq(N // 2 + m, N // 2 - m) + m * log_x)
         ms.append(float(m))
     log_w = np.array(log_w)
     shift = np.max(log_w)
@@ -223,7 +219,7 @@ def _model_point(model: str, N: int, param: float):
 
 
 def sweep(model: str, params: Iterable[float], n_values: Iterable[int],
-          tol: float = 1e-9) -> List[SweepRow]:
+          tol: float = SIGN_TOL) -> List[SweepRow]:
     rows = []
     for n in n_values:
         for p in params:

@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonHermitian, NonSquare, NonSymmetric, NonUnitary
+from .errors import NoConvergence, NonHermitian, NonSquare, NonSymmetric, NonUnitary
 
 DEFAULT_TOL = 1e-10
+# Default margin of every entanglement sign test (invariant signs, min eig
+# of C, the collective witness); the CLI's SYMSQ_TOL overrides it.
+SIGN_TOL = 1e-9
 
 _JACOBI_OFF_TARGET = 1e-14
 _JACOBI_MAX_SWEEPS = 50
@@ -26,21 +29,22 @@ def _as_square(m) -> np.ndarray:
     return a
 
 
+def _max_off_diagonal(a: np.ndarray) -> float:
+    return float(np.abs(np.triu(a, 1)).max())
+
+
 def _jacobi_hermitian(a: np.ndarray):
     """Diagonalize a Hermitian matrix by cyclic complex Jacobi rotations.
 
     Returns (eigenvalues ascending, unitary V) with  V^dag a V = diag.
+    Raises NoConvergence if the off-diagonal part is still above target
+    after the last allowed sweep.
     """
     n = a.shape[0]
     a = a.astype(complex).copy()
     v = np.eye(n, dtype=complex)
     for _ in range(_JACOBI_MAX_SWEEPS):
-        off = 0.0
-        for p in range(n - 1):
-            row = np.abs(a[p, p + 1:])
-            if row.size:
-                off = max(off, row.max())
-        if off < _JACOBI_OFF_TARGET:
+        if _max_off_diagonal(a) < _JACOBI_OFF_TARGET:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -74,6 +78,11 @@ def _jacobi_hermitian(a: np.ndarray):
                 v[:, q] = s * vp + c * pc * vq
                 a[p, q] = 0.0
                 a[q, p] = 0.0
+    else:
+        off = _max_off_diagonal(a)
+        if off >= _JACOBI_OFF_TARGET:
+            raise NoConvergence(
+                f"Jacobi left off-diagonal {off:.3e} after {_JACOBI_MAX_SWEEPS} sweeps")
     w = np.real(np.diag(a))
     order = np.argsort(w, kind="stable")
     return w[order], v[:, order]

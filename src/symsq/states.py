@@ -20,7 +20,7 @@ from .errors import (
     NotPositive,
     NotSymmetricState,
 )
-from .numerics import DEFAULT_TOL, hermitian_eigenvalues, hermitian_eigh, pauli, su2_to_so3
+from .numerics import DEFAULT_TOL, hermitian_eigenvalues, hermitian_eigh, pauli
 
 # Positivity gate used when assembling states from Bloch data; slightly
 # looser than the working tolerance to absorb rounding accumulated in
@@ -99,11 +99,6 @@ class SymmetricTwoQubitState(TwoQubitState):
         singlet_pop = float(np.real(SINGLET.conj() @ self.rho @ SINGLET))
         if singlet_pop > tol:
             raise NotSymmetricState(f"singlet population {singlet_pop:g} is nonzero")
-
-
-def bloch_decompose(state: TwoQubitState):
-    """(s, r, T) with s_i = Tr(rho sigma_1i), t_ij = Tr(rho sigma_1i sigma_2j)."""
-    return state.bloch()
 
 
 def rho_from_bloch(s, r, T) -> np.ndarray:

@@ -1,9 +1,19 @@
 """Command-line surface: exit codes, determinism, output formats."""
 
+import contextlib
+import io
 import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import symsq
 from symsq.cli import (
     EXIT_BAD_RANGE,
     EXIT_INVALID_STATE,
@@ -57,6 +67,55 @@ def test_analyze_text_and_json_values_agree(bell_file, capsys):
     assert float(line.split("=")[1]) == js["invariants"]["I1"]
 
 
+def _flatten(obj, prefix=""):
+    if not isinstance(obj, (dict, list)):
+        return {prefix[:-1]: obj}
+    leaves = {}
+    for k, v in obj.items() if isinstance(obj, dict) else enumerate(obj):
+        leaves.update(_flatten(v, f"{prefix}{k}."))
+    return leaves
+
+
+def _text_leaf(raw):
+    try:
+        return json.loads(raw)
+    except json.JSONDecodeError:
+        return raw  # bare strings such as the input path and the branch name
+
+
+def _analyze_stdout(path, n_list, fmt):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["analyze", path, "--N", n_list, "--format", fmt]) == EXIT_OK
+    return out.getvalue()
+
+
+@st.composite
+def _special_params(draw):
+    a = draw(st.floats(0.0, 1.0))
+    d = draw(st.floats(0.0, 1.0 - a))
+    b = draw(st.floats(-1.0, 1.0)) * math.sqrt(a * d)
+    return {"a": a, "b": b, "c": (1.0 - a - d) / 2.0, "d": d}
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(params=_special_params(),
+       n_values=st.lists(st.integers(2, 1000), min_size=1, max_size=4))
+def test_analyze_text_and_json_agree_on_every_leaf(params, n_values):
+    n_list = ",".join(map(str, n_values))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "state.json")
+        Path(path).write_text(json.dumps({"special": params}))
+        leaves = _flatten(json.loads(_analyze_stdout(path, n_list, "json")))
+        text = _analyze_stdout(path, n_list, "text")
+    lines = dict(line.split(" = ", 1) for line in text.splitlines())
+    del leaves["elapsed_ms"], lines["elapsed_ms"]
+    assert lines.keys() == leaves.keys()
+    for key, raw in lines.items():
+        assert _text_leaf(raw) == leaves[key], key
+    assert [leaves[f"collective.{i}.N"] for i in range(len(n_values))] == n_values
+
+
 def test_analyze_collective_rows(bell_file, capsys):
     main(["analyze", bell_file, "--N", "2,6", "--format", "json"])
     report = json.loads(capsys.readouterr().out)
@@ -78,6 +137,23 @@ def test_analyze_parse_error_exit_code(tmp_path):
     assert main(["analyze", str(path)]) == EXIT_PARSE_ERROR
     path.write_text(json.dumps({"wrong": 1}))
     assert main(["analyze", str(path)]) == EXIT_PARSE_ERROR
+
+
+@pytest.mark.parametrize("bad_n", ["1", "0", "x", "2,1", "3.5", ","])
+def test_analyze_bad_n_exit_code(bell_file, bad_n, capsys):
+    assert main(["analyze", bell_file, "--N", bad_n]) == EXIT_BAD_RANGE
+    assert capsys.readouterr().out == ""
+
+
+def test_module_entry_point_bad_n_exit_code(bell_file):
+    src = str(Path(symsq.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "symsq.cli", "analyze", bell_file, "--N", "1"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_BAD_RANGE
+    assert proc.stdout == "" and "N must be an integer >= 2" in proc.stderr
 
 
 def test_sweep_csv_schema(capsys):

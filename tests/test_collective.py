@@ -1,5 +1,7 @@
 """Moment map, spin squeezing, invariant-sign classification."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,10 @@ from symsq.collective import (
     pair_from_moments,
     squeezing,
 )
-from symsq.covariance import c_negativity_test
+from symsq.covariance import c_negativity_test, collective_criterion
 from symsq.errors import InvalidN, TraceViolation, ZeroMeanSpin
 from symsq.invariants import special_class_invariants, symmetric_six
+from symsq.models import atomic_pair, dicke_pair, ku_pair
 from symsq.states import (
     SpecialClassState,
     random_special_class,
@@ -150,3 +153,30 @@ def test_collective_forms_dual_route(rng):
 def test_collective_forms_requires_mean_spin(bell_state):
     with pytest.raises(ZeroMeanSpin):
         collective_forms(symmetric_six(bell_state), bell_state.s, bell_state.T, 4)
+
+
+# A symmetric state with nonzero mean spin, so every N-taking entry runs.
+_SPIN_STATE = symmetric_from_special(SpecialClassState(a=0.5, b=0.3, c=0.1, d=0.3))
+
+_N_ENTRIES = {
+    "moments_from_pair": lambda n: moments_from_pair(_SPIN_STATE.s, _SPIN_STATE.T, n),
+    "pair_from_moments": lambda n: pair_from_moments(dataclasses.replace(
+        moments_from_pair(_SPIN_STATE.s, _SPIN_STATE.T, 4), N=n)),
+    "squeezing": lambda n: squeezing(_SPIN_STATE.s, _SPIN_STATE.T, n),
+    "classify": lambda n: classify(_SPIN_STATE, n),
+    "collective_forms": lambda n: collective_forms(
+        symmetric_six(_SPIN_STATE), _SPIN_STATE.s, _SPIN_STATE.T, n),
+    "collective_criterion": lambda n: collective_criterion(_SPIN_STATE.s, _SPIN_STATE.T, n),
+    "ku_pair": lambda n: ku_pair(n, 0.3),
+    "dicke_pair": lambda n: dicke_pair(n, 0),
+    "atomic_pair": lambda n: atomic_pair(n, 0.5),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_N_ENTRIES))
+def test_every_n_entry_shares_one_check(entry):
+    call = _N_ENTRIES[entry]
+    for bad in (1, 0, 4.0):
+        with pytest.raises(InvalidN):
+            call(bad)
+    call(np.int64(4))

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from symsq.errors import NonHermitian, NonSquare, NonSymmetric
+from symsq import numerics
+from symsq.errors import NoConvergence, NonHermitian, NonSquare, NonSymmetric
 from symsq.numerics import (
     hermitian_eigenvalues,
     hermitian_eigh,
@@ -132,3 +133,9 @@ def test_min_eigenvalue_psd_test():
     assert not ok and abs(min_eig + 0.25) < 1e-14
     min_eig, ok = min_eigenvalue_psd_test(np.eye(4, dtype=complex))
     assert ok and abs(min_eig - 1.0) < 1e-14
+
+
+def test_jacobi_raises_when_sweeps_run_out(rng, monkeypatch):
+    monkeypatch.setattr(numerics, "_JACOBI_MAX_SWEEPS", 1)
+    with pytest.raises(NoConvergence):
+        hermitian_eigh(_random_hermitian(rng, 4))
