@@ -176,18 +176,19 @@ def cmd_analyze(args) -> int:
         report["c_min_eigenvalue"] = c_min
         report["entangled"] = c_neg
         report["classification"] = cls.branch.value
-        try:
-            report["xi_sq"] = squeezing(sym.s, sym.T, max(n_values[0], 2)).xi_sq
-        except ZeroMeanSpin:
-            report["xi_sq"] = float("nan")
         collective = []
         for n in n_values:
             crit = collective_criterion(sym.s, sym.T, n, tol)
+            try:
+                xi_sq = squeezing(sym.s, sym.T, n).xi_sq
+            except ZeroMeanSpin:
+                xi_sq = float("nan")
             collective.append({
                 "N": n,
                 "witness_min_eigenvalue": crit.min_eig,
                 "threshold": n / 4.0,
                 "entangled": crit.entangled,
+                "xi_sq": xi_sq,
             })
         report["collective"] = collective
     report["elapsed_ms"] = (time.perf_counter() - t0) * 1e3

@@ -40,10 +40,6 @@ class NotSymmetricState(SymsqError):
     """State violates the exchange-symmetry constraints (r = s, T = T^T, Tr T = 1)."""
 
 
-class DegenerateUnhandled(SymsqError):
-    pass
-
-
 class NoConvergence(SymsqError):
     """An iterative eigensolver hit its sweep limit above the off-diagonal target."""
 

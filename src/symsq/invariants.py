@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateUnhandled, NotSymmetricState
-from .numerics import SIGN_TOL, svd3, sym3_eigen
+from .errors import NotSymmetricState
+from .numerics import SIGN_TOL, svd3
 from .states import SpecialClassState, SymmetricTwoQubitState, TwoQubitState
 
 # Levi-Civita tensor for the explicit epsilon contractions.
@@ -197,16 +197,14 @@ class CanonicalForm:
     residual_invariants: dict
 
 
-def _degeneracy_class(t: np.ndarray) -> str:
-    """Classify the spectrum of T^T T by relative gaps."""
-    w, _ = sym3_eigen(t.T @ t)
-    scale = max(1.0, float(w[-1]))
-    gaps = np.diff(w) / scale
-    close = gaps < DEGENERACY_REL_GAP
-    ambiguous = (gaps >= DEGENERACY_REL_GAP) & (gaps < 10 * DEGENERACY_REL_GAP)
-    if np.any(ambiguous):
-        raise DegenerateUnhandled(
-            "singular-value gap sits at the degeneracy-detection boundary")
+def _degeneracy_class(d: np.ndarray) -> str:
+    """Classify the spectrum of T^T T from the singular values d of T.
+
+    Two neighbouring eigenvalues d_i^2 count as equal when their gap is
+    below DEGENERACY_REL_GAP relative to max(1, largest eigenvalue).
+    """
+    w = d * d  # ascending, since svd3 orders d by |d|
+    close = np.diff(w) / max(1.0, float(w[-1])) < DEGENERACY_REL_GAP
     if np.all(close):
         return "all_equal"
     if np.any(close):
@@ -223,8 +221,8 @@ def canonical_form(state: TwoQubitState) -> CanonicalForm:
     canonical data identical for locally equivalent states.
     """
     s, r, t = state.s, state.r, state.T
-    degeneracy = _degeneracy_class(t)
     o1, d, o2 = svd3(t)
+    degeneracy = _degeneracy_class(d)
     s_c = o1 @ s
     r_c = o2 @ r
     best = None
@@ -255,17 +253,11 @@ def _close(a: float, b: float, tol: float) -> bool:
 
 
 def locally_equivalent(s1: TwoQubitState, s2: TwoQubitState, tol: float = 1e-9) -> bool:
-    """True iff the applicable invariant subsets agree within mixed tol."""
-    inv1 = makhlin_all(s1).as_dict()
-    inv2 = makhlin_all(s2).as_dict()
-    deg1 = _degeneracy_class(s1.T)
-    deg2 = _degeneracy_class(s2.T)
-    order = ("none", "two_equal", "all_equal")
-    deg = order[max(order.index(deg1), order.index(deg2))]
-    if deg == "all_equal":
-        names = _SUBSET_ALL_EQUAL
-    elif deg == "two_equal":
-        names = _SUBSET_TWO_EQUAL
-    else:
-        names = MAKHLIN_NAMES
-    return all(_close(inv1[k], inv2[k], tol) for k in names)
+    """True when all 18 invariants agree within mixed tol.
+
+    Each invariant is unchanged by local unitaries, so locally equivalent
+    states always pass, whatever the degeneracy of T.
+    """
+    inv1 = makhlin_all(s1).values
+    inv2 = makhlin_all(s2).values
+    return all(_close(a, b, tol) for a, b in zip(inv1, inv2))

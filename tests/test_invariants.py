@@ -3,6 +3,7 @@ special-class closed forms, sign tests, canonical form."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symsq.errors import NotSymmetricState
 from symsq.invariants import (
@@ -215,6 +216,35 @@ def test_locally_equivalent_true_and_false(rng):
     assert locally_equivalent(state, rotated)
     other = random_symmetric_state(3, rng)
     assert not locally_equivalent(state, other)
+
+
+def _bell_diagonal(t_diag):
+    return from_bloch([0, 0, 0], [0, 0, 0], np.diag(t_diag))
+
+
+def test_degeneracy_boundary_band_gets_a_label(rng):
+    """A relative singular-value gap of 3e-8, just above DEGENERACY_REL_GAP,
+    is an ordinary input: canonical_form labels it and the state is locally
+    equivalent to a rotated copy."""
+    state = _bell_diagonal([0.5, 0.5 * (1 + 3e-8), -0.1])
+    rotated = apply_local_unitaries(state, haar_unitary_2x2(rng), haar_unitary_2x2(rng))
+    assert canonical_form(state).degeneracy in ("none", "two_equal", "all_equal")
+    assert canonical_form(rotated).degeneracy in ("none", "two_equal", "all_equal")
+    assert locally_equivalent(state, rotated)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(a=st.floats(0.1, 0.4), eps=st.floats(0.0, 1e-6), c=st.floats(-0.1, 0.1),
+       seed=st.integers(0, 2**32 - 1))
+def test_near_degenerate_bell_diagonal_canonical_form(a, eps, c, seed):
+    """Bell-diagonal states T = diag(a, a(1 + eps), c) (PSD on this box) and
+    Haar-rotated copies share the canonical T and are locally equivalent."""
+    rng = np.random.default_rng(seed)
+    state = _bell_diagonal([a, a * (1 + eps), c])
+    rotated = apply_local_unitaries(state, haar_unitary_2x2(rng), haar_unitary_2x2(rng))
+    cf, cf_rot = canonical_form(state), canonical_form(rotated)
+    assert np.max(np.abs(cf.t_diag - cf_rot.t_diag)) < 1e-8
+    assert locally_equivalent(state, rotated)
 
 
 def test_makhlin_from_bloch_direct():

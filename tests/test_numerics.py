@@ -8,7 +8,6 @@ from symsq.errors import NoConvergence, NonHermitian, NonSquare, NonSymmetric
 from symsq.numerics import (
     hermitian_eigenvalues,
     hermitian_eigh,
-    min_eigenvalue_psd_test,
     pauli,
     su2_to_so3,
     svd3,
@@ -99,6 +98,16 @@ def test_svd3_singular_matrix():
     assert abs(np.linalg.det(o1) - 1.0) < 1e-12
 
 
+def test_svd3_small_singular_value_accuracy(rng):
+    """Singular values come from T itself, not from T^T T, so a small one
+    keeps its digits."""
+    for _ in range(200):
+        q1 = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        q2 = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        _, d, _ = svd3(q1 @ np.diag([0.9, 0.5, 1e-9]) @ q2.T)
+        assert abs(abs(d[0]) - 1e-9) < 1e-15
+
+
 def test_pauli_algebra():
     s1, s2, s3 = pauli(0), pauli(1), pauli(2)
     assert np.allclose(s1 @ s2 - s2 @ s1, 2j * s3)
@@ -125,14 +134,6 @@ def test_su2_to_so3_homomorphism(rng):
     from symsq.states import haar_unitary_2x2
     u, v = haar_unitary_2x2(rng), haar_unitary_2x2(rng)
     assert np.max(np.abs(su2_to_so3(u @ v) - su2_to_so3(u) @ su2_to_so3(v))) < 1e-12
-
-
-def test_min_eigenvalue_psd_test():
-    m = np.diag([1.0, 0.5, 0.0, -0.25]).astype(complex)
-    min_eig, ok = min_eigenvalue_psd_test(m)
-    assert not ok and abs(min_eig + 0.25) < 1e-14
-    min_eig, ok = min_eigenvalue_psd_test(np.eye(4, dtype=complex))
-    assert ok and abs(min_eig - 1.0) < 1e-14
 
 
 def test_jacobi_raises_when_sweeps_run_out(rng, monkeypatch):
