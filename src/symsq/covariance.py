@@ -16,6 +16,7 @@ import numpy as np
 
 from .collective import check_n
 from .errors import ChainMismatch, NonUnitVector, NotSymmetricState
+from .invariants import _triple
 from .numerics import SIGN_TOL, hermitian_eigenvalues, sym3_eigen
 from .states import (
     SymmetricTwoQubitState,
@@ -155,7 +156,7 @@ def ppt_equivalence_chain(state: SymmetricTwoQubitState) -> ChainDiagnostics:
 
 def bar_invariants(state: SymmetricTwoQubitState, tol: float = SIGN_TOL) -> BarInvariants:
     c = c_matrix(state)
-    bar1 = float(np.linalg.det(c))
+    bar1 = _triple(c[0], c[1], c[2])
     bar2 = float(np.trace(c))
     bar3 = float(np.trace(c @ c))
     bar4 = 0.5 * (bar2 * bar2 - bar3)

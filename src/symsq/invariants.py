@@ -79,7 +79,7 @@ def makhlin_from_bloch(s, r, t) -> MakhlinInvariants:
     ts_left = t.T @ s     # T^T s
     tr = t @ r            # T r
     vals = (
-        float(np.linalg.det(t)),                 # I1
+        _triple(t[0], t[1], t[2]),               # I1 = det T
         float(np.trace(ttt)),                    # I2
         float(np.trace(ttt @ ttt)),              # I3
         float(s @ s),                            # I4
@@ -112,7 +112,7 @@ def symmetric_six_from_bloch(s, t) -> SymmetricInvariants:
     i5 = float(np.einsum("ijk,lmn,i,l,jm,kn->", EPS, EPS, s, s, t, t))
     i6 = _triple(s, ts, t @ ts)
     return SymmetricInvariants(
-        I1=float(np.linalg.det(t)),
+        I1=_triple(t[0], t[1], t[2]),
         I2=float(np.trace(t @ t)),
         I3=float(s @ s),
         I4=float(s @ ts),

@@ -5,35 +5,24 @@ import time
 
 import numpy as np
 
-from symsq.collective import classify_invariants, pair_from_moments, squeezing
+from symsq.cli import suite_invariance, suite_oracle, suite_ppt_c, suite_xi_i5
 from symsq.covariance import bar_invariants, c_matrix, c_negativity_test, \
     collective_criterion
-from symsq.invariants import (
-    makhlin_all,
-    special_class_invariants,
-    symmetric_six,
-    symmetric_six_from_bloch,
-)
-from symsq.models import atomic_pair, dicke_pair, ku_pair, sweep
+from symsq.invariants import special_class_invariants, symmetric_six
+from symsq.models import dicke_pair, sweep
 from symsq.oracle import (
     CollectiveState,
     build_atomic_state,
     build_dicke_state,
     evolve_ku,
     full_hilbert_vector,
-    moments_of,
     pair_state_of,
     reduced_pair_from_full,
 )
 from symsq.states import (
-    SpecialClassState,
-    apply_local_unitaries,
-    haar_unitary_2x2,
-    partial_transpose,
     random_separable_symmetric,
     random_special_class,
     random_symmetric_state,
-    symmetric_from_special,
 )
 
 TOL = 1e-9
@@ -97,83 +86,27 @@ def test_criterion_03_separability_sign_theorem():
 
 
 def test_criterion_04_full_equivalence_theorem():
-    rng = np.random.default_rng(4024)
-    disagreements = 0
-    korbicz_dev = 0.0
-    for _ in range(10_000):
-        state = random_symmetric_state(int(rng.integers(1, 4)), rng)
-        w = np.linalg.eigvalsh(partial_transpose(state))
-        min_eig, c_neg = c_negativity_test(state, TOL)
-        if (w[0] < -TOL) != c_neg:
-            disagreements += 1
-        korbicz_dev = max(korbicz_dev,
-                          abs(np.linalg.eigvalsh(c_matrix(state))[0] - min_eig))
-    ok = disagreements == 0 and korbicz_dev < 1e-10
+    disagreements, korbicz_dev, ok = suite_ppt_c(np.random.default_rng(4024), 10_000, TOL)
     _report(4, "PPT verdict equals C < 0 verdict on 10^4 symmetric states; "
                "direction-minimized witness equals min eig(C) within 1e-10",
             ok, f"{disagreements} disagreements, witness dev {korbicz_dev:.2e}")
 
 
 def test_criterion_05_xi_iff_i5():
-    rng = np.random.default_rng(5024)
-    checked = 0
-    disagreements = 0
-    while checked < 1000:
-        state = random_symmetric_state(3, rng)
-        inv = symmetric_six(state)
-        if math.sqrt(inv.I3) <= 0.1:
-            continue
-        checked += 1
-        if abs(inv.I5) <= TOL:
-            continue  # boundary band
-        xi_sq = squeezing(state.s, state.T, 2).xi_sq
-        if (xi_sq < 1.0) != (inv.I5 < 0.0):
-            disagreements += 1
-    for n in (4, 6, 8):
-        for ct in np.linspace(0.05, 1.5, 40):
-            s, t, inv = ku_pair(n, float(ct))
-            if abs(inv.I5) <= TOL or inv.I3 < 0.01:
-                continue
-            xi_sq = squeezing(s, t, n).xi_sq
-            if (xi_sq < 1.0) != (inv.I5 < 0.0):
-                disagreements += 1
+    disagreements, _, _, ok = suite_xi_i5(np.random.default_rng(5024), 1000, TOL)
     _report(5, "sign(xi^2 - 1) = sign(I5) on 10^3 random states and KU sweeps",
-            disagreements == 0, f"{disagreements} disagreements")
+            ok, f"{disagreements} disagreements")
 
 
 def test_criterion_06_oracle_concordance():
     t0 = time.perf_counter()
-    dev_closed = 0.0
-    dev_atomic = 0.0
-    dev_j3 = 0.0
-    for n in range(2, 11):
-        for m2 in range(-n, n + 1, 2):
-            state, _ = dicke_pair(n, m2 / 2)
-            s, t = state.bloch()
-            so, to = pair_from_moments(moments_of(build_dicke_state(n, m2 / 2)))
-            dev_closed = max(dev_closed, float(np.max(np.abs(s - so))),
-                             float(np.max(np.abs(t - to))))
-        for ct in np.linspace(0.0, np.pi, 50):
-            st = evolve_ku(n, float(ct))
-            m = moments_of(st)
-            dev_j3 = max(dev_j3, abs(m.j_mean[2] + 0.5 * n * np.cos(ct) ** (n - 1)))
-            s, t, _ = ku_pair(n, float(ct))
-            so, to = pair_from_moments(m)
-            dev_closed = max(dev_closed, float(np.max(np.abs(s - so))),
-                             float(np.max(np.abs(t - to))))
-        if n % 2 == 0:
-            for x in np.linspace(0.02, 0.98, 25):
-                s, t, _ = atomic_pair(n, float(x))
-                so, to = pair_from_moments(
-                    moments_of(build_atomic_state(n, 0.5 * math.log(x))))
-                dev_atomic = max(dev_atomic, float(np.max(np.abs(s - so))),
-                                 float(np.max(np.abs(t - to))))
+    dev_closed, dev_atomic, dev_j3, ok = suite_oracle(range(2, 11))
     elapsed = time.perf_counter() - t0
-    ok = dev_closed < 1e-9 and dev_atomic < 1e-8 and dev_j3 < 1e-10 and elapsed < 30
     _report(6, "closed forms match simulator for N in 2..10 (Dicke/KU 1e-9, "
                "atomic 1e-8); KU <J3> within 1e-10; < 30 s",
-            ok, f"dev {dev_closed:.1e}/{dev_atomic:.1e}, <J3> dev {dev_j3:.1e}, "
-                f"{elapsed:.1f} s")
+            ok and elapsed < 30,
+            f"dev {dev_closed:.1e}/{dev_atomic:.1e}, <J3> dev {dev_j3:.1e}, "
+            f"{elapsed:.1f} s")
 
 
 def test_criterion_07_dicke_numbers():
@@ -197,28 +130,7 @@ def test_criterion_07_dicke_numbers():
 
 
 def test_criterion_08_invariance_suite():
-    rng = np.random.default_rng(8024)
-    drift = 0.0
-    branch_ok = True
-    for _ in range(1000):
-        state = random_symmetric_state(3, rng)
-        u1, u2 = haar_unitary_2x2(rng), haar_unitary_2x2(rng)
-        rotated = apply_local_unitaries(state, u1, u2)
-        a, b = makhlin_all(state).values, makhlin_all(rotated).values
-        drift = max(drift, max(abs(x - y) for x, y in zip(a, b)))
-    for _ in range(200):
-        state = random_symmetric_state(3, rng)
-        u = haar_unitary_2x2(rng)
-        rotated = apply_local_unitaries(state, u, u)
-        inv_a = symmetric_six(state)
-        inv_b = symmetric_six_from_bloch(rotated.s, rotated.T)
-        for k in ("I1", "I2", "I3", "I4", "I5", "I6"):
-            drift = max(drift, abs(getattr(inv_a, k) - getattr(inv_b, k)))
-        ca = classify_invariants(inv_a)
-        cb = classify_invariants(inv_b)
-        if ca.branch != cb.branch and ca.margin > 1e-7:
-            branch_ok = False
-    ok = drift < TOL and branch_ok
+    drift, _, ok = suite_invariance(np.random.default_rng(8024), 1000, TOL)
     _report(8, "18 invariants drift < 1e-9 over 10^3 local-unitary pairs; "
                "identical-unitary suite preserves I1..I6 and the branch",
             ok, f"max drift {drift:.2e}")

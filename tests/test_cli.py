@@ -11,10 +11,12 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import symsq
+from symsq import cli
 from symsq.cli import (
     EXIT_BAD_RANGE,
     EXIT_INVALID_STATE,
@@ -239,10 +241,18 @@ def test_verify_quick_passes(capsys):
     assert out.count("PASS") == 4 and "FAIL" not in out
 
 
-def test_verify_failure_hook(capsys):
-    assert main(["verify", "--level", "quick", "--seed", "42",
-                 "--tolerance-scale", "1e-30"]) == EXIT_VERIFY_FAIL
-    assert "FAIL" in capsys.readouterr().out
+def test_verify_failure_hook(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "suite_ppt_c", lambda rng, count, tol: (1, 0.0, False))
+    assert main(["verify", "--level", "quick", "--seed", "42"]) == EXIT_VERIFY_FAIL
+    out = capsys.readouterr().out
+    assert "FAIL ppt_equals_c_negativity" in out and out.count("PASS") == 3
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_ppt_equals_c_negativity_on_any_seed(seed):
+    disagreements, witness_dev, ok = cli.suite_ppt_c(np.random.default_rng(seed), 25, 1e-9)
+    assert ok, (seed, disagreements, witness_dev)
 
 
 def test_symsq_tol_env(monkeypatch, bell_file, capsys):

@@ -24,7 +24,6 @@ from symsq.states import (
     haar_unitary_2x2,
     random_special_class,
     random_symmetric_state,
-    symmetric_from_special,
 )
 
 

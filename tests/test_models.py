@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from symsq.collective import pair_from_moments
+from symsq.covariance import bar_invariants
 from symsq.errors import DomainError, InvalidN, ParityViolation
-from symsq.invariants import symmetric_six_from_bloch
+from symsq.invariants import makhlin_from_bloch, symmetric_six_from_bloch
 from symsq.models import (
     SWEEP_FIELDS,
     atomic_pair,
@@ -23,7 +24,7 @@ from symsq.oracle import (
     moments_of,
     rotation_pi2_about_2,
 )
-from symsq.states import symmetric_from_special
+from symsq.states import from_bloch
 
 
 # ----------------------------------------------------------------------
@@ -254,3 +255,14 @@ def test_sweep_nan_xi_for_zero_mean_spin():
     rows = sweep("dicke", [0.0], [4])
     assert math.isnan(rows[0].xi_sq)
     assert rows[0].branch == "I3_zero_I1_negative"
+
+
+def test_sweep_ku_subnormal_t_warns_nowhere():
+    # T[0, 1] is subnormal here; det T must not divide by zero (Tier-1
+    # turns every RuntimeWarning into an error).
+    ct = 1.0577212562814071
+    (row,) = sweep("ku", [ct], [1000])
+    s, t, _ = ku_pair(1000, ct)
+    assert 0.0 < abs(t[0, 1]) < np.finfo(float).tiny
+    assert row.invariants.I1 == makhlin_from_bloch(s, s, t).I1 == 0.0
+    assert bar_invariants(from_bloch(s, s, t, symmetric=True)).bar1 == 0.0

@@ -4,7 +4,6 @@ moment extraction, full-Hilbert cross-check."""
 import numpy as np
 import pytest
 
-from symsq.collective import pair_from_moments
 from symsq.errors import InvalidN, ParityViolation
 from symsq.oracle import (
     CollectiveState,

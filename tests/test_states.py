@@ -19,7 +19,6 @@ from symsq.states import (
     apply_local_unitaries,
     concurrence,
     entanglement_of_formation,
-    from_bloch,
     haar_unitary_2x2,
     load_state_file,
     partial_transpose,
