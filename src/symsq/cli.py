@@ -1,7 +1,7 @@
 """Command-line interface: analyze a state file, sweep a model, verify.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid state,
-3 state-file parse error, 4 invalid sweep range, model or N.
+3 state-file parse error, 4 invalid sweep range, model, N or --out path.
 The environment variable SYMSQ_TOL overrides the default sign-test
 tolerance, numerics.SIGN_TOL.
 """
@@ -250,8 +250,12 @@ def cmd_sweep(args) -> int:
             lines.append(",".join(_csv_cell(rec[k]) for k in models.SWEEP_FIELDS))
         payload = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+            return EXIT_BAD_RANGE
     else:
         sys.stdout.write(payload)
     return EXIT_OK

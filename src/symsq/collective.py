@@ -17,10 +17,15 @@ import numpy as np
 
 from .errors import InvalidN, TraceViolation, ZeroMeanSpin
 from .invariants import SymmetricInvariants, symmetric_six
-from .numerics import SIGN_TOL, sym3_eigen
+from .numerics import SIGN_TOL, hermitian_eigenvalues
 from .states import SymmetricTwoQubitState
 
 _E3 = np.array([0.0, 0.0, 1.0])
+
+# Gate on Tr T = 1 for pair data entering the moment map.
+TRACE_TOL = 1e-9
+# A mean spin |s| at or below this counts as zero (no squeezing axis).
+ZERO_SPIN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -73,11 +78,11 @@ def check_n(n) -> int:
     return int(n)
 
 
-def moments_from_pair(s, T, N: int, tol: float = 1e-9) -> CollectiveMoments:
+def moments_from_pair(s, T, N: int) -> CollectiveMoments:
     n = check_n(N)
     s = np.asarray(s, dtype=float)
     t = np.asarray(T, dtype=float)
-    if abs(np.trace(t) - 1.0) > tol:
+    if abs(np.trace(t) - 1.0) > TRACE_TOL:
         raise TraceViolation("symmetric pair data requires Tr T = 1")
     j_mean = 0.5 * n * s
     j_second = 0.25 * n * (np.eye(3) + (n - 1) * t)
@@ -104,12 +109,12 @@ def _rotation_to_axis3(direction: np.ndarray) -> np.ndarray:
     return np.eye(3) + vx + vx @ vx / (1.0 + c)
 
 
-def squeezing(s, T, N: int, tol: float = 1e-12) -> SqueezingReport:
+def squeezing(s, T, N: int) -> SqueezingReport:
     n = check_n(N)
     s = np.asarray(s, dtype=float)
     t = np.asarray(T, dtype=float)
     s0 = float(np.linalg.norm(s))
-    if s0 <= tol:
+    if s0 <= ZERO_SPIN_TOL:
         raise ZeroMeanSpin("mean spin vanishes; use the I3 = 0 classification branch")
     n0 = s / s0
     rot = _rotation_to_axis3(n0)
@@ -148,9 +153,7 @@ def classify_invariants(inv: SymmetricInvariants, tol: float = SIGN_TOL) -> Pair
     return PairClassification(branch=branch, collective_note=_NOTES[branch], margin=float(margin))
 
 
-def classify(state: SymmetricTwoQubitState, N: int = 2,
-             tol: float = SIGN_TOL) -> PairClassification:
-    check_n(N)
+def classify(state: SymmetricTwoQubitState, tol: float = SIGN_TOL) -> PairClassification:
     return classify_invariants(symmetric_six(state), tol)
 
 
@@ -177,24 +180,21 @@ def collective_forms(inv: SymmetricInvariants, s, T, N: int) -> CollectiveFormsR
     n = check_n(N)
     s = np.asarray(s, dtype=float)
     t = np.asarray(T, dtype=float)
-    s0 = float(np.linalg.norm(s))
-    if s0 <= 1e-12:
-        raise ZeroMeanSpin("collective forms of I4/I5 need a nonzero mean spin")
+    rep = squeezing(s, t, n)  # raises ZeroMeanSpin when the mean spin vanishes
     m = moments_from_pair(s, t, n)
     jsq = float(m.j_mean @ m.j_mean)
-    n0 = s / s0
+    n0 = rep.mean_spin_dir
     j_par_sq = float(n0 @ m.j_second @ n0)  # <(J . n0)^2>
 
     i4_coll = 4.0 * jsq / (n * n * (n - 1)) * (4.0 * j_par_sq / n - 1.0)
     combo_coll = (16.0 * jsq / (n ** 3 * (n - 1))) * (
         j_par_sq - (n / 4.0 + (n - 1) * jsq / n)
     )
-    rep = squeezing(s, t, n)
     i5_coll = (8.0 * jsq / (n * (n - 1)) ** 2) * (rep.xi_sq - 1.0) * (
         rep.max_variance_ratio - 1.0
     )
     # Product of principal second moments for det T.
-    t_eigs, _ = sym3_eigen(t)
+    t_eigs = hermitian_eigenvalues(t)
     ji_sq = 0.25 * n * (1.0 + (n - 1) * t_eigs)
     i1_coll = (4.0 / (n * (n - 1))) ** 3 * float(np.prod(ji_sq - n / 4.0))
 

@@ -17,7 +17,7 @@ import numpy as np
 from .collective import check_n
 from .errors import ChainMismatch, NonUnitVector, NotSymmetricState
 from .invariants import _triple
-from .numerics import SIGN_TOL, hermitian_eigenvalues, sym3_eigen
+from .numerics import SIGN_TOL, hermitian_eigenvalues
 from .states import (
     SymmetricTwoQubitState,
     TwoQubitState,
@@ -49,6 +49,9 @@ U_PRIME = (1 / _SQ2) * np.array(
     ],
     dtype=complex,
 )
+
+# How far |k_hat| may be from 1 in korbicz_witness.
+UNIT_NORM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -175,15 +178,14 @@ def collective_criterion(s, T, N: int, tol: float = SIGN_TOL) -> CollectiveCrite
     big_s = 0.5 * N * s
     vn = 0.25 * N * (np.eye(3) - np.outer(s, s) + (N - 1) * c)
     witness = vn + np.outer(big_s, big_s) / N
-    w, _ = sym3_eigen(witness)
-    min_eig = float(w[0])
+    min_eig = float(hermitian_eigenvalues(witness)[0])
     return CollectiveCriterion(
         N=int(N), S=big_s, Vn=vn, witness_matrix=witness,
         min_eig=min_eig, entangled=min_eig < N / 4.0 - tol,
     )
 
 
-def korbicz_witness(s, T, k_hat, tol: float = 1e-9) -> float:
+def korbicz_witness(s, T, k_hat) -> float:
     """k^T (T - s s^T) k along the unit direction k_hat.
 
     A negative value certifies the generalized spin-squeezing inequality
@@ -191,7 +193,7 @@ def korbicz_witness(s, T, k_hat, tol: float = 1e-9) -> float:
     directions is the least eigenvalue of C.
     """
     k = np.asarray(k_hat, dtype=float)
-    if abs(np.linalg.norm(k) - 1.0) > max(tol, 1e-9):
+    if abs(np.linalg.norm(k) - 1.0) > UNIT_NORM_TOL:
         raise NonUnitVector("k_hat must be a unit vector")
     s = np.asarray(s, dtype=float)
     t = np.asarray(T, dtype=float)
@@ -202,5 +204,4 @@ def korbicz_minimum(s, T) -> float:
     """Exact minimization of korbicz_witness over unit directions."""
     s = np.asarray(s, dtype=float)
     t = np.asarray(T, dtype=float)
-    w, _ = sym3_eigen(t - np.outer(s, s))
-    return float(w[0])
+    return float(hermitian_eigenvalues(t - np.outer(s, s))[0])

@@ -13,10 +13,6 @@ class NonHermitian(SymsqError):
     pass
 
 
-class NonSymmetric(SymsqError):
-    pass
-
-
 class NonUnitary(SymsqError):
     pass
 

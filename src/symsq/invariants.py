@@ -24,7 +24,10 @@ for _i, _j, _k, _sgn in (
 ):
     EPS[_i, _j, _k] = _sgn
 
+# Relative gap below which two eigenvalues of T^T T count as equal.
 DEGENERACY_REL_GAP = 1e-8
+# Mixed tolerance at which locally_equivalent compares two invariants.
+LOCAL_EQUIVALENCE_TOL = 1e-9
 
 MAKHLIN_NAMES = tuple(f"I{k}" for k in range(1, 19))
 
@@ -248,16 +251,14 @@ def canonical_form(state: TwoQubitState) -> CanonicalForm:
     )
 
 
-def _close(a: float, b: float, tol: float) -> bool:
-    return abs(a - b) <= tol * (1.0 + max(abs(a), abs(b)))
-
-
-def locally_equivalent(s1: TwoQubitState, s2: TwoQubitState, tol: float = 1e-9) -> bool:
-    """True when all 18 invariants agree within mixed tol.
+def locally_equivalent(s1: TwoQubitState, s2: TwoQubitState) -> bool:
+    """True when all 18 invariants agree within LOCAL_EQUIVALENCE_TOL
+    relative to 1 + the larger magnitude.
 
     Each invariant is unchanged by local unitaries, so locally equivalent
     states always pass, whatever the degeneracy of T.
     """
     inv1 = makhlin_all(s1).values
     inv2 = makhlin_all(s2).values
-    return all(_close(a, b, tol) for a, b in zip(inv1, inv2))
+    return all(abs(a - b) <= LOCAL_EQUIVALENCE_TOL * (1.0 + max(abs(a), abs(b)))
+               for a, b in zip(inv1, inv2))

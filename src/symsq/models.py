@@ -37,6 +37,9 @@ from .invariants import (
 from .numerics import SIGN_TOL
 from .states import SpecialClassState
 
+# Rounding slack of the (half-)integer checks on J, M and 2M.
+INTEGER_TOL = 1e-12
+
 
 def _log_d_pi2_sq(jp: int, jm: int) -> float:
     """log [d^J_{M0}(pi/2)]^2 for even jp = J + M and jm = J - M."""
@@ -58,15 +61,15 @@ def wigner_d_pi2(J, M) -> float:
     evaluated with log-factorials so large J stays finite.
     """
     twoj = 2 * J
-    if abs(twoj - round(twoj)) > 1e-12 or round(twoj) < 0:
+    if abs(twoj - round(twoj)) > INTEGER_TOL or round(twoj) < 0:
         raise DomainError("J must be a nonnegative half-integer")
-    if abs(M - round(M)) > 1e-12 and abs(2 * M - round(2 * M)) > 1e-12:
+    if abs(M - round(M)) > INTEGER_TOL and abs(2 * M - round(2 * M)) > INTEGER_TOL:
         raise DomainError("M must be a (half-)integer")
-    if abs(M) > J + 1e-12:
+    if abs(M) > J + INTEGER_TOL:
         raise DomainError("|M| must not exceed J")
     jm = J - M
     jp = J + M
-    if abs(jm - round(jm)) > 1e-12:
+    if abs(jm - round(jm)) > INTEGER_TOL:
         raise DomainError("J - M must be an integer")
     jm = int(round(jm))
     jp = int(round(jp))
@@ -82,7 +85,7 @@ def wigner_d_pi2(J, M) -> float:
 def _check_dicke(N: int, M) -> int:
     check_n(N)
     twom = 2 * M
-    if abs(twom - round(twom)) > 1e-12:
+    if abs(twom - round(twom)) > INTEGER_TOL:
         raise ParityViolation("2M must be an integer")
     twom = int(round(twom))
     if (N + twom) % 2 != 0:

@@ -1,9 +1,8 @@
 """Small dense linear algebra used throughout the package.
 
-All matrices here are tiny (at most a few hundred rows for the collective
-simulator, usually 3x3 or 4x4), so the eigensolvers are cyclic Jacobi
-sweeps: simple, robust and accurate to machine precision for Hermitian /
-real-symmetric input.  The 3x3 SVD (LAPACK's, with fixed sign and rotation
+All matrices here are tiny (usually 3x3 or 4x4), so the one eigensolver
+is cyclic Jacobi sweeps: simple, robust and accurate to machine precision
+for Hermitian input.  The 3x3 SVD (LAPACK's, with fixed sign and rotation
 conventions) and the SU(2) -> SO(3) covering map are the geometric
 workhorses for correlation-matrix manipulations.
 """
@@ -12,8 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NoConvergence, NonHermitian, NonSquare, NonSymmetric, NonUnitary
+from .errors import NoConvergence, NonHermitian, NonSquare, NonUnitary
 
+# Structural gate: Hermiticity of eigensolver input and of density
+# matrices, their unit trace, and unitarity of 2x2 local factors.
 DEFAULT_TOL = 1e-10
 # Default margin of every entanglement sign test (invariant signs, min eig
 # of C, the collective witness); the CLI's SYMSQ_TOL overrides it.
@@ -97,42 +98,19 @@ def _jacobi_hermitian(a: np.ndarray):
     return w[order], v[:, order]
 
 
-def hermitian_eigh(m, tol: float = DEFAULT_TOL):
+def hermitian_eigh(m):
     """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix."""
     a = _as_square(m)
-    if np.max(np.abs(a - a.conj().T)) > tol:
-        raise NonHermitian("matrix deviates from Hermiticity beyond tol")
+    if np.max(np.abs(a - a.conj().T)) > DEFAULT_TOL:
+        raise NonHermitian("matrix deviates from Hermiticity beyond DEFAULT_TOL")
     h = (a + a.conj().T) / 2.0
     return _jacobi_hermitian(h)
 
 
-def hermitian_eigenvalues(m, tol: float = DEFAULT_TOL) -> np.ndarray:
+def hermitian_eigenvalues(m) -> np.ndarray:
     """Ascending real eigenvalues of a Hermitian matrix."""
-    w, _ = hermitian_eigh(m, tol)
+    w, _ = hermitian_eigh(m)
     return w
-
-
-def sym3_eigen(t, tol: float = DEFAULT_TOL):
-    """Eigendecomposition of a real symmetric 3x3 matrix.
-
-    Returns (eigenvalues ascending, rotation) with rotation in SO(3) and
-    rotation @ t @ rotation.T diagonal.  Eigenvector sign is fixed so the
-    first nonzero component of each row is positive; the third row is then
-    replaced by the cross product of the first two so det = +1 always.
-    """
-    a = np.asarray(t, dtype=float)
-    if a.shape != (3, 3):
-        raise NonSymmetric(f"expected 3x3, got {a.shape}")
-    if np.max(np.abs(a - a.T)) > tol:
-        raise NonSymmetric("matrix is not symmetric within tol")
-    w, v = _jacobi_hermitian((a + a.T) / 2.0 + 0j)
-    rows = np.real(v).T  # rows are eigenvectors since rows @ t @ rows.T = diag
-    for i in range(2):
-        nz = np.nonzero(np.abs(rows[i]) > 1e-12)[0]
-        if nz.size and rows[i, nz[0]] < 0.0:
-            rows[i] = -rows[i]
-    rows[2] = np.cross(rows[0], rows[1])
-    return w, rows
 
 
 def svd3(t):
@@ -179,13 +157,17 @@ def pauli(i: int) -> np.ndarray:
     return _SIGMA[i]
 
 
-def su2_to_so3(u, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Rotation O with O_ij = Tr(sigma_i u sigma_j u^dag) / 2."""
+def check_unitary_2x2(u) -> np.ndarray:
+    """u as a complex array; raises NonUnitary unless 2x2 and unitary within DEFAULT_TOL."""
     a = np.asarray(u, dtype=complex)
-    if a.shape != (2, 2):
-        raise NonUnitary(f"expected 2x2, got {a.shape}")
-    if np.max(np.abs(a.conj().T @ a - np.eye(2))) > tol:
-        raise NonUnitary("matrix is not unitary within tol")
+    if a.shape != (2, 2) or np.max(np.abs(a.conj().T @ a - np.eye(2))) > DEFAULT_TOL:
+        raise NonUnitary("expected a 2x2 unitary")
+    return a
+
+
+def su2_to_so3(u) -> np.ndarray:
+    """Rotation O with O_ij = Tr(sigma_i u sigma_j u^dag) / 2."""
+    a = check_unitary_2x2(u)
     o = np.empty((3, 3))
     adj = a.conj().T
     for j in range(3):

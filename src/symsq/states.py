@@ -10,22 +10,24 @@ singlet is (|01> - |10>)/sqrt(2).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    InvalidDensityMatrix,
-    NonUnitary,
-    NotPositive,
-    NotSymmetricState,
-)
-from .numerics import DEFAULT_TOL, hermitian_eigenvalues, hermitian_eigh, pauli
+from .errors import InvalidDensityMatrix, NotPositive, NotSymmetricState
+from .numerics import DEFAULT_TOL, check_unitary_2x2, hermitian_eigenvalues, hermitian_eigh, pauli
 
 # Positivity gate used when assembling states from Bloch data; slightly
 # looser than the working tolerance to absorb rounding accumulated in
 # model-generated inputs.
 FROM_BLOCH_PSD_TOL = 1e-9
+# Gate on r = s, T = T^T, Tr T = 1 and the singlet population of a
+# symmetric state.
+SYMMETRIC_STATE_TOL = 1e-8
+# Gate on the nonnegativity, normalization and positivity of the
+# special-class parameters.
+SPECIAL_CLASS_TOL = 1e-9
 
 # One- and two-qubit Pauli operator tables, built once.
 _SIG = [pauli(i) for i in range(3)]
@@ -62,6 +64,8 @@ class TwoQubitState:
         rho = np.asarray(self.rho, dtype=complex)
         if rho.shape != (4, 4):
             raise InvalidDensityMatrix(f"expected 4x4, got {rho.shape}")
+        if not np.all(np.isfinite(rho)):
+            raise InvalidDensityMatrix("density matrix has a non-finite entry")
         if np.max(np.abs(rho - rho.conj().T)) > DEFAULT_TOL:
             raise InvalidDensityMatrix("density matrix is not Hermitian")
         if abs(np.trace(rho).real - 1.0) > DEFAULT_TOL:
@@ -89,23 +93,25 @@ class SymmetricTwoQubitState(TwoQubitState):
 
     def __post_init__(self):
         super().__post_init__()
-        tol = 1e-8
         if (
-            np.max(np.abs(self.r - self.s)) > tol
-            or np.max(np.abs(self.T - self.T.T)) > tol
-            or abs(np.trace(self.T) - 1.0) > tol
+            np.max(np.abs(self.r - self.s)) > SYMMETRIC_STATE_TOL
+            or np.max(np.abs(self.T - self.T.T)) > SYMMETRIC_STATE_TOL
+            or abs(np.trace(self.T) - 1.0) > SYMMETRIC_STATE_TOL
         ):
             raise NotSymmetricState("state violates r = s, T = T^T or Tr T = 1")
         singlet_pop = float(np.real(SINGLET.conj() @ self.rho @ SINGLET))
-        if singlet_pop > tol:
+        if singlet_pop > SYMMETRIC_STATE_TOL:
             raise NotSymmetricState(f"singlet population {singlet_pop:g} is nonzero")
 
 
 def rho_from_bloch(s, r, T) -> np.ndarray:
-    """Assemble the 4x4 matrix of the Bloch parametrization (unvalidated)."""
+    """Assemble the 4x4 matrix of the Bloch parametrization (only shapes checked)."""
     s = np.asarray(s, dtype=float)
     r = np.asarray(r, dtype=float)
     t = np.asarray(T, dtype=float)
+    if s.shape != (3,) or r.shape != (3,) or t.shape != (3, 3):
+        raise ValueError(f"Bloch data need s, r of shape (3,) and T of shape (3, 3), "
+                         f"got {s.shape}, {r.shape}, {t.shape}")
     rho = np.eye(4, dtype=complex)
     for i in range(3):
         rho += s[i] * _SIG1[i] + r[i] * _SIG2[i]
@@ -136,12 +142,13 @@ class SpecialClassState:
     d: float
 
     def __post_init__(self):
-        tol = 1e-9
-        if min(self.a, self.c, self.d) < -tol:
+        if not all(map(math.isfinite, (self.a, self.b, self.c, self.d))):
+            raise InvalidDensityMatrix("a, b, c, d must be finite")
+        if min(self.a, self.c, self.d) < -SPECIAL_CLASS_TOL:
             raise InvalidDensityMatrix("a, c, d must be nonnegative")
-        if abs(self.a + 2 * self.c + self.d - 1.0) > tol:
+        if abs(self.a + 2 * self.c + self.d - 1.0) > SPECIAL_CLASS_TOL:
             raise InvalidDensityMatrix("a + 2c + d must equal 1")
-        if self.b * self.b > self.a * self.d + tol:
+        if self.b * self.b > self.a * self.d + SPECIAL_CLASS_TOL:
             raise NotPositive("need b^2 <= a d for positivity",
                               min_eig=float(self.a * self.d - self.b * self.b))
 
@@ -190,7 +197,7 @@ def concurrence(state: TwoQubitState) -> float:
     w, v = hermitian_eigh(rho)
     sqrt_rho = v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
     m = sqrt_rho @ rho_tilde @ sqrt_rho
-    lam = np.sqrt(np.clip(hermitian_eigenvalues(m, tol=1e-8), 0.0, None))[::-1]
+    lam = np.sqrt(np.clip(hermitian_eigenvalues(m), 0.0, None))[::-1]
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 
@@ -205,11 +212,7 @@ def entanglement_of_formation(state: TwoQubitState) -> float:
 
 def apply_local_unitaries(state: TwoQubitState, u1, u2) -> TwoQubitState:
     """Conjugate by u1 (x) u2; Bloch data rotates by the SO(3) images."""
-    for u in (u1, u2):
-        u = np.asarray(u, dtype=complex)
-        if u.shape != (2, 2) or np.max(np.abs(u.conj().T @ u - np.eye(2))) > DEFAULT_TOL:
-            raise NonUnitary("local factors must be 2x2 unitaries")
-    big = np.kron(np.asarray(u1, dtype=complex), np.asarray(u2, dtype=complex))
+    big = np.kron(check_unitary_2x2(u1), check_unitary_2x2(u2))
     return TwoQubitState(big @ state.rho @ big.conj().T)
 
 

@@ -168,6 +168,35 @@ def test_analyze_parse_error_exit_code(tmp_path):
     assert main(["analyze", str(path)]) == EXIT_PARSE_ERROR
 
 
+_ZERO_T = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
+_INF_RHO = [[[0, 0]] * 4 for _ in range(4)]
+_INF_RHO[0][0] = [math.inf, 0]
+
+
+@pytest.mark.parametrize("state", [
+    {"special": {"a": math.nan, "b": 0, "c": 0.25, "d": 0.5}},
+    {"bloch": {"s": [0, 0, math.nan], "r": [0, 0, 0], "T": _ZERO_T}},
+    {"rho": _INF_RHO},
+], ids=["special", "bloch", "rho"])
+def test_analyze_non_finite_state_exit_code(tmp_path, capsys, state):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(state))  # writes NaN / Infinity, which json.load reads back
+    assert main(["analyze", str(path)]) == EXIT_INVALID_STATE
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bloch", [
+    {"s": [0, 0], "r": [0, 0, 0], "T": _ZERO_T},
+    {"s": [0, 0, 0, 5], "r": [0, 0, 0], "T": _ZERO_T},
+    {"s": [[0], [0], [0]], "r": [0, 0, 0], "T": _ZERO_T},
+], ids=["short", "long", "column"])
+def test_analyze_bloch_shape_exit_code(tmp_path, capsys, bloch):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"bloch": bloch}))
+    assert main(["analyze", str(path)]) == EXIT_PARSE_ERROR
+    assert "shape" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("bad_n", ["1", "0", "x", "2,1", "3.5", ","])
 def test_analyze_bad_n_exit_code(bell_file, bad_n, capsys):
     assert main(["analyze", bell_file, "--N", bad_n]) == EXIT_BAD_RANGE
@@ -233,6 +262,12 @@ def test_sweep_to_file(tmp_path):
     assert main(["sweep", "--model", "ku", "--N", "4",
                  "--param-range", "0:1:3", "--out", str(out)]) == EXIT_OK
     assert out.read_text().startswith(",".join(SWEEP_FIELDS))
+
+
+def test_sweep_unwritable_out_exit_code(tmp_path, capsys):
+    assert main(["sweep", "--model", "ku", "--N", "4",
+                 "--param-range", "0:1:3", "--out", str(tmp_path)]) == EXIT_BAD_RANGE
+    assert "cannot write" in capsys.readouterr().err
 
 
 def test_verify_quick_passes(capsys):

@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symsq.collective import (
     Branch,
@@ -33,6 +34,15 @@ def test_moment_map_round_trip(rng):
         s, t = pair_from_moments(m)
         assert np.max(np.abs(s - state.s)) < 1e-12
         assert np.max(np.abs(t - state.T)) < 1e-12
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(rank=st.integers(1, 3), seed=st.integers(0, 2**32 - 1), n=st.integers(2, 10_000))
+def test_moment_map_round_trip_property(rank, seed, n):
+    state = random_symmetric_state(rank, seed)
+    s, t = pair_from_moments(moments_from_pair(state.s, state.T, n))
+    assert np.max(np.abs(s - state.s)) < 1e-12
+    assert np.max(np.abs(t - state.T)) < 1e-12
 
 
 def test_moment_map_factors():
@@ -163,7 +173,6 @@ _N_ENTRIES = {
     "pair_from_moments": lambda n: pair_from_moments(dataclasses.replace(
         moments_from_pair(_SPIN_STATE.s, _SPIN_STATE.T, 4), N=n)),
     "squeezing": lambda n: squeezing(_SPIN_STATE.s, _SPIN_STATE.T, n),
-    "classify": lambda n: classify(_SPIN_STATE, n),
     "collective_forms": lambda n: collective_forms(
         symmetric_six(_SPIN_STATE), _SPIN_STATE.s, _SPIN_STATE.T, n),
     "collective_criterion": lambda n: collective_criterion(_SPIN_STATE.s, _SPIN_STATE.T, n),

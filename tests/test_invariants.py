@@ -19,6 +19,7 @@ from symsq.invariants import (
 )
 from symsq.states import (
     SpecialClassState,
+    TwoQubitState,
     apply_local_unitaries,
     from_bloch,
     haar_unitary_2x2,
@@ -204,9 +205,8 @@ def test_schmidt_pure_state_canonical_t():
 
 
 def _bloch_of(rho):
-    from symsq.states import TwoQubitState
-    st = TwoQubitState(rho)
-    return st.s, st.r, st.T
+    state = TwoQubitState(rho)
+    return state.s, state.r, state.T
 
 
 def test_locally_equivalent_true_and_false(rng):
@@ -215,6 +215,19 @@ def test_locally_equivalent_true_and_false(rng):
     assert locally_equivalent(state, rotated)
     other = random_symmetric_state(3, rng)
     assert not locally_equivalent(state, other)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_locally_equivalent_generic_states(seed):
+    """A generic (Ginibre) state and its copy under a Haar u1 (x) u2 agree
+    on all 18 invariants within LOCAL_EQUIVALENCE_TOL."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = g @ g.conj().T
+    state = TwoQubitState(rho / np.trace(rho).real)
+    rotated = apply_local_unitaries(state, haar_unitary_2x2(rng), haar_unitary_2x2(rng))
+    assert locally_equivalent(state, rotated)
 
 
 def _bell_diagonal(t_diag):

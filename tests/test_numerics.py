@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from symsq import numerics
-from symsq.errors import NoConvergence, NonHermitian, NonSquare, NonSymmetric
+from symsq.errors import NoConvergence, NonHermitian, NonSquare
 from symsq.numerics import (
     hermitian_eigenvalues,
     hermitian_eigh,
     pauli,
     su2_to_so3,
     svd3,
-    sym3_eigen,
 )
 
 
@@ -46,23 +45,6 @@ def test_hermitian_eigh_rejects_bad_input():
         hermitian_eigh(np.ones((2, 3)))
     with pytest.raises(NonHermitian):
         hermitian_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_sym3_eigen_matches_lapack(rng):
-    for _ in range(100):
-        a = rng.normal(size=(3, 3))
-        a = (a + a.T) / 2
-        w, rot = sym3_eigen(a)
-        assert np.all(np.diff(w) >= -1e-14)  # ascending
-        assert np.max(np.abs(np.sort(np.linalg.eigvalsh(a)) - w)) < 1e-12
-        # rows are eigenvectors forming a proper rotation
-        assert np.max(np.abs(rot @ a @ rot.T - np.diag(w))) < 1e-12
-        assert abs(np.linalg.det(rot) - 1.0) < 1e-12
-
-
-def test_sym3_eigen_rejects_asymmetric():
-    with pytest.raises(NonSymmetric):
-        sym3_eigen(np.array([[0.0, 1.0, 0], [0, 0, 0], [0, 0, 0]]))
 
 
 def test_svd3_reconstruction_and_conventions(rng):
