@@ -60,6 +60,8 @@ def wigner_d_pi2(J, M) -> float:
 
     evaluated with log-factorials so large J stays finite.
     """
+    if not (math.isfinite(J) and math.isfinite(M)):
+        raise DomainError("J and M must be finite")
     twoj = 2 * J
     if abs(twoj - round(twoj)) > INTEGER_TOL or round(twoj) < 0:
         raise DomainError("J must be a nonnegative half-integer")
@@ -84,6 +86,8 @@ def wigner_d_pi2(J, M) -> float:
 
 def _check_dicke(N: int, M) -> int:
     check_n(N)
+    if not math.isfinite(M):
+        raise DomainError("M must be finite")
     twom = 2 * M
     if abs(twom - round(twom)) > INTEGER_TOL:
         raise ParityViolation("2M must be an integer")

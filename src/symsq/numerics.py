@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NoConvergence, NonHermitian, NonSquare, NonUnitary
+from .errors import DomainError, NoConvergence, NonHermitian, NonSquare, NonUnitary
 
 # Structural gate: Hermiticity of eigensolver input and of density
 # matrices, their unit trace, and unitarity of 2x2 local factors.
@@ -101,6 +101,8 @@ def _jacobi_hermitian(a: np.ndarray):
 def hermitian_eigh(m):
     """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix."""
     a = _as_square(m)
+    if not np.all(np.isfinite(a)):
+        raise DomainError("matrix has a non-finite entry")
     if np.max(np.abs(a - a.conj().T)) > DEFAULT_TOL:
         raise NonHermitian("matrix deviates from Hermiticity beyond DEFAULT_TOL")
     h = (a + a.conj().T) / 2.0

@@ -1,21 +1,23 @@
 """Brute-force symmetric-subspace simulator.
 
 Everything here works directly with the (N+1)-dimensional collective
-basis |J = N/2, M> (M descending from N/2), using dense matrices and the
-LAPACK eigensolver: an implementation route deliberately disjoint from
-the closed forms and the hand-rolled Jacobi kernels it is used to check.
+basis |J = N/2, M> (M descending from N/2): states come from LAPACK
+eigensolves of the dense collective operators, done once per N, and
+moments from the ladder action of J+ and J- on the state.  This route is
+deliberately disjoint from the closed forms and the hand-rolled Jacobi
+kernels it is used to check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 
 import numpy as np
 
 from .collective import CollectiveMoments, pair_from_moments
-from .errors import InvalidN, ParityViolation
+from .errors import DomainError, InvalidN, ParityViolation
 from .states import SymmetricTwoQubitState, from_bloch
 
 
@@ -37,42 +39,69 @@ class CollectiveState:
 
 @dataclass(frozen=True)
 class JOperators:
+    """Per-N data of the collective basis |J = N/2, M>, M = N/2 ... -N/2.
+
+    Stores M and the ladder coefficients; everything else derived from N
+    is computed on access (the dense matrices) or once on first access
+    (the spectral data), so clearing build_j_operators' cache frees all of
+    it.
+    """
+
     N: int
-    J1: np.ndarray
-    J2: np.ndarray
-    J3: np.ndarray
+    m: np.ndarray  # M of each basis index
+    # ladder[i - 1] = sqrt((J - M)(J + M + 1)) at M = m[i]: J+ |J, m[i]> =
+    # ladder[i - 1] |J, m[i - 1]>, raising M moves one index up.
+    ladder: np.ndarray
+
+    @property
+    def J1(self) -> np.ndarray:
+        jp = np.diag(self.ladder, 1)
+        return (jp + jp.T) / 2.0 + 0j
+
+    @property
+    def J2(self) -> np.ndarray:
+        jp = np.diag(self.ladder, 1)
+        return (jp - jp.T) / 2.0j
+
+    @property
+    def J3(self) -> np.ndarray:
+        return np.diag(self.m) + 0j
+
+    @cached_property
+    def j1_squared_spectrum(self) -> tuple:
+        """(w, v) of J1^2 from LAPACK eigh; v is stored complex, since
+        every use multiplies it with a complex vector."""
+        j1 = self.J1
+        w, v = np.linalg.eigh(np.real(j1 @ j1))
+        return w, v.astype(complex)
+
+    @cached_property
+    def d_column(self) -> np.ndarray:
+        """<J, M| exp(-i (pi/2) J2) |J, 0> for every M (even N only)."""
+        return np.real(rotation_pi2_about_2(self.N)[:, self.N // 2])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def build_j_operators(N: int) -> JOperators:
-    """Collective spin matrices in the |J, M> basis, M = N/2 ... -N/2."""
+    """Collective spin data in the |J, M> basis, M = N/2 ... -N/2."""
     if not isinstance(N, int) or N < 1:
         raise InvalidN("N must be an integer >= 1")
     j = N / 2.0
     m = j - np.arange(N + 1)
-    jp = np.zeros((N + 1, N + 1))
-    # J+ |J, M> = sqrt((J - M)(J + M + 1)) |J, M + 1>; raising M moves one
-    # index up in the descending-M ordering.
-    for i in range(1, N + 1):
-        mm = m[i]
-        jp[i - 1, i] = np.sqrt((j - mm) * (j + mm + 1.0))
-    jm_op = jp.T
-    j1 = (jp + jm_op) / 2.0
-    j2 = (jp - jm_op) / 2.0j
-    j3 = np.diag(m)
-    return JOperators(N=N, J1=j1 + 0j, J2=j2, J3=j3 + 0j)
+    ladder = np.sqrt((j - m[1:]) * (j + m[1:] + 1.0))
+    return JOperators(N=N, m=m, ladder=ladder)
 
 
 def evolve_ku(N: int, chi_t: float) -> CollectiveState:
     """One-axis twisting exp(-i chi_t J1^2) applied to |J, -J>."""
     if N < 2:
         raise InvalidN("N must be >= 2")
-    ops = build_j_operators(N)
-    h = np.real(ops.J1 @ ops.J1)
-    w, v = np.linalg.eigh(h)
-    start = np.zeros(N + 1, dtype=complex)
-    start[-1] = 1.0  # M = -N/2
-    psi = v @ (np.exp(-1j * chi_t * w) * (v.conj().T @ start))
+    if not np.isfinite(chi_t):
+        raise DomainError("chi_t must be finite")
+    w, v = build_j_operators(N).j1_squared_spectrum
+    # The start state is the last basis vector (M = -N/2), so its
+    # eigenbasis components are the last row of v.
+    psi = v @ (np.exp(-1j * chi_t * w) * v[-1])
     return CollectiveState(N=N, amplitudes=psi)
 
 
@@ -92,15 +121,17 @@ def build_atomic_state(N: int, theta: float) -> CollectiveState:
     """
     if N % 2 != 0 or N < 2:
         raise ParityViolation("the steady state exists for even N >= 2")
-    rot = rotation_pi2_about_2(N)
-    d_col = np.real(rot[:, N // 2])  # overlap with M = 0
-    m = N / 2.0 - np.arange(N + 1)
-    amp = d_col * np.exp(m * theta)
+    if not np.isfinite(theta):
+        raise DomainError("theta must be finite")
+    ops = build_j_operators(N)
+    amp = ops.d_column * np.exp(ops.m * theta)
     norm = np.linalg.norm(amp)
     return CollectiveState(N=N, amplitudes=amp / norm)
 
 
 def build_dicke_state(N: int, M) -> CollectiveState:
+    if not np.isfinite(M):
+        raise DomainError("M must be finite")
     if abs(2 * M - round(2 * M)) > 0 or (N + round(2 * M)) % 2 != 0:
         raise ParityViolation("N + 2M must be even")
     if abs(M) > N / 2.0:
@@ -111,12 +142,17 @@ def build_dicke_state(N: int, M) -> CollectiveState:
 
 
 def moments_of(state: CollectiveState) -> CollectiveMoments:
+    """<J_i> and (1/2)<{J_i, J_j}> from J+ psi and J- psi, O(N)."""
     ops = build_j_operators(state.N)
     psi = state.amplitudes
-    js = (ops.J1, ops.J2, ops.J3)
-    j_mean = np.array([np.real(psi.conj() @ (op @ psi)) for op in js])
+    raised = np.zeros_like(psi)
+    raised[:-1] = ops.ladder * psi[1:]
+    lowered = np.zeros_like(psi)
+    lowered[1:] = ops.ladder * psi[:-1]
+    vecs = [(raised + lowered) / 2.0, (raised - lowered) / 2.0j, ops.m * psi]
+    bra = psi.conj()
+    j_mean = np.array([np.real(bra @ vec) for vec in vecs])
     j_second = np.empty((3, 3))
-    vecs = [op @ psi for op in js]
     for i in range(3):
         for k in range(i, 3):
             val = np.real(np.vdot(vecs[i], vecs[k]))

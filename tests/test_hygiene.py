@@ -1,8 +1,17 @@
-"""Static hygiene of the package and its tests: every imported name is used,
-and every tol parameter is a sign-test margin."""
+"""Hygiene of the package and its tests: every imported name is used, every
+tol parameter is a sign-test margin, and non-finite input raises a
+SymsqError."""
 
 import ast
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from symsq import models, oracle
+from symsq.covariance import collective_criterion
+from symsq.errors import SymsqError
+from symsq.numerics import hermitian_eigh
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted([*(ROOT / "src" / "symsq").glob("*.py"), *(ROOT / "tests").glob("*.py")])
@@ -51,3 +60,23 @@ def test_every_tol_parameter_is_a_sign_test():
     loose = {path.name: names for path in sorted((ROOT / "src" / "symsq").glob("*.py"))
              if (names := _loose_tolerances(ast.parse(path.read_text())))}
     assert loose == {}
+
+
+@pytest.mark.parametrize("call", [
+    lambda: collective_criterion([0, 0, np.nan], np.eye(3) / 3, 4),
+    lambda: hermitian_eigh(np.diag([1.0, np.inf])),
+    lambda: models.wigner_d_pi2(np.nan, 0),
+    lambda: models.wigner_d_pi2(2, np.nan),
+    lambda: models.dicke_pair(4, np.nan),
+    lambda: models.dicke_pair(4, np.inf),
+    lambda: oracle.build_dicke_state(4, np.nan),
+    lambda: oracle.build_dicke_state(4, np.inf),
+    lambda: oracle.evolve_ku(4, np.nan),
+    lambda: oracle.build_atomic_state(4, np.nan),
+    lambda: oracle.build_atomic_state(4, -np.inf),
+], ids=["collective_criterion", "hermitian_eigh", "wigner_d_pi2_J", "wigner_d_pi2_M", "dicke_pair_nan",
+        "dicke_pair_inf", "build_dicke_state_nan", "build_dicke_state_inf",
+        "evolve_ku", "build_atomic_state_nan", "build_atomic_state_inf"])
+def test_non_finite_input_raises_symsq_error(call):
+    with pytest.raises(SymsqError):
+        call()

@@ -3,6 +3,7 @@ moment extraction, full-Hilbert cross-check."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symsq.errors import InvalidN, ParityViolation
 from symsq.oracle import (
@@ -141,3 +142,61 @@ def test_full_hilbert_embedding_matches_pair_reduction():
 def test_full_hilbert_rejects_large_n():
     with pytest.raises(InvalidN):
         full_hilbert_vector(CollectiveState(N=7, amplitudes=np.eye(8)[0]))
+
+
+def _dense_moments(n, psi):
+    """<J_i> and (1/2)<{J_i, J_j}> from the dense operators."""
+    ops = build_j_operators(n)
+    js = (ops.J1, ops.J2, ops.J3)
+    mean = np.array([np.real(np.vdot(psi, a @ psi)) for a in js])
+    second = np.array([[0.5 * np.real(np.vdot(psi, (a @ b + b @ a) @ psi)) for b in js]
+                       for a in js])
+    return mean, second
+
+
+def _assert_moments_match_dense(n, seed):
+    rng = np.random.default_rng(seed)
+    amp = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+    amp /= np.linalg.norm(amp)
+    m = moments_of(CollectiveState(N=n, amplitudes=amp))
+    mean, second = _dense_moments(n, amp)
+    bound = 1e-12 * max(1, n * n)
+    assert np.max(np.abs(m.j_mean - mean)) < bound
+    assert np.max(np.abs(m.j_second - second)) < bound
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 50, 150])
+def test_ladder_moments_match_dense_operators(n):
+    _assert_moments_match_dense(n, 7 + n)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(n=st.integers(1, 150), seed=st.integers(0, 2**32 - 1))
+def test_ladder_moments_match_dense_operators_property(n, seed):
+    _assert_moments_match_dense(n, seed)
+
+
+@pytest.mark.parametrize("n", [2, 10, 40, 150])
+def test_cached_spectra_match_a_fresh_eigh(n):
+    ops = build_j_operators(n)
+    w, v = np.linalg.eigh(np.real(ops.J1 @ ops.J1))
+    start = np.zeros(n + 1)
+    start[-1] = 1.0
+    for ct in (0.0, 0.4, 2.9):
+        want = v @ np.diag(np.exp(-1j * ct * w)) @ v.T @ start
+        assert np.max(np.abs(evolve_ku(n, ct).amplitudes - want)) < 1e-12
+    w, v = np.linalg.eigh(ops.J2)
+    column = np.real((v @ np.diag(np.exp(-0.5j * np.pi * w)) @ v.conj().T)[:, n // 2])
+    for theta in (-2.0, -0.3, 0.0):
+        amp = column * np.exp(ops.m * theta)
+        want = amp / np.linalg.norm(amp)
+        assert np.max(np.abs(build_atomic_state(n, theta).amplitudes - want)) < 1e-12
+
+
+def test_j_operator_cache_is_bounded_and_refills():
+    assert build_j_operators.cache_info().maxsize is not None
+    build_j_operators.cache_clear()
+    assert build_j_operators.cache_info().currsize == 0
+    moments_of(evolve_ku(6, 0.5))
+    assert build_j_operators.cache_info().currsize == 1
+    assert build_j_operators(6) is build_j_operators(6)
