@@ -20,12 +20,15 @@ from .invariants import SymmetricInvariants, symmetric_six
 from .numerics import SIGN_TOL, hermitian_eigenvalues
 from .states import SymmetricTwoQubitState
 
-_E3 = np.array([0.0, 0.0, 1.0])
-
 # Gate on Tr T = 1 for pair data entering the moment map.
 TRACE_TOL = 1e-9
 # A mean spin |s| at or below this counts as zero (no squeezing axis).
 ZERO_SPIN_TOL = 1e-12
+# A unit mean-spin direction within this of +e3 or -e3 is rotated onto e3
+# by the identity or by the pi rotation about e1.
+AXIS_GUARD_TOL = 1e-14
+# Transverse eigenvalue gap below which squeezing has no unique axis.
+DEGENERATE_DIRECTION_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -37,6 +40,8 @@ class CollectiveMoments:
 
 @dataclass(frozen=True)
 class SqueezingReport:
+    """Floats for one pair; arrays over the leading axes of stacked input."""
+
     xi_sq: float
     t_perp_minus: float
     t_perp_plus: float
@@ -97,60 +102,91 @@ def pair_from_moments(m: CollectiveMoments):
     return s, t
 
 
+_EYE3 = np.eye(3)
+_PI_ABOUT_E1 = np.diag([1.0, -1.0, -1.0])
+
+
 def _rotation_to_axis3(direction: np.ndarray) -> np.ndarray:
-    """Proper rotation R with R @ direction = e3 (direction a unit vector)."""
-    c = float(direction @ _E3)
-    if c > 1.0 - 1e-14:
-        return np.eye(3)
-    if c < -1.0 + 1e-14:
-        return np.diag([1.0, -1.0, -1.0])
-    v = np.cross(direction, _E3)
-    vx = np.array([[0, -v[2], v[1]], [v[2], 0, -v[0]], [-v[1], v[0], 0]])
-    return np.eye(3) + vx + vx @ vx / (1.0 + c)
+    """Proper rotations R with R @ direction = e3, over leading axes
+    (direction of shape (..., 3), unit vectors)."""
+    c = direction[..., 2]
+    south = c < -1.0 + AXIS_GUARD_TOL
+    # The cross-product matrix of v = direction x e3 = (d_y, -d_x, 0).
+    vx = np.zeros(direction.shape + (3,))
+    vx[..., 2, :2] = direction[..., :2]
+    vx[..., :2, 2] = -direction[..., :2]
+    # Near the south pole 1 + c vanishes, so 1 is added there; the pi
+    # rotation replaces that result.
+    rot = _EYE3 + vx + vx @ vx / (1.0 + c + south)[..., None, None]
+    rot[c > 1.0 - AXIS_GUARD_TOL] = _EYE3
+    rot[south] = _PI_ABOUT_E1
+    return rot
 
 
 def squeezing(s, T, N: int) -> SqueezingReport:
+    """Squeezing along the transverse plane of the mean spin.
+
+    Works over leading axes: s of shape (..., 3) and T of shape
+    (..., 3, 3) give fields of shape (...) (mean_spin_dir (..., 3)), and a
+    single (3,), (3, 3) pair gives floats.  Raises ZeroMeanSpin if any
+    mean spin vanishes.
+    """
     n = check_n(N)
     s = np.asarray(s, dtype=float)
     t = np.asarray(T, dtype=float)
-    s0 = float(np.linalg.norm(s))
-    if s0 <= ZERO_SPIN_TOL:
+    s0 = np.sqrt(np.einsum("...i,...i->...", s, s))
+    if (s0 <= ZERO_SPIN_TOL).any():
         raise ZeroMeanSpin("mean spin vanishes; use the I3 = 0 classification branch")
-    n0 = s / s0
+    n0 = s / s0[..., None]
     rot = _rotation_to_axis3(n0)
-    tp = rot @ t @ rot.T
-    a, b, c = tp[0, 0], tp[1, 1], tp[0, 1]
+    tp = rot @ t @ rot.swapaxes(-1, -2)
+    a, b, c = tp[..., 0, 0], tp[..., 1, 1], tp[..., 0, 1]
     disc = np.sqrt((a - b) ** 2 + 4 * c * c)
     t_minus = 0.5 * (a + b - disc)
     t_plus = 0.5 * (a + b + disc)
-    return SqueezingReport(
-        xi_sq=1.0 + (n - 1) * t_minus,
-        t_perp_minus=float(t_minus),
-        t_perp_plus=float(t_plus),
-        mean_spin_dir=n0,
-        max_variance_ratio=1.0 + (n - 1) * t_plus,
-        degenerate_direction=disc < 1e-12,
-    )
+    xi_sq = 1.0 + (n - 1) * t_minus
+    max_ratio = 1.0 + (n - 1) * t_plus
+    degenerate = disc < DEGENERATE_DIRECTION_TOL
+    if s.ndim == 1:
+        xi_sq, t_minus, t_plus, max_ratio = map(float, (xi_sq, t_minus, t_plus, max_ratio))
+        degenerate = bool(degenerate)
+    return SqueezingReport(xi_sq=xi_sq, t_perp_minus=t_minus, t_perp_plus=t_plus,
+                           mean_spin_dir=n0, max_variance_ratio=max_ratio,
+                           degenerate_direction=degenerate)
+
+
+_BRANCHES = (Branch.I5_NEGATIVE, Branch.I4_NEGATIVE, Branch.I4_POS_COMBO_NEGATIVE,
+             Branch.I3_ZERO_I1_NEGATIVE, Branch.SEPARABLE_SIGNATURE)
+_BRANCH_TABLE = np.array(_BRANCHES, dtype=object)
+_NOTE_TABLE = np.array([_NOTES[b] for b in _BRANCHES], dtype=object)
 
 
 def classify_invariants(inv: SymmetricInvariants, tol: float = SIGN_TOL) -> PairClassification:
-    combo = inv.combo_I4_minus_I3sq
-    if inv.I3 > tol:
-        if inv.I5 < -tol:
-            branch, margin = Branch.I5_NEGATIVE, -inv.I5 - tol
-        elif inv.I4 < -tol:
-            branch, margin = Branch.I4_NEGATIVE, -inv.I4 - tol
-        elif combo < -tol:
-            branch, margin = Branch.I4_POS_COMBO_NEGATIVE, -combo - tol
-        else:
-            branch = Branch.SEPARABLE_SIGNATURE
-            margin = min(inv.I5, inv.I4, combo) + tol
-    else:
-        if inv.I1 < -tol:
-            branch, margin = Branch.I3_ZERO_I1_NEGATIVE, -inv.I1 - tol
-        else:
-            branch, margin = Branch.SEPARABLE_SIGNATURE, inv.I1 + tol
-    return PairClassification(branch=branch, collective_note=_NOTES[branch], margin=float(margin))
+    """The first negative sign test decides the branch: with a mean spin
+    (I3 > tol) I5, then I4, then I4 - I3^2; without one, I1.  The margin
+    is the deciding value's distance past -tol, or for the separable
+    signature the smallest tested value's distance above it.
+
+    Works over leading axes: invariants whose fields are arrays of shape
+    (...) give a branch, note and margin of that shape (object arrays of
+    Branch and str for the first two); float fields give one Branch.
+    """
+    spin = inv.I3 > tol
+    # The four tests in _BRANCHES order; a test on the other side of
+    # I3 = tol reads +inf, so it neither decides nor sets the margin.
+    tested = np.where(np.array([spin, spin, spin, inv.I3 <= tol]),
+                      np.array([inv.I5, inv.I4, inv.combo_I4_minus_I3sq, inv.I1]), np.inf)
+    # Row j holds where branch _BRANCHES[j] applies; the last row always does.
+    holds = np.concatenate([tested < -tol, np.ones((1,) + tested.shape[1:], dtype=bool)])
+    margins = np.concatenate([-tested - tol, tested.min(axis=0, keepdims=True) + tol])
+    k = holds.argmax(axis=0)
+    margin = np.take_along_axis(margins, k[None], axis=0)[0]
+    if k.ndim == 0:
+        branch = _BRANCHES[k]
+        return PairClassification(branch=branch, collective_note=_NOTES[branch],
+                                  margin=float(margin))
+    return PairClassification(branch=_BRANCH_TABLE[k], collective_note=_NOTE_TABLE[k],
+                              margin=margin)
 
 
 def classify(state: SymmetricTwoQubitState, tol: float = SIGN_TOL) -> PairClassification:

@@ -159,7 +159,7 @@ def ppt_equivalence_chain(state: SymmetricTwoQubitState) -> ChainDiagnostics:
 
 def bar_invariants(state: SymmetricTwoQubitState, tol: float = SIGN_TOL) -> BarInvariants:
     c = c_matrix(state)
-    bar1 = _triple(c[0], c[1], c[2])
+    bar1 = float(_triple(c[0], c[1], c[2]))
     bar2 = float(np.trace(c))
     bar3 = float(np.trace(c @ c))
     bar4 = 0.5 * (bar2 * bar2 - bar3)

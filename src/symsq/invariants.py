@@ -32,9 +32,9 @@ LOCAL_EQUIVALENCE_TOL = 1e-9
 MAKHLIN_NAMES = tuple(f"I{k}" for k in range(1, 19))
 
 
-def _triple(a, b, c) -> float:
-    """epsilon_ijk a_i b_j c_k (scalar triple product)."""
-    return float(np.einsum("ijk,i,j,k->", EPS, a, b, c))
+def _triple(a, b, c):
+    """epsilon_ijk a_i b_j c_k (scalar triple product) over leading axes."""
+    return np.einsum("ijk,...i,...j,...k->...", EPS, a, b, c)
 
 
 @dataclass(frozen=True)
@@ -52,6 +52,8 @@ class MakhlinInvariants:
 
 @dataclass(frozen=True)
 class SymmetricInvariants:
+    """Floats for one pair; arrays over the leading axes of stacked input."""
+
     I1: float
     I2: float
     I3: float
@@ -83,25 +85,25 @@ def makhlin_from_bloch(s, r, t) -> MakhlinInvariants:
     tr = t @ r            # T r
     vals = (
         _triple(t[0], t[1], t[2]),               # I1 = det T
-        float(np.trace(ttt)),                    # I2
-        float(np.trace(ttt @ ttt)),              # I3
-        float(s @ s),                            # I4
-        float(s @ tts),                          # I5
-        float(s @ tt2s),                         # I6
-        float(r @ r),                            # I7
-        float(r @ tttr),                         # I8
-        float(r @ ttt2r),                        # I9
+        np.trace(ttt),                           # I2
+        np.trace(ttt @ ttt),                     # I3
+        s @ s,                                   # I4
+        s @ tts,                                 # I5
+        s @ tt2s,                                # I6
+        r @ r,                                   # I7
+        r @ tttr,                                # I8
+        r @ ttt2r,                               # I9
         _triple(s, tts, tt2s),                   # I10
         _triple(r, tttr, ttt2r),                 # I11
-        float(s @ tr),                           # I12
-        float(s @ (tt @ tr)),                    # I13
-        float(np.einsum("ijk,lmn,i,l,jm,kn->", EPS, EPS, s, r, t, t)),  # I14
+        s @ tr,                                  # I12
+        s @ (tt @ tr),                           # I13
+        np.einsum("ijk,lmn,i,l,jm,kn->", EPS, EPS, s, r, t, t),  # I14
         _triple(s, tts, tr),                     # I15
         _triple(ts_left, r, tttr),               # I16
         _triple(ts_left, ttt @ ts_left, r),      # I17
         _triple(s, tr, tt @ tr),                 # I18
     )
-    return MakhlinInvariants(vals)
+    return MakhlinInvariants(tuple(map(float, vals)))
 
 
 def makhlin_all(state: TwoQubitState) -> MakhlinInvariants:
@@ -109,19 +111,31 @@ def makhlin_all(state: TwoQubitState) -> MakhlinInvariants:
 
 
 def symmetric_six_from_bloch(s, t) -> SymmetricInvariants:
+    """The six invariants of symmetric pair data (s, T).
+
+    Works over leading axes: s of shape (..., 3) and t of shape
+    (..., 3, 3) give fields of shape (...), and a single (3,), (3, 3)
+    pair gives floats.  I1 and I5 are epsilon contractions, so no
+    determinant routine sees subnormal entries.
+    """
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
-    ts = t @ s
-    i5 = float(np.einsum("ijk,lmn,i,l,jm,kn->", EPS, EPS, s, s, t, t))
-    i6 = _triple(s, ts, t @ ts)
-    return SymmetricInvariants(
-        I1=_triple(t[0], t[1], t[2]),
-        I2=float(np.trace(t @ t)),
-        I3=float(s @ s),
-        I4=float(s @ ts),
-        I5=i5,
-        I6=i6,
+    ts = (t @ s[..., None])[..., 0]
+    # I5 = eps_ijk eps_lmn s_i s_l t_jm t_kn, contracted in stages:
+    # a_jk = eps_ijk s_i, then sum_jk a_jk (t a t^T)_jk.
+    a = np.einsum("ijk,...i->...jk", EPS, s)
+    i5 = np.einsum("...jk,...jk->...", a, t @ a @ t.swapaxes(-1, -2))
+    vals = (
+        _triple(t[..., 0, :], t[..., 1, :], t[..., 2, :]),   # I1 = det T
+        np.trace(t @ t, axis1=-2, axis2=-1),               # I2
+        np.einsum("...i,...i->...", s, s),                 # I3
+        np.einsum("...i,...i->...", s, ts),                # I4
+        i5,                                                # I5
+        _triple(s, ts, (t @ ts[..., None])[..., 0]),       # I6
     )
+    if s.ndim == 1:
+        vals = map(float, vals)
+    return SymmetricInvariants(*vals)
 
 
 def symmetric_six(state: SymmetricTwoQubitState) -> SymmetricInvariants:
@@ -130,9 +144,13 @@ def symmetric_six(state: SymmetricTwoQubitState) -> SymmetricInvariants:
     return symmetric_six_from_bloch(state.s, state.T)
 
 
-def special_class_invariants(p: SpecialClassState) -> SymmetricInvariants:
-    """Closed forms in the (a, b, c, d) parameters."""
-    a, b, c, d = p.a, abs(p.b), p.c, p.d
+def special_class_six(a, b, c, d) -> SymmetricInvariants:
+    """Closed forms in the special-class parameters (a, b, c, d).
+
+    Works elementwise: arrays of one shape (b may be a scalar) give
+    fields of that shape, and floats give floats.
+    """
+    b = abs(b)
     sz2 = (a - d) ** 2
     return SymmetricInvariants(
         I1=(4 * c * c - 4 * b * b) * (1 - 4 * c),
@@ -140,8 +158,13 @@ def special_class_invariants(p: SpecialClassState) -> SymmetricInvariants:
         I3=sz2,
         I4=sz2 * (1 - 4 * c),
         I5=8 * sz2 * (c * c - b * b),
-        I6=0.0,
+        I6=0.0 * sz2,  # zero, in the shape of the other fields
     )
+
+
+def special_class_invariants(p: SpecialClassState) -> SymmetricInvariants:
+    """Closed forms of a special-class state (special_class_six of its parameters)."""
+    return special_class_six(p.a, p.b, p.c, p.d)
 
 
 @dataclass(frozen=True)

@@ -32,22 +32,27 @@ from .errors import DomainError, NormalizationFailure, ParityViolation
 from .invariants import (
     SymmetricInvariants,
     special_class_invariants,
+    special_class_six,
     symmetric_six_from_bloch,
 )
 from .numerics import SIGN_TOL
-from .states import SpecialClassState
+from .states import SpecialClassState, special_class_bloch
 
 # Rounding slack of the (half-)integer checks on J, M and 2M.
 INTEGER_TOL = 1e-12
 
 
-def _log_d_pi2_sq(jp: int, jm: int) -> float:
-    """log [d^J_{M0}(pi/2)]^2 for even jp = J + M and jm = J - M."""
-    return (
-        math.lgamma(jp + 1) + math.lgamma(jm + 1)
-        - (jp + jm) * math.log(2.0)
-        - 2.0 * (math.lgamma(jp // 2 + 1) + math.lgamma(jm // 2 + 1))
-    )
+def _log_d_pi2_sq_table(n: int) -> np.ndarray:
+    """log [d^J_{M0}(pi/2)]^2 at J = n/2 (n even) for J + M = 0, 2, ..., n.
+
+    Built from log k! = lgamma(k + 1), k = 0..n, in the closed sum's own
+    operation order, so each entry is what the scalar formula gives.
+    """
+    log_fact = np.array([math.lgamma(k + 1) for k in range(n + 1)])
+    h = n // 2
+    # log (J+M)!, log (J-M)!, log ((J+M)/2)!, log ((J-M)/2)! for each M.
+    return (log_fact[::2] + log_fact[::-2] - n * math.log(2.0)
+            - 2.0 * (log_fact[:h + 1] + log_fact[h::-1]))
 
 
 def wigner_d_pi2(J, M) -> float:
@@ -78,34 +83,31 @@ def wigner_d_pi2(J, M) -> float:
     if (jp % 2) != 0 or (jm % 2) != 0:
         # J + M odd, or half-integer J (no M' = 0 level to project onto)
         return 0.0
-    return (-1.0) ** (jm // 2) * math.exp(0.5 * _log_d_pi2_sq(jp, jm))
+    return (-1.0) ** (jm // 2) * math.exp(0.5 * _log_d_pi2_sq_table(jp + jm)[jp // 2])
 
 
 # ----------------------------------------------------------------------
 # Dicke states.
 
-def _check_dicke(N: int, M) -> int:
+def _dicke_acd(N: int, M):
+    """(a, c, d) of the special-class pair of |J = N/2, M>, over the shape of M."""
     check_n(N)
-    if not math.isfinite(M):
+    twom = np.rint(2 * M)
+    if not np.isfinite(twom).all():
         raise DomainError("M must be finite")
-    twom = 2 * M
-    if abs(twom - round(twom)) > INTEGER_TOL:
-        raise ParityViolation("2M must be an integer")
-    twom = int(round(twom))
-    if (N + twom) % 2 != 0:
-        raise ParityViolation("N + 2M must be even")
-    if abs(twom) > N:
-        raise ParityViolation("|M| must not exceed N/2")
-    return twom
-
-
-def dicke_pair(N: int, M):
-    """Reduced pair of |J = N/2, M> as a special-class state + invariants."""
-    twom = _check_dicke(N, M)
+    if ((abs(2 * M - twom) > INTEGER_TOL) | ((N + twom) % 2 != 0) | (abs(twom) > N)).any():
+        raise ParityViolation("M must be a (half-)integer with N + 2M even and |M| <= N/2")
+    # 2M is integral, so these products are exact in floating point.
     den = 4.0 * N * (N - 1)
     a = (N + twom) * (N - 2 + twom) / den
     c = (N * N - twom * twom) / den
     d = (N - twom) * (N - 2 - twom) / den
+    return a, c, d
+
+
+def dicke_pair(N: int, M):
+    """Reduced pair of |J = N/2, M> as a special-class state + invariants."""
+    a, c, d = map(float, _dicke_acd(N, M))
     state = SpecialClassState(a=a, b=0.0, c=c, d=d)
     return state, special_class_invariants(state)
 
@@ -113,58 +115,52 @@ def dicke_pair(N: int, M):
 # ----------------------------------------------------------------------
 # One-axis twisting.
 
-def ku_pair(N: int, chi_t: float):
-    """Pair Bloch data of exp(-i chi_t J1^2)|J, -J> and its invariants."""
+def ku_pair(N: int, chi_t):
+    """Pair Bloch data of exp(-i chi_t J1^2)|J, -J> and its invariants.
+
+    chi_t may be an array: s, T and the invariant fields then carry its
+    shape as leading axes.
+    """
     check_n(N)
-    if not np.isfinite(chi_t):
+    chi = np.asarray(chi_t, dtype=float)
+    if not np.isfinite(chi).all():
         raise DomainError("chi_t must be finite")
-    cosx = np.cos(chi_t)
-    cos2x = np.cos(2.0 * chi_t)
-    s = np.array([0.0, 0.0, -(cosx ** (N - 1))])
-    t22 = 0.5 * (1.0 - cos2x ** (N - 2))
-    t33 = 0.5 * (1.0 + cos2x ** (N - 2))
-    t12 = cosx ** (N - 2) * np.sin(chi_t)
-    t = np.array([[0.0, t12, 0.0], [t12, t22, 0.0], [0.0, 0.0, t33]])
+    cosx = np.cos(chi)
+    cos2x = np.cos(2.0 * chi)
+    s = np.zeros(chi.shape + (3,))
+    s[..., 2] = -(cosx ** (N - 1))
+    t = np.zeros(chi.shape + (3, 3))
+    t[..., 0, 1] = t[..., 1, 0] = cosx ** (N - 2) * np.sin(chi)
+    t[..., 1, 1] = 0.5 * (1.0 - cos2x ** (N - 2))
+    t[..., 2, 2] = 0.5 * (1.0 + cos2x ** (N - 2))
     return s, t, symmetric_six_from_bloch(s, t)
 
 
 # ----------------------------------------------------------------------
 # Atomic squeezed steady state.
 
-def _atomic_check(N: int, x: float) -> None:
-    check_n(N)
-    if N % 2 != 0:
-        raise ParityViolation("the steady state requires an even N")
-    if not (0.0 < x < 1.0):
-        raise DomainError("x must lie strictly between 0 and 1")
-
-
-def _atomic_j3(N: int, x: float) -> float:
-    """<J_3> of the steady state: weighted mean of M over the amplitude
-    weights [d^J_{M0}(pi/2)]^2 x^M, computed in log space."""
-    log_x = math.log(x)
-    log_w = []
-    ms = []
-    for m in range(-N // 2, N // 2 + 1, 2):  # J + M even <-> M same parity as J
-        log_w.append(_log_d_pi2_sq(N // 2 + m, N // 2 - m) + m * log_x)
-        ms.append(float(m))
-    log_w = np.array(log_w)
-    shift = np.max(log_w)
-    w = np.exp(log_w - shift)
-    total = float(np.sum(w))
-    if not np.isfinite(total) or total <= 0.0:
-        raise NormalizationFailure("amplitude weights underflowed to zero")
-    return float(np.dot(ms, w) / total)
-
-
-def atomic_pair(N: int, x: float):
+def atomic_pair(N: int, x):
     """Pair Bloch data of the atomic squeezed steady state.
 
     x = e^{2 theta} in (0, 1); the moment closed forms then use
-    e^{-2 xi} = (1 - x)/(1 + x), i.e. tanh(xi) = x.
+    e^{-2 xi} = (1 - x)/(1 + x), i.e. tanh(xi) = x.  <J_3> is the mean of
+    M over the amplitude weights [d^J_{M0}(pi/2)]^2 x^M, computed in log
+    space.  x may be an array: s, T and the invariant fields then carry
+    its shape as leading axes.
     """
-    _atomic_check(N, x)
-    j3 = _atomic_j3(N, x)
+    check_n(N)
+    if N % 2 != 0:
+        raise ParityViolation("the steady state requires an even N")
+    x = np.asarray(x, dtype=float)
+    if not ((x > 0.0) & (x < 1.0)).all():
+        raise DomainError("x must lie strictly between 0 and 1")
+    m = np.arange(-N // 2, N // 2 + 1, 2)  # J + M even <-> M same parity as J
+    log_w = _log_d_pi2_sq_table(N) + m * np.log(x)[..., None]
+    w = np.exp(log_w - log_w.max(axis=-1, keepdims=True))
+    total = w.sum(axis=-1)
+    if not (np.isfinite(total) & (total > 0.0)).all():
+        raise NormalizationFailure("amplitude weights underflowed to zero")
+    j3 = (w @ m.astype(float)) / total
     J = N / 2.0
     e_m2xi = (1.0 - x) / (1.0 + x)
     e_p2xi = (1.0 + x) / (1.0 - x)
@@ -172,9 +168,11 @@ def atomic_pair(N: int, x: float):
     j1sq = -0.5 * j3 * e_m2xi
     j2sq = -0.5 * j3 * e_p2xi
     j3sq = J * (J + 1.0) + j3 * cosh_2xi
-    s = np.array([0.0, 0.0, 2.0 * j3 / N])
-    t_diag = (4.0 * np.array([j1sq, j2sq, j3sq]) / N - 1.0) / (N - 1)
-    t = np.diag(t_diag)
+    s = np.zeros(x.shape + (3,))
+    s[..., 2] = 2.0 * j3 / N
+    t = np.zeros(x.shape + (3, 3))
+    for i, jsq in enumerate((j1sq, j2sq, j3sq)):
+        t[..., i, i] = (4.0 * jsq / N - 1.0) / (N - 1)
     return s, t, symmetric_six_from_bloch(s, t)
 
 
@@ -213,29 +211,35 @@ class SweepRow:
         }
 
 
-def _model_point(model: str, N: int, param: float):
+def _model_stack(model: str, N: int, params: np.ndarray):
+    """(s, T, invariants) of one N over a 1-D parameter array."""
     if model == "dicke":
-        state, inv = dicke_pair(N, param)
-        s, t = state.bloch()
-        return s, t, inv
+        a, c, d = _dicke_acd(N, params)
+        s, t = special_class_bloch(a, 0.0, c, d)
+        return s, t, special_class_six(a, 0.0, c, d)
     if model == "ku":
-        return ku_pair(N, param)
+        return ku_pair(N, params)
     if model == "atomic":
-        return atomic_pair(N, param)
+        return atomic_pair(N, params)
     raise DomainError(f"unknown model {model!r}; expected one of {MODEL_NAMES}")
 
 
 def sweep(model: str, params: Iterable[float], n_values: Iterable[int],
           tol: float = SIGN_TOL) -> List[SweepRow]:
+    """One row per (N, parameter), each N computed as one stack over all
+    parameters."""
+    params = np.array(list(params), dtype=float)
     rows = []
     for n in n_values:
-        for p in params:
-            s, t, inv = _model_point(model, n, p)
-            if inv.I3 > tol:
-                xi_sq = squeezing(s, t, n).xi_sq
-            else:
-                xi_sq = float("nan")
-            branch = classify_invariants(inv, tol).branch.value
-            rows.append(SweepRow(model=model, N=int(n), param=float(p),
-                                 invariants=inv, xi_sq=xi_sq, branch=branch))
+        s, t, inv = _model_stack(model, n, params)
+        xi_sq = np.full(params.shape, np.nan)
+        spin = inv.I3 > tol
+        if spin.any():
+            xi_sq[spin] = squeezing(s[spin], t[spin], n).xi_sq
+        branches = classify_invariants(inv, tol).branch
+        fields = zip(*(v.tolist() for v in (inv.I1, inv.I2, inv.I3, inv.I4, inv.I5, inv.I6)))
+        for p, six, xi, branch in zip(params.tolist(), fields, xi_sq.tolist(), branches):
+            rows.append(SweepRow(model=model, N=int(n), param=p,
+                                 invariants=SymmetricInvariants(*six), xi_sq=xi,
+                                 branch=branch.value))
     return rows

@@ -17,7 +17,7 @@ from math import comb
 import numpy as np
 
 from .collective import CollectiveMoments, pair_from_moments
-from .errors import DomainError, InvalidN, ParityViolation
+from .errors import DomainError, InvalidN, NormalizationFailure, ParityViolation
 from .states import SymmetricTwoQubitState, from_bloch
 
 
@@ -124,8 +124,12 @@ def build_atomic_state(N: int, theta: float) -> CollectiveState:
     if not np.isfinite(theta):
         raise DomainError("theta must be finite")
     ops = build_j_operators(N)
-    amp = ops.d_column * np.exp(ops.m * theta)
+    # Shift the exponent by its largest value, so exp never overflows.
+    exponent = ops.m * theta
+    amp = ops.d_column * np.exp(exponent - exponent.max())
     norm = np.linalg.norm(amp)
+    if not (np.isfinite(norm) and norm > 0.0):
+        raise NormalizationFailure("atomic amplitudes have no finite nonzero norm")
     return CollectiveState(N=N, amplitudes=amp / norm)
 
 

@@ -165,10 +165,19 @@ class SpecialClassState:
         )
 
     def bloch(self):
-        a, b, c, d = self.a, self.b, self.c, self.d
-        s = np.array([0.0, 0.0, a - d])
-        t = np.diag([2 * (c + b), 2 * (c - b), a + d - 2 * c])
-        return s, t
+        return special_class_bloch(self.a, self.b, self.c, self.d)
+
+
+def special_class_bloch(a, b, c, d):
+    """(s, T) of the special class; over leading axes when a and d are
+    arrays of one shape (b and c broadcast against them)."""
+    sz = np.asarray(a - d)
+    s = np.zeros(sz.shape + (3,))
+    s[..., 2] = sz
+    t = np.zeros(sz.shape + (3, 3))
+    for i, tii in enumerate((2 * (c + b), 2 * (c - b), a + d - 2 * c)):
+        t[..., i, i] = tii
+    return s, t
 
 
 def symmetric_from_special(p: SpecialClassState) -> SymmetricTwoQubitState:

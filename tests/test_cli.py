@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, determinism, output formats."""
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import symsq
-from symsq import cli
+from symsq import cli, models
 from symsq.cli import (
     EXIT_BAD_RANGE,
     EXIT_INVALID_STATE,
@@ -255,6 +256,60 @@ def test_sweep_bad_range_exit_code(capsys):
     assert main(["sweep", "--model", "ku", "--N", "4",
                  "--param-range", "0:1"]) == EXIT_BAD_RANGE
     assert main(["sweep", "--model", "atomic", "--N", "4"]) == EXIT_BAD_RANGE
+
+
+@st.composite
+def _sweep_call(draw):
+    """A sweep command line and the parameter grid it covers."""
+    model = draw(st.sampled_from(models.MODEL_NAMES))
+    n = draw(st.integers(2, 400))
+    if model == "dicke":  # every valid M
+        return model, n, None, [m2 / 2 for m2 in range(-n, n + 1, 2)]
+    if model == "atomic":
+        n += n % 2
+        lo = draw(st.floats(1e-6, 0.999))
+        hi = draw(st.floats(lo, 0.999999))
+    else:
+        lo = draw(st.floats(-10.0, 10.0))
+        hi = lo + draw(st.floats(0.0, 10.0))
+    steps = draw(st.integers(1, 40))
+    raw = f"{lo!r}:{hi!r}:{steps}"
+    return model, n, raw, cli._parse_range(raw)
+
+
+def _same_bits(a, b) -> bool:
+    return (math.isnan(a) and math.isnan(b)) or float(a).hex() == float(b).hex()
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(call=_sweep_call())
+def test_sweep_csv_and_json_round_trip_bit_exact(call):
+    """Every float of a sweep comes back bit-exact from its 17-digit CSV and
+    JSON text (a JSON reader taking every number as a double, so -0 keeps
+    its sign)."""
+    model, n, raw, params = call
+    want = [r.as_record() for r in models.sweep(model, params, [n])]
+    # "=" keeps a negative lower bound from reading as an option.
+    argv = ["sweep", "--model", model, "--N", str(n)] + ([f"--param-range={raw}"] if raw else [])
+    text = {}
+    for fmt in ("csv", "json"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv + ["--format", fmt]) == EXIT_OK
+        text[fmt] = out.getvalue()
+    rows = list(csv.DictReader(io.StringIO(text["csv"])))
+    records = json.loads(text["json"], parse_int=float)
+    assert len(rows) == len(records) == len(want)
+    for row, rec, w in zip(rows, records, want):
+        for key in SWEEP_FIELDS:
+            if key in ("model", "branch"):
+                assert row[key] == rec[key] == w[key]
+            elif key == "N":
+                assert int(row[key]) == rec[key] == w[key]
+            else:
+                json_value = math.nan if rec[key] is None else rec[key]
+                assert _same_bits(float(row[key]), w[key]), (key, row[key], w[key])
+                assert _same_bits(json_value, w[key]), (key, rec[key], w[key])
 
 
 def test_sweep_to_file(tmp_path):

@@ -74,9 +74,13 @@ def test_every_tol_parameter_is_a_sign_test():
     lambda: oracle.evolve_ku(4, np.nan),
     lambda: oracle.build_atomic_state(4, np.nan),
     lambda: oracle.build_atomic_state(4, -np.inf),
+    lambda: models.ku_pair(4, np.nan),
+    lambda: models.atomic_pair(4, np.nan),
+    *(lambda m=m: models.sweep(m, [np.nan], [4]) for m in models.MODEL_NAMES),
 ], ids=["collective_criterion", "hermitian_eigh", "wigner_d_pi2_J", "wigner_d_pi2_M", "dicke_pair_nan",
         "dicke_pair_inf", "build_dicke_state_nan", "build_dicke_state_inf",
-        "evolve_ku", "build_atomic_state_nan", "build_atomic_state_inf"])
+        "evolve_ku", "build_atomic_state_nan", "build_atomic_state_inf", "ku_pair", "atomic_pair",
+        *(f"sweep_{m}" for m in models.MODEL_NAMES)])
 def test_non_finite_input_raises_symsq_error(call):
     with pytest.raises(SymsqError):
         call()

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from symsq.collective import pair_from_moments
+from symsq.collective import classify_invariants, pair_from_moments, squeezing
 from symsq.covariance import bar_invariants
 from symsq.errors import DomainError, InvalidN, ParityViolation
 from symsq.invariants import makhlin_from_bloch, symmetric_six_from_bloch
@@ -17,6 +17,7 @@ from symsq.models import (
     sweep,
     wigner_d_pi2,
 )
+from symsq.numerics import SIGN_TOL
 from symsq.oracle import (
     build_atomic_state,
     build_dicke_state,
@@ -266,3 +267,40 @@ def test_sweep_ku_subnormal_t_warns_nowhere():
     assert 0.0 < abs(t[0, 1]) < np.finfo(float).tiny
     assert row.invariants.I1 == makhlin_from_bloch(s, s, t).I1 == 0.0
     assert bar_invariants(from_bloch(s, s, t, symmetric=True)).bar1 == 0.0
+
+
+# Acceptance criterion 10's KU and atomic grids, every Dicke M for N <= 60,
+# and the atomic extremes at N = 1000.
+_STACK_GRIDS = {
+    "ku": [(n, np.linspace(0.0, np.pi, 80)) for n in (4, 6, 8)],
+    "atomic": [(n, np.linspace(0.02, 0.98, 40)) for n in (4, 6, 8, 20)]
+              + [(1000, [0.01, 0.99])],
+    "dicke": [(n, [m2 / 2 for m2 in range(-n, n + 1, 2)]) for n in range(2, 61)],
+}
+
+
+def _point_row(model, n, p):
+    """A sweep row's invariants, xi^2 and branch from the unbatched calls."""
+    if model == "dicke":
+        state, inv = dicke_pair(n, p)
+        s, t = state.bloch()
+    else:
+        s, t, inv = (ku_pair if model == "ku" else atomic_pair)(n, p)
+    xi_sq = squeezing(s, t, n).xi_sq if inv.I3 > SIGN_TOL else math.nan
+    return inv, xi_sq, classify_invariants(inv).branch.value
+
+
+@pytest.mark.parametrize("model", sorted(_STACK_GRIDS))
+def test_stacked_sweep_matches_unbatched_calls(model):
+    for n, grid in _STACK_GRIDS[model]:
+        rows = sweep(model, grid, [n])
+        assert [r.param for r in rows] == [float(p) for p in grid]
+        for row in rows:
+            inv, xi_sq, branch = _point_row(model, n, row.param)
+            where = f"{model} N={n} param={row.param!r}"
+            assert row.branch == branch, where
+            got = [*row.invariants.as_dict().values(), row.xi_sq]
+            want = [*inv.as_dict().values(), xi_sq]
+            for g, w in zip(got, want):
+                assert g == w or abs(g - w) <= 1e-14 * max(1.0, abs(w)) \
+                    or (math.isnan(g) and math.isnan(w)), where

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from symsq.collective import pair_from_moments
 from symsq.errors import InvalidN, ParityViolation
+from symsq.models import atomic_pair
 from symsq.oracle import (
     CollectiveState,
     build_atomic_state,
@@ -84,6 +86,21 @@ def test_atomic_state_parity():
     assert abs(st.amplitudes[1]) < 1e-15 and abs(st.amplitudes[3]) < 1e-15
     with pytest.raises(ParityViolation):
         build_atomic_state(3, -0.3)
+
+
+def test_atomic_state_survives_large_exponents():
+    """exp(M theta) overflows or underflows for large N |theta|; the state
+    must still come out normalized and match the log-space closed form."""
+    x = 1e-5
+    state = build_atomic_state(150, 0.5 * np.log(x))
+    s, t = pair_from_moments(moments_of(state))
+    s_model, t_model, _ = atomic_pair(150, x)
+    assert np.max(np.abs(s - s_model)) < 1e-13
+    assert np.max(np.abs(t - t_model)) < 1e-13
+    for theta in (400.0, -400.0):
+        amp = build_atomic_state(4, theta).amplitudes
+        assert np.all(np.isfinite(amp))
+        assert abs(np.linalg.norm(amp) - 1.0) < 1e-12
 
 
 def test_atomic_moments_closed_forms():
