@@ -9,6 +9,7 @@ tolerance, numerics.SIGN_TOL.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -216,39 +217,57 @@ def _parse_range(raw: str):
     return list(np.linspace(lo, hi, steps))
 
 
-def _sweep_rows(args):
+def _sweep_columns(args) -> dict:
     tol = _tol()
     n_values = _parse_n_list(args.N)
     if args.model == "dicke" and args.param_range is None:
-        rows = []
-        for n in n_values:
-            params = [m / 2.0 for m in range(-n, n + 1, 2)]
-            rows.extend(models.sweep("dicke", params, [n], tol))
-        return rows
+        tables = [models.sweep("dicke", [m / 2.0 for m in range(-n, n + 1, 2)], [n], tol)
+                  for n in n_values]
+        columns = tables[0].columns
+        for table in tables[1:]:
+            for k, col in columns.items():
+                col.extend(table.columns[k])
+        return columns
     if args.param_range is None:
         raise SymsqError("--param-range is required for this model")
     params = _parse_range(args.param_range)
-    return models.sweep(args.model, params, n_values, tol)
+    return models.sweep(args.model, params, n_values, tol).columns
 
 
 def _csv_cell(v) -> str:
     return "nan" if isinstance(v, float) and math.isnan(v) else _scalar_text(v)
 
 
+def _column_cells(col: list, cell) -> list:
+    """A sweep column as text: a float column with no NaN or infinity in one
+    format pass (what _fmt_float writes), any other column cell by cell."""
+    if col and isinstance(col[0], float) and all(map(math.isfinite, col)):
+        return [format(v, ".17g") for v in col]
+    return [cell(v) for v in col]
+
+
+def _render_sweep(columns: dict, fmt: str) -> str:
+    """CSV or JSON of sweep columns, byte for byte what _csv_cell and
+    _to_json write for the rows' as_record() dicts."""
+    fields = models.SWEEP_FIELDS
+    if fmt == "json":
+        cells = [_column_cells(columns[k], _to_json) for k in fields]
+        if not cells[0]:
+            return "[]\n"
+        row = "  {\n" + ",\n".join(f"    {json.dumps(k)}: %s" for k in fields) + "\n  }"
+        return "[\n" + ",\n".join([row % values for values in zip(*cells)]) + "\n]\n"
+    cells = [_column_cells(columns[k], _csv_cell) for k in fields]
+    lines = [",".join(fields)] + [",".join(values) for values in zip(*cells)]
+    return "\n".join(lines) + "\n"
+
+
 def cmd_sweep(args) -> int:
     try:
-        rows = _sweep_rows(args)
+        columns = _sweep_columns(args)
     except SymsqError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_RANGE
-    records = [r.as_record() for r in rows]
-    if args.format == "json":
-        payload = _to_json(records) + "\n"
-    else:
-        lines = [",".join(models.SWEEP_FIELDS)]
-        for rec in records:
-            lines.append(",".join(_csv_cell(rec[k]) for k in models.SWEEP_FIELDS))
-        payload = "\n".join(lines) + "\n"
+    payload = _render_sweep(columns, args.format)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -394,7 +413,10 @@ def cmd_verify(args) -> int:
 
 # ----------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls."""
     parser = argparse.ArgumentParser(
         prog="symsq",
         description="Pairwise entanglement invariants for symmetric qubit systems.",
@@ -424,8 +446,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fold_param_range(argv) -> list:
+    """'--param-range VALUE' as '--param-range=VALUE', so argparse takes a
+    negative lower bound such as -1:1:5 as the value, not as an option."""
+    out = []
+    for tok in argv:
+        if out and out[-1] == "--param-range" and not tok.startswith("--"):
+            out[-1] = f"--param-range={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_fold_param_range(argv))
     try:
         return args.func(args)
     except SymsqError as exc:

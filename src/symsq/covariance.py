@@ -52,6 +52,11 @@ U_PRIME = (1 / _SQ2) * np.array(
 
 # How far |k_hat| may be from 1 in korbicz_witness.
 UNIT_NORM_TOL = 1e-9
+# ppt_equivalence_chain: the largest entry-wise deviation of the bordered
+# and block forms from their closed-form targets, and the level below
+# which an eigenvalue counts as negative in the inertia comparison.
+CHAIN_DEVIATION_TOL = 1e-10
+CHAIN_INERTIA_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -138,7 +143,7 @@ def ppt_equivalence_chain(state: SymmetricTwoQubitState) -> ChainDiagnostics:
     block_target[:3, :3] = 0.5 * (t - np.outer(s, s))
     block_target[3, 3] = 0.5
     dev_block = float(np.max(np.abs(block - block_target)))
-    if max(dev_bordered, dev_block) > 1e-10:
+    if max(dev_bordered, dev_block) > CHAIN_DEVIATION_TOL:
         raise ChainMismatch(
             f"transformation chain deviates: bordered {dev_bordered:g}, block {dev_block:g}")
 
@@ -146,8 +151,8 @@ def ppt_equivalence_chain(state: SymmetricTwoQubitState) -> ChainDiagnostics:
     # negative eigenvalues on the two ends of the chain.
     w_pt = hermitian_eigenvalues(pt)
     w_block = hermitian_eigenvalues(block + 0j)
-    neg_pt = int(np.sum(w_pt < -1e-11))
-    neg_block = int(np.sum(w_block < -1e-11))
+    neg_pt = int(np.sum(w_pt < -CHAIN_INERTIA_TOL))
+    neg_block = int(np.sum(w_block < -CHAIN_INERTIA_TOL))
     return ChainDiagnostics(
         bordered_deviation=dev_bordered,
         block_deviation=dev_block,

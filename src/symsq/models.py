@@ -22,8 +22,8 @@ which guarantees Tr T = 1 exactly.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Iterable, List
 
 import numpy as np
 
@@ -184,6 +184,8 @@ SWEEP_FIELDS = ("model", "N", "param", "I1", "I2", "I3", "I4", "I5",
 
 MODEL_NAMES = ("dicke", "ku", "atomic")
 
+_SIX = ("I1", "I2", "I3", "I4", "I5", "I6")
+
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -211,6 +213,28 @@ class SweepRow:
         }
 
 
+class SweepTable(Sequence):
+    """Sweep rows held as columns: ``columns`` maps each SWEEP_FIELDS name,
+    and I6, to one list of values.  Indexing builds that row's SweepRow
+    view; a slice is a SweepTable over the sliced columns."""
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns: dict[str, list]):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns["model"])
+
+    def __getitem__(self, i):
+        c = self.columns
+        if isinstance(i, slice):
+            return SweepTable({k: col[i] for k, col in c.items()})
+        return SweepRow(model=c["model"][i], N=c["N"][i], param=c["param"][i],
+                        invariants=SymmetricInvariants(*(c[k][i] for k in _SIX)),
+                        xi_sq=c["xi_sq"][i], branch=c["branch"][i])
+
+
 def _model_stack(model: str, N: int, params: np.ndarray):
     """(s, T, invariants) of one N over a 1-D parameter array."""
     if model == "dicke":
@@ -225,21 +249,24 @@ def _model_stack(model: str, N: int, params: np.ndarray):
 
 
 def sweep(model: str, params: Iterable[float], n_values: Iterable[int],
-          tol: float = SIGN_TOL) -> List[SweepRow]:
+          tol: float = SIGN_TOL) -> SweepTable:
     """One row per (N, parameter), each N computed as one stack over all
-    parameters."""
+    parameters and its values appended to the table's columns."""
     params = np.array(list(params), dtype=float)
-    rows = []
+    param_list = params.tolist()
+    columns = {k: [] for k in SWEEP_FIELDS + ("I6",)}
     for n in n_values:
         s, t, inv = _model_stack(model, n, params)
         xi_sq = np.full(params.shape, np.nan)
         spin = inv.I3 > tol
         if spin.any():
             xi_sq[spin] = squeezing(s[spin], t[spin], n).xi_sq
-        branches = classify_invariants(inv, tol).branch
-        fields = zip(*(v.tolist() for v in (inv.I1, inv.I2, inv.I3, inv.I4, inv.I5, inv.I6)))
-        for p, six, xi, branch in zip(params.tolist(), fields, xi_sq.tolist(), branches):
-            rows.append(SweepRow(model=model, N=int(n), param=p,
-                                 invariants=SymmetricInvariants(*six), xi_sq=xi,
-                                 branch=branch.value))
-    return rows
+        columns["model"] += [model] * len(param_list)
+        columns["N"] += [int(n)] * len(param_list)
+        columns["param"] += param_list
+        for k in _SIX:
+            columns[k] += getattr(inv, k).tolist()
+        columns["I4mI3sq"] += inv.combo_I4_minus_I3sq.tolist()
+        columns["xi_sq"] += xi_sq.tolist()
+        columns["branch"] += [b.value for b in classify_invariants(inv, tol).branch]
+    return SweepTable(columns)

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -204,15 +205,31 @@ def test_analyze_bad_n_exit_code(bell_file, bad_n, capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_module_entry_point_bad_n_exit_code(bell_file):
+def _in_process(argv):
+    """(exit code, stdout, stderr) of main(argv) in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _fresh_interpreter(argv):
+    """(exit code, stdout, stderr) of `python -m symsq.cli` with argv."""
     src = str(Path(symsq.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "symsq.cli", "analyze", bell_file, "--N", "1"],
-        capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == EXIT_BAD_RANGE
-    assert proc.stdout == "" and "N must be an integer >= 2" in proc.stderr
+    proc = subprocess.run([sys.executable, "-m", "symsq.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=300)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_module_entry_point_bad_n_exit_code(bell_file):
+    code, out, err = _fresh_interpreter(["analyze", bell_file, "--N", "1"])
+    assert code == EXIT_BAD_RANGE
+    assert out == "" and "N must be an integer >= 2" in err
 
 
 def test_sweep_csv_schema(capsys):
@@ -260,21 +277,41 @@ def test_sweep_bad_range_exit_code(capsys):
 
 @st.composite
 def _sweep_call(draw):
-    """A sweep command line and the parameter grid it covers."""
+    """A sweep's model, N list and --param-range (None for every Dicke M)."""
     model = draw(st.sampled_from(models.MODEL_NAMES))
-    n = draw(st.integers(2, 400))
-    if model == "dicke":  # every valid M
-        return model, n, None, [m2 / 2 for m2 in range(-n, n + 1, 2)]
+    ns = draw(st.lists(st.integers(2, 400), min_size=1, max_size=3))
+    if model == "dicke":
+        return model, ns, None
     if model == "atomic":
-        n += n % 2
+        ns = [n + n % 2 for n in ns]
         lo = draw(st.floats(1e-6, 0.999))
         hi = draw(st.floats(lo, 0.999999))
     else:
         lo = draw(st.floats(-10.0, 10.0))
         hi = lo + draw(st.floats(0.0, 10.0))
     steps = draw(st.integers(1, 40))
-    raw = f"{lo!r}:{hi!r}:{steps}"
-    return model, n, raw, cli._parse_range(raw)
+    return model, ns, f"{lo!r}:{hi!r}:{steps}"
+
+
+def _sweep_argv(model, ns, raw):
+    argv = ["sweep", "--model", model, "--N", ",".join(map(str, ns))]
+    return argv + (["--param-range", raw] if raw else [])
+
+
+def _reference_records(model, ns, raw):
+    """The rows a sweep call covers, one models.sweep call per N for Dicke's
+    every-M grids."""
+    if raw is None:
+        tables = [models.sweep(model, [m2 / 2 for m2 in range(-n, n + 1, 2)], [n]) for n in ns]
+    else:
+        tables = [models.sweep(model, cli._parse_range(raw), ns)]
+    return [row.as_record() for table in tables for row in table]
+
+
+def _sweep_stdout(argv):
+    code, out, err = _in_process(argv)
+    assert code == EXIT_OK, err
+    return out
 
 
 def _same_bits(a, b) -> bool:
@@ -287,18 +324,10 @@ def test_sweep_csv_and_json_round_trip_bit_exact(call):
     """Every float of a sweep comes back bit-exact from its 17-digit CSV and
     JSON text (a JSON reader taking every number as a double, so -0 keeps
     its sign)."""
-    model, n, raw, params = call
-    want = [r.as_record() for r in models.sweep(model, params, [n])]
-    # "=" keeps a negative lower bound from reading as an option.
-    argv = ["sweep", "--model", model, "--N", str(n)] + ([f"--param-range={raw}"] if raw else [])
-    text = {}
-    for fmt in ("csv", "json"):
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            assert main(argv + ["--format", fmt]) == EXIT_OK
-        text[fmt] = out.getvalue()
-    rows = list(csv.DictReader(io.StringIO(text["csv"])))
-    records = json.loads(text["json"], parse_int=float)
+    want = _reference_records(*call)
+    argv = _sweep_argv(*call)
+    rows = list(csv.DictReader(io.StringIO(_sweep_stdout(argv + ["--format", "csv"]))))
+    records = json.loads(_sweep_stdout(argv + ["--format", "json"]), parse_int=float)
     assert len(rows) == len(records) == len(want)
     for row, rec, w in zip(rows, records, want):
         for key in SWEEP_FIELDS:
@@ -310,6 +339,52 @@ def test_sweep_csv_and_json_round_trip_bit_exact(call):
                 json_value = math.nan if rec[key] is None else rec[key]
                 assert _same_bits(float(row[key]), w[key]), (key, row[key], w[key])
                 assert _same_bits(json_value, w[key]), (key, rec[key], w[key])
+
+
+def _assert_same_text(got: str, want: str):
+    """Fails with the first difference only: pytest's diff of two long texts
+    takes minutes."""
+    if got != want:
+        at = len(os.path.commonprefix([got, want]))
+        pytest.fail(f"texts differ at {at}: {got[at - 40:at + 40]!r} vs {want[at - 40:at + 40]!r}")
+
+
+def _assert_sweep_bytes_match_generic_renderer(call):
+    """The columnar CSV and JSON are the bytes that _csv_cell and _to_json
+    give for the rows' as_record() dicts."""
+    records = _reference_records(*call)
+    argv = _sweep_argv(*call)
+    csv_lines = [",".join(SWEEP_FIELDS)]
+    csv_lines += [",".join(cli._csv_cell(rec[k]) for k in SWEEP_FIELDS) for rec in records]
+    _assert_same_text(_sweep_stdout(argv), "\n".join(csv_lines) + "\n")
+    _assert_same_text(_sweep_stdout(argv + ["--format", "json"]), cli._to_json(records) + "\n")
+    return records
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(call=_sweep_call())
+def test_sweep_bytes_match_generic_renderer(call):
+    _assert_sweep_bytes_match_generic_renderer(call)
+
+
+def test_sweep_bytes_match_generic_renderer_on_edge_cases():
+    # KU at N = 1000: xi^2 is finite at chi t = 0 and NaN (I3 below tol) after.
+    records = _assert_sweep_bytes_match_generic_renderer(("ku", [1000], "0:1:3"))
+    assert not math.isnan(records[0]["xi_sq"]) and math.isnan(records[1]["xi_sq"])
+    # Dicke N = 4: I4 is -0.0 at M = 0.
+    records = _assert_sweep_bytes_match_generic_renderer(("dicke", [4], None))
+    assert math.copysign(1.0, records[2]["I4"]) == -1.0 and records[2]["I4"] == 0.0
+    records = _assert_sweep_bytes_match_generic_renderer(("atomic", [6], "0.25:0.75:1"))
+    assert len(records) == 1
+    records = _assert_sweep_bytes_match_generic_renderer(("dicke", [2, 3, 7], None))
+    assert [rec["N"] for rec in records] == [2] * 3 + [3] * 4 + [7] * 8
+
+
+def test_sweep_negative_lower_bound_with_and_without_equals():
+    base = ["sweep", "--model", "ku", "--N", "4"]
+    spaced = _sweep_stdout(base + ["--param-range", "-1:1:5"])
+    assert spaced == _sweep_stdout(base + ["--param-range=-1:1:5"])
+    assert spaced.splitlines()[1].startswith("ku,4,-1,")
 
 
 def test_sweep_to_file(tmp_path):
@@ -343,6 +418,32 @@ def test_verify_failure_hook(monkeypatch, capsys):
 def test_ppt_equals_c_negativity_on_any_seed(seed):
     disagreements, witness_dev, ok = cli.suite_ppt_c(np.random.default_rng(seed), 25, 1e-9)
     assert ok, (seed, disagreements, witness_dev)
+
+
+def test_one_parser_serves_alternating_calls(bell_file, monkeypatch):
+    """The parser is built once per process; calls that alternate between
+    subcommands and options exit and print as a fresh interpreter does, so
+    no call's values carry over to the next."""
+    monkeypatch.delenv("SYMSQ_TOL", raising=False)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to this
+    ku = ["sweep", "--model", "ku", "--N", "4"]
+    calls = [
+        (["analyze", bell_file, "--N", "2,6", "--format", "json"], EXIT_OK),
+        (ku + ["--param-range", "-1:1:5", "--format", "json", "--N", "4,6"], EXIT_OK),
+        (["sweep", "--model", "dicke", "--N", "3"], EXIT_OK),
+        (["verify", "--level", "quick"], EXIT_OK),
+        (ku + ["--param-range", "1:0:5"], EXIT_BAD_RANGE),
+        (["analyze", bell_file], EXIT_OK),
+        (["sweep", "--model", "nope"], 2),
+        (ku + ["--param-range=0:1:3"], EXIT_OK),
+        (["sweep", "--model", "atomic", "--N", "4"], EXIT_BAD_RANGE),
+    ]
+    elapsed = re.compile(r"(elapsed_ms\W+)[-+.\de]+")
+    for argv, code in calls:
+        here, fresh = _in_process(argv), _fresh_interpreter(argv)
+        assert here[0] == fresh[0] == code, (argv, here, fresh)
+        for a, b in zip(here[1:], fresh[1:]):
+            assert elapsed.sub(r"\1", a) == elapsed.sub(r"\1", b), argv
 
 
 def test_symsq_tol_env(monkeypatch, bell_file, capsys):

@@ -1,6 +1,7 @@
 """Closed-form model generators checked against the simulator."""
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from symsq.errors import DomainError, InvalidN, ParityViolation
 from symsq.invariants import makhlin_from_bloch, symmetric_six_from_bloch
 from symsq.models import (
     SWEEP_FIELDS,
+    SweepTable,
     atomic_pair,
     dicke_pair,
     ku_pair,
@@ -231,6 +233,40 @@ def test_sweep_fields_and_rows():
     rec = rows[0].as_record()
     assert tuple(rec.keys()) == SWEEP_FIELDS
     assert rows[0].branch == "separable_signature"
+
+
+def _bits(v):
+    return float(v).hex() if isinstance(v, float) else v
+
+
+@pytest.mark.parametrize("model, grid", [
+    ("ku", np.linspace(0.0, 1.0, 4)),      # xi^2 NaN once I3 underflows at N = 1000
+    ("dicke", [-1.0, 0.0, 1.0]),          # I4 = -0.0 at M = 0
+    ("atomic", [0.1, 0.5, 0.9]),
+])
+def test_sweep_table_rows_are_views_of_its_columns(model, grid):
+    table = sweep(model, grid, [4, 1000])
+    assert isinstance(table, Sequence) and not isinstance(table, list)
+    assert len(table) == 2 * len(grid) == len(table.columns["I6"])
+    rows = list(table)
+    assert len(rows) == len(table)
+    as_bits = [[_bits(v) for v in row.as_record().values()] for row in rows]
+    for i, (row, bits) in enumerate(zip(rows, as_bits)):
+        assert bits == [_bits(table.columns[k][i]) for k in SWEEP_FIELDS]
+        assert _bits(row.invariants.I6) == _bits(table.columns["I6"][i])
+        assert _bits(row.invariants.combo_I4_minus_I3sq) == _bits(table.columns["I4mI3sq"][i])
+    n = len(table)
+    for i in (0, 1, n - 1, -1, -n):
+        assert [_bits(v) for v in table[i].as_record().values()] == as_bits[i]
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            table[i]
+    for part in (slice(1, None, 2), slice(None, None, -1), slice(2, 2)):
+        sliced = table[part]
+        assert isinstance(sliced, SweepTable)
+        assert [[_bits(v) for v in r.as_record().values()] for r in sliced] == as_bits[part]
+    (row,) = sweep(model, grid[:1], [4])
+    assert [_bits(v) for v in row.as_record().values()] == as_bits[0]
 
 
 def test_sweep_ku_i5_dips_negative():
