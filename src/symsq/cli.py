@@ -9,6 +9,7 @@ tolerance, numerics.SIGN_TOL.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -161,17 +162,8 @@ def cmd_analyze(args) -> int:
         c_min, c_neg = c_negativity_test(sym, tol)
         cls = classify_invariants(inv, tol)
         report["invariants"] = inv.as_dict()
-        report["flags"] = {
-            "I4_negative": flags.I4_negative,
-            "I5_negative": flags.I5_negative,
-            "I4_minus_I3sq_negative": flags.I4_minus_I3sq_negative,
-            "I1_negative_with_I3_zero": flags.I1_negative_with_I3_zero,
-        }
-        report["bar_invariants"] = {
-            "bar1": bars.bar1, "bar2": bars.bar2,
-            "bar3": bars.bar3, "bar4": bars.bar4,
-            "entangled": bars.entangled,
-        }
+        report["flags"] = dataclasses.asdict(flags)
+        report["bar_invariants"] = dataclasses.asdict(bars)
         report["c_min_eigenvalue"] = c_min
         report["entangled"] = c_neg
         report["classification"] = cls.branch.value
@@ -447,11 +439,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _fold_param_range(argv) -> list:
-    """'--param-range VALUE' as '--param-range=VALUE', so argparse takes a
-    negative lower bound such as -1:1:5 as the value, not as an option."""
+    """'--param-range VALUE', or an abbreviation such as '--param VALUE', as
+    '--param-range=VALUE', so argparse takes a negative lower bound such as
+    -1:1:5 as the value, not as an option."""
     out = []
     for tok in argv:
-        if out and out[-1] == "--param-range" and not tok.startswith("--"):
+        if (out and len(out[-1]) > 2 and "--param-range".startswith(out[-1])
+                and not tok.startswith("--")):
             out[-1] = f"--param-range={tok}"
         else:
             out.append(tok)

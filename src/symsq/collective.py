@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidN, TraceViolation, ZeroMeanSpin
+from .errors import DomainError, InvalidN, TraceViolation, ZeroMeanSpin
 from .invariants import SymmetricInvariants, symmetric_six
 from .numerics import SIGN_TOL, hermitian_eigenvalues
 from .states import SymmetricTwoQubitState
@@ -83,10 +83,18 @@ def check_n(n) -> int:
     return int(n)
 
 
-def moments_from_pair(s, T, N: int) -> CollectiveMoments:
-    n = check_n(N)
+def _pair_data(s, T):
+    """s and T as float arrays; raises DomainError on a non-finite entry."""
     s = np.asarray(s, dtype=float)
     t = np.asarray(T, dtype=float)
+    if not (np.isfinite(s).all() and np.isfinite(t).all()):
+        raise DomainError("pair data s and T must be finite")
+    return s, t
+
+
+def moments_from_pair(s, T, N: int) -> CollectiveMoments:
+    n = check_n(N)
+    s, t = _pair_data(s, T)
     if abs(np.trace(t) - 1.0) > TRACE_TOL:
         raise TraceViolation("symmetric pair data requires Tr T = 1")
     j_mean = 0.5 * n * s
@@ -132,8 +140,7 @@ def squeezing(s, T, N: int) -> SqueezingReport:
     mean spin vanishes.
     """
     n = check_n(N)
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(T, dtype=float)
+    s, t = _pair_data(s, T)
     s0 = np.sqrt(np.einsum("...i,...i->...", s, s))
     if (s0 <= ZERO_SPIN_TOL).any():
         raise ZeroMeanSpin("mean spin vanishes; use the I3 = 0 classification branch")
@@ -171,6 +178,7 @@ def classify_invariants(inv: SymmetricInvariants, tol: float = SIGN_TOL) -> Pair
     (...) give a branch, note and margin of that shape (object arrays of
     Branch and str for the first two); float fields give one Branch.
     """
+    inv.require_finite()
     spin = inv.I3 > tol
     # The four tests in _BRANCHES order; a test on the other side of
     # I3 = tol reads +inf, so it neither decides nor sets the margin.
@@ -214,8 +222,7 @@ def collective_forms(inv: SymmetricInvariants, s, T, N: int) -> CollectiveFormsR
     deviation.
     """
     n = check_n(N)
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(T, dtype=float)
+    s, t = _pair_data(s, T)
     rep = squeezing(s, t, n)  # raises ZeroMeanSpin when the mean spin vanishes
     m = moments_from_pair(s, t, n)
     jsq = float(m.j_mean @ m.j_mean)

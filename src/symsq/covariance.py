@@ -103,6 +103,13 @@ def covariance_blocks(state: TwoQubitState) -> CovarianceBlocks:
     )
 
 
+def _c(s, T) -> np.ndarray:
+    """C = T - s s^T of pair data (s, T)."""
+    s = np.asarray(s, dtype=float)
+    t = np.asarray(T, dtype=float)
+    return t - np.outer(s, s)
+
+
 def _require_symmetric(state):
     if not isinstance(state, SymmetricTwoQubitState):
         raise NotSymmetricState("operation requires a symmetric two-qubit state")
@@ -110,7 +117,7 @@ def _require_symmetric(state):
 
 def c_matrix(state: SymmetricTwoQubitState) -> np.ndarray:
     _require_symmetric(state)
-    return state.T - np.outer(state.s, state.s)
+    return _c(state.s, state.T)
 
 
 def c_negativity_test(state: SymmetricTwoQubitState, tol: float = SIGN_TOL):
@@ -140,7 +147,7 @@ def ppt_equivalence_chain(state: SymmetricTwoQubitState) -> ChainDiagnostics:
     ell[:3, 3] = -s
     block = ell @ np.real(bordered) @ ell.T
     block_target = np.zeros((4, 4))
-    block_target[:3, :3] = 0.5 * (t - np.outer(s, s))
+    block_target[:3, :3] = 0.5 * _c(s, t)
     block_target[3, 3] = 0.5
     dev_block = float(np.max(np.abs(block - block_target)))
     if max(dev_bordered, dev_block) > CHAIN_DEVIATION_TOL:
@@ -178,8 +185,7 @@ def collective_criterion(s, T, N: int, tol: float = SIGN_TOL) -> CollectiveCrite
     """Pairwise-entanglement witness from collective first/second moments."""
     check_n(N)
     s = np.asarray(s, dtype=float)
-    t = np.asarray(T, dtype=float)
-    c = t - np.outer(s, s)
+    c = _c(s, T)
     big_s = 0.5 * N * s
     vn = 0.25 * N * (np.eye(3) - np.outer(s, s) + (N - 1) * c)
     witness = vn + np.outer(big_s, big_s) / N
@@ -200,13 +206,9 @@ def korbicz_witness(s, T, k_hat) -> float:
     k = np.asarray(k_hat, dtype=float)
     if abs(np.linalg.norm(k) - 1.0) > UNIT_NORM_TOL:
         raise NonUnitVector("k_hat must be a unit vector")
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(T, dtype=float)
-    return float(k @ (t - np.outer(s, s)) @ k)
+    return float(k @ _c(s, T) @ k)
 
 
 def korbicz_minimum(s, T) -> float:
     """Exact minimization of korbicz_witness over unit directions."""
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(T, dtype=float)
-    return float(hermitian_eigenvalues(t - np.outer(s, s))[0])
+    return float(hermitian_eigenvalues(_c(s, T))[0])

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotSymmetricState
+from .errors import DomainError, NotSymmetricState
 from .numerics import SIGN_TOL, svd3
 from .states import SpecialClassState, SymmetricTwoQubitState, TwoQubitState
 
@@ -64,6 +64,11 @@ class SymmetricInvariants:
     @property
     def combo_I4_minus_I3sq(self) -> float:
         return self.I4 - self.I3 * self.I3
+
+    def require_finite(self) -> None:
+        """Raises DomainError if any field has a NaN or infinite entry."""
+        if not all(np.isfinite(getattr(self, f"I{k}")).all() for k in range(1, 7)):
+            raise DomainError("invariants must be finite")
 
     def as_dict(self):
         d = {f"I{k}": getattr(self, f"I{k}") for k in range(1, 7)}
@@ -186,6 +191,7 @@ class SeparabilityFlags:
 
 def separability_flags(inv: SymmetricInvariants, tol: float = SIGN_TOL) -> SeparabilityFlags:
     """Strict sign tests; each true flag is sufficient for entanglement."""
+    inv.require_finite()
     return SeparabilityFlags(
         I4_negative=inv.I4 < -tol,
         I5_negative=inv.I5 < -tol,

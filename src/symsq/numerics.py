@@ -4,7 +4,8 @@ All matrices here are tiny (usually 3x3 or 4x4), so the one eigensolver
 is cyclic Jacobi sweeps: simple, robust and accurate to machine precision
 for Hermitian input.  The 3x3 SVD (LAPACK's, with fixed sign and rotation
 conventions) and the SU(2) -> SO(3) covering map are the geometric
-workhorses for correlation-matrix manipulations.
+workhorses for correlation-matrix manipulations; PAULI_PAIRS is the one
+Pauli basis that every rho <-> (s, r, T) conversion contracts.
 """
 
 from __future__ import annotations
@@ -129,6 +130,8 @@ def svd3(t):
     a = np.asarray(t, dtype=float)
     if a.shape != (3, 3):
         raise NonSquare(f"expected 3x3, got {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise DomainError("matrix has a non-finite entry")
     u, sigma, vt = np.linalg.svd(a)
     # LAPACK orders singular values descending; rows of o1 / o2 are the
     # left / right singular vectors in ascending order.
@@ -147,11 +150,13 @@ def svd3(t):
     return o1, d, o2
 
 
-_SIGMA = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
+_SIGMA = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
+
+# PAULI_PAIRS[mu, nu] = sigma_mu (x) sigma_nu for mu, nu in 0..3 with
+# sigma_0 = I: rho = (1/4) sum_{mu nu} R_{mu nu} PAULI_PAIRS[mu, nu], where
+# R_00 = 1, R[1:, 0] = s, R[0, 1:] = r and R[1:, 1:] = T.
+_PAULI = np.concatenate([np.eye(2, dtype=complex)[None], _SIGMA])
+PAULI_PAIRS = np.array([[np.kron(a, b) for b in _PAULI] for a in _PAULI])
 
 
 def pauli(i: int) -> np.ndarray:
@@ -160,9 +165,9 @@ def pauli(i: int) -> np.ndarray:
 
 
 def check_unitary_2x2(u) -> np.ndarray:
-    """u as a complex array; raises NonUnitary unless 2x2 and unitary within DEFAULT_TOL."""
+    """u as a complex array; raises NonUnitary unless a finite 2x2 unitary within DEFAULT_TOL."""
     a = np.asarray(u, dtype=complex)
-    if a.shape != (2, 2) or np.max(np.abs(a.conj().T @ a - np.eye(2))) > DEFAULT_TOL:
+    if a.shape != (2, 2) or not np.max(np.abs(a.conj().T @ a - np.eye(2))) <= DEFAULT_TOL:
         raise NonUnitary("expected a 2x2 unitary")
     return a
 
@@ -170,10 +175,5 @@ def check_unitary_2x2(u) -> np.ndarray:
 def su2_to_so3(u) -> np.ndarray:
     """Rotation O with O_ij = Tr(sigma_i u sigma_j u^dag) / 2."""
     a = check_unitary_2x2(u)
-    o = np.empty((3, 3))
-    adj = a.conj().T
-    for j in range(3):
-        m = a @ _SIGMA[j] @ adj
-        for i in range(3):
-            o[i, j] = 0.5 * np.real(np.trace(_SIGMA[i] @ m))
-    return o
+    rotated = a @ _SIGMA @ a.conj().T
+    return 0.5 * np.real(np.einsum("iab,jba->ij", _SIGMA, rotated))

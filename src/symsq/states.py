@@ -16,27 +16,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidDensityMatrix, NotPositive, NotSymmetricState
-from .numerics import DEFAULT_TOL, check_unitary_2x2, hermitian_eigenvalues, hermitian_eigh, pauli
+from .numerics import (DEFAULT_TOL, PAULI_PAIRS, check_unitary_2x2, hermitian_eigenvalues,
+                       hermitian_eigh)
 
 # Positivity gate used when assembling states from Bloch data; slightly
 # looser than the working tolerance to absorb rounding accumulated in
 # model-generated inputs.
 FROM_BLOCH_PSD_TOL = 1e-9
-# Gate on r = s, T = T^T, Tr T = 1 and the singlet population of a
-# symmetric state.
+# Gate on r = s, T = T^T and Tr T = 1 of a symmetric state.  The singlet
+# population (1 - Tr T)/4 is then at most a quarter of it.
 SYMMETRIC_STATE_TOL = 1e-8
 # Gate on the nonnegativity, normalization and positivity of the
 # special-class parameters.
 SPECIAL_CLASS_TOL = 1e-9
 
-# One- and two-qubit Pauli operator tables, built once.
-_SIG = [pauli(i) for i in range(3)]
-_I2 = np.eye(2, dtype=complex)
-_SIG1 = [np.kron(s, _I2) for s in _SIG]          # sigma_i on qubit 1
-_SIG2 = [np.kron(_I2, s) for s in _SIG]          # sigma_i on qubit 2
-_SIG12 = [[np.kron(a, b) for b in _SIG] for a in _SIG]
+# PAULI_PAIRS transposed on its last two axes: the sum of rho times entry
+# (mu, nu) is Tr(rho sigma_mu (x) sigma_nu).
+_PAULI_PAIRS_T = np.ascontiguousarray(PAULI_PAIRS.swapaxes(-1, -2))
 
-SINGLET = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
 TRIPLET_BASIS = np.array(
     [
         [1.0, 0.0, 0.0, 0.0],
@@ -45,10 +42,6 @@ TRIPLET_BASIS = np.array(
     ],
     dtype=complex,
 )  # rows: |1,1>, |1,0>, |1,-1>
-
-
-def _expval(rho: np.ndarray, op: np.ndarray) -> float:
-    return float(np.real(np.sum(rho * op.T)))
 
 
 @dataclass(frozen=True)
@@ -74,12 +67,11 @@ class TwoQubitState:
         if w[0] < -FROM_BLOCH_PSD_TOL:
             raise NotPositive("density matrix has a negative eigenvalue", min_eig=float(w[0]))
         object.__setattr__(self, "rho", rho)
-        s = np.array([_expval(rho, _SIG1[i]) for i in range(3)])
-        r = np.array([_expval(rho, _SIG2[i]) for i in range(3)])
-        t = np.array([[_expval(rho, _SIG12[i][j]) for j in range(3)] for i in range(3)])
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "T", t)
+        bloch = np.real(np.sum(rho * _PAULI_PAIRS_T, axis=(-2, -1)))
+        # Contiguous copies: matmul rounds differently on strided views.
+        object.__setattr__(self, "s", bloch[1:, 0].copy())
+        object.__setattr__(self, "r", bloch[0, 1:].copy())
+        object.__setattr__(self, "T", bloch[1:, 1:].copy())
 
     def bloch(self):
         return self.s, self.r, self.T
@@ -88,7 +80,7 @@ class TwoQubitState:
 class SymmetricTwoQubitState(TwoQubitState):
     """Two-qubit state supported on the exchange-symmetric subspace.
 
-    Enforces r = s, T = T^T, Tr T = 1 and vanishing singlet population.
+    Enforces r = s, T = T^T and Tr T = 1, so the singlet population (1 - Tr T)/4 vanishes.
     """
 
     def __post_init__(self):
@@ -99,9 +91,6 @@ class SymmetricTwoQubitState(TwoQubitState):
             or abs(np.trace(self.T) - 1.0) > SYMMETRIC_STATE_TOL
         ):
             raise NotSymmetricState("state violates r = s, T = T^T or Tr T = 1")
-        singlet_pop = float(np.real(SINGLET.conj() @ self.rho @ SINGLET))
-        if singlet_pop > SYMMETRIC_STATE_TOL:
-            raise NotSymmetricState(f"singlet population {singlet_pop:g} is nonzero")
 
 
 def rho_from_bloch(s, r, T) -> np.ndarray:
@@ -112,12 +101,8 @@ def rho_from_bloch(s, r, T) -> np.ndarray:
     if s.shape != (3,) or r.shape != (3,) or t.shape != (3, 3):
         raise ValueError(f"Bloch data need s, r of shape (3,) and T of shape (3, 3), "
                          f"got {s.shape}, {r.shape}, {t.shape}")
-    rho = np.eye(4, dtype=complex)
-    for i in range(3):
-        rho += s[i] * _SIG1[i] + r[i] * _SIG2[i]
-        for j in range(3):
-            rho += t[i, j] * _SIG12[i][j]
-    return rho / 4.0
+    bloch = np.block([[np.ones((1, 1)), r[None]], [s[:, None], t]])
+    return np.tensordot(bloch, PAULI_PAIRS, axes=2) / 4.0
 
 
 def from_bloch(s, r, T, symmetric: bool = False) -> TwoQubitState:
@@ -191,9 +176,6 @@ def partial_transpose(state: TwoQubitState) -> np.ndarray:
     return pt
 
 
-_SYSY = np.kron(_SIG[1], _SIG[1])
-
-
 def concurrence(state: TwoQubitState) -> float:
     """Wootters concurrence from the spin-flipped spectrum.
 
@@ -202,7 +184,8 @@ def concurrence(state: TwoQubitState) -> float:
     sqrt(rho) rho~ sqrt(rho) which shares the same spectrum.
     """
     rho = state.rho
-    rho_tilde = _SYSY @ rho.conj() @ _SYSY
+    sysy = PAULI_PAIRS[2, 2]
+    rho_tilde = sysy @ rho.conj() @ sysy
     w, v = hermitian_eigh(rho)
     sqrt_rho = v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
     m = sqrt_rho @ rho_tilde @ sqrt_rho

@@ -387,6 +387,12 @@ def test_sweep_negative_lower_bound_with_and_without_equals():
     assert spaced.splitlines()[1].startswith("ku,4,-1,")
 
 
+@pytest.mark.parametrize("flag", ["--param", "--param-r", "--pa"])
+def test_sweep_abbreviated_param_range_takes_negative_lower_bound(flag):
+    base = ["sweep", "--model", "ku", "--N", "4"]
+    assert _sweep_stdout(base + [flag, "-1:1:5"]) == _sweep_stdout(base + ["--param-range=-1:1:5"])
+
+
 def test_sweep_to_file(tmp_path):
     out = tmp_path / "rows.csv"
     assert main(["sweep", "--model", "ku", "--N", "4",

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from symsq import models, oracle
+from symsq.collective import classify_invariants, moments_from_pair, squeezing
 from symsq.covariance import collective_criterion
 from symsq.errors import SymsqError
-from symsq.numerics import hermitian_eigh
+from symsq.invariants import SymmetricInvariants, separability_flags
+from symsq.numerics import check_unitary_2x2, hermitian_eigh, su2_to_so3, svd3
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted([*(ROOT / "src" / "symsq").glob("*.py"), *(ROOT / "tests").glob("*.py")])
@@ -77,10 +79,20 @@ def test_every_tol_parameter_is_a_sign_test():
     lambda: models.ku_pair(4, np.nan),
     lambda: models.atomic_pair(4, np.nan),
     *(lambda m=m: models.sweep(m, [np.nan], [4]) for m in models.MODEL_NAMES),
+    lambda: classify_invariants(SymmetricInvariants(*[np.nan] * 6)),
+    lambda: separability_flags(SymmetricInvariants(*[np.nan] * 6)),
+    lambda: check_unitary_2x2(np.full((2, 2), np.nan)),
+    lambda: su2_to_so3(np.full((2, 2), np.nan)),
+    lambda: squeezing([np.nan, 0, 0.5], np.eye(3) / 3, 4),
+    lambda: moments_from_pair([np.nan, 0, 0.5], np.eye(3) / 3, 4),
+    lambda: moments_from_pair([0, 0, 0.5], np.full((3, 3), np.nan), 4),
+    lambda: svd3(np.full((3, 3), np.nan)),
 ], ids=["collective_criterion", "hermitian_eigh", "wigner_d_pi2_J", "wigner_d_pi2_M", "dicke_pair_nan",
         "dicke_pair_inf", "build_dicke_state_nan", "build_dicke_state_inf",
         "evolve_ku", "build_atomic_state_nan", "build_atomic_state_inf", "ku_pair", "atomic_pair",
-        *(f"sweep_{m}" for m in models.MODEL_NAMES)])
+        *(f"sweep_{m}" for m in models.MODEL_NAMES), "classify_invariants",
+        "separability_flags", "check_unitary_2x2", "su2_to_so3", "squeezing",
+        "moments_from_pair_s", "moments_from_pair_T", "svd3"])
 def test_non_finite_input_raises_symsq_error(call):
     with pytest.raises(SymsqError):
         call()

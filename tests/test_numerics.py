@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symsq import numerics
 from symsq.errors import NoConvergence, NonHermitian, NonSquare
 from symsq.numerics import (
+    SVD_NULL_TOL,
     hermitian_eigenvalues,
     hermitian_eigh,
     pauli,
@@ -88,6 +90,26 @@ def test_svd3_small_singular_value_accuracy(rng):
         q2 = np.linalg.qr(rng.normal(size=(3, 3)))[0]
         _, d, _ = svd3(q1 @ np.diag([0.9, 0.5, 1e-9]) @ q2.T)
         assert abs(abs(d[0]) - 1e-9) < 1e-15
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(entries=st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9), rank=st.integers(1, 3))
+def test_svd3_rotations_diagonalization_and_sign_rule(entries, rank):
+    """On drawn T, of rank at most 1, 2 or 3: o1 and o2 are proper rotations,
+    o1 T o2^T = diag(d) with |d| ascending, and d carries the sign of det T
+    (only its smallest entry may be negative when T counts as singular)."""
+    a = np.array(entries).reshape(3, 3)
+    t = a if rank == 3 else a[:, :rank] @ a[:rank, :]
+    o1, d, o2 = svd3(t)
+    for o in (o1, o2):
+        assert np.max(np.abs(o @ o.T - np.eye(3))) < 1e-12
+        assert abs(np.linalg.det(o) - 1.0) < 1e-12
+    assert np.max(np.abs(o1 @ t @ o2.T - np.diag(d))) < 1e-12
+    assert np.all(np.diff(np.abs(d)) >= 0.0)
+    if abs(d[0]) <= SVD_NULL_TOL * max(1.0, abs(d[-1])):
+        assert np.all(d[1:] >= 0.0)
+    else:
+        assert np.all(d * np.sign(np.linalg.det(t)) > 0.0)
 
 
 def test_pauli_algebra():

@@ -12,7 +12,6 @@ from symsq.errors import (
     NotSymmetricState,
 )
 from symsq.states import (
-    SINGLET,
     SpecialClassState,
     SymmetricTwoQubitState,
     TwoQubitState,
@@ -58,7 +57,8 @@ def test_rejects_negative_eigenvalue():
 
 
 def test_symmetric_rejects_singlet_population():
-    rho = np.outer(SINGLET, SINGLET.conj())
+    singlet = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
+    rho = np.outer(singlet, singlet.conj())
     with pytest.raises(NotSymmetricState):
         SymmetricTwoQubitState(rho)
 
@@ -79,6 +79,49 @@ def test_bloch_round_trip(rng):
         state = random_symmetric_state(3, rng)
         rebuilt = rho_from_bloch(state.s, state.r, state.T)
         assert np.max(np.abs(rebuilt - state.rho)) < 1e-12
+
+
+# Pauli matrices written out here, so these checks share no table with symsq.
+_I2 = np.array([[1, 0], [0, 1]], dtype=complex)
+_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def _ginibre_state(rng):
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = g @ g.conj().T
+    return TwoQubitState(rho / np.trace(rho).real)
+
+
+def test_bloch_data_are_pauli_expectations(rng):
+    """s_i = Tr rho (sigma_i x I), r_j = Tr rho (I x sigma_j) and
+    T_ij = Tr rho (sigma_i x sigma_j) on Ginibre and symmetric states."""
+    for k in range(200):
+        state = _ginibre_state(rng) if k % 2 else random_symmetric_state(1 + k % 3, rng)
+
+        def expval(a, b):
+            return np.trace(state.rho @ np.kron(a, b)).real
+
+        paulis = (_X, _Y, _Z)
+        assert np.max(np.abs(state.s - [expval(a, _I2) for a in paulis])) < 1e-15
+        assert np.max(np.abs(state.r - [expval(_I2, b) for b in paulis])) < 1e-15
+        t = [[expval(a, b) for b in paulis] for a in paulis]
+        assert np.max(np.abs(state.T - t)) < 1e-15
+
+
+def test_rho_from_bloch_is_the_pauli_sum(rng):
+    """rho_from_bloch(s, r, T) = (1/4)(I x I + s_i sigma_i x I + r_j I x sigma_j
+    + T_ij sigma_i x sigma_j) for arbitrary real s, r and T."""
+    paulis = (_X, _Y, _Z)
+    for _ in range(100):
+        s, r, t = rng.normal(size=3), rng.normal(size=3), rng.normal(size=(3, 3))
+        expected = np.kron(_I2, _I2)
+        for i in range(3):
+            expected = expected + s[i] * np.kron(paulis[i], _I2) + r[i] * np.kron(_I2, paulis[i])
+            for j in range(3):
+                expected = expected + t[i, j] * np.kron(paulis[i], paulis[j])
+        assert np.max(np.abs(rho_from_bloch(s, r, t) - expected / 4)) < 1e-15
 
 
 def test_bloch_of_product_state(product_state):
