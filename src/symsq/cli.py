@@ -14,6 +14,7 @@ import functools
 import json
 import math
 import os
+import stat
 import sys
 import time
 
@@ -93,6 +94,8 @@ def _to_json(obj, indent: int = 0) -> str:
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     if isinstance(obj, str):
         return json.dumps(obj)
+    if isinstance(obj, (float, np.floating)) and obj == 0.0 and math.copysign(1.0, obj) < 0.0:
+        return "-0.0"  # "-0" reads back as the integer 0, without its sign
     return _scalar_text(obj)
 
 
@@ -230,27 +233,51 @@ def _csv_cell(v) -> str:
     return "nan" if isinstance(v, float) and math.isnan(v) else _scalar_text(v)
 
 
-def _column_cells(col: list, cell) -> list:
-    """A sweep column as text: a float column with no NaN or infinity in one
-    format pass (what _fmt_float writes), any other column cell by cell."""
-    if col and isinstance(col[0], float) and all(map(math.isfinite, col)):
-        return [format(v, ".17g") for v in col]
-    return [cell(v) for v in col]
+def _column_cells(col: list, cell) -> tuple:
+    """A sweep column's %-spec and the values that go into it.
+
+    A float column goes in raw under %.17g, what _fmt_float writes, unless
+    `cell` renders some cell otherwise (NaN, an infinity, a JSON negative
+    zero); then it goes in as text, formatted in bulk with only those cells
+    patched through `cell`.  A str or int column goes in as text, rendered
+    once per distinct value; a sweep column holds one type.
+    """
+    if not (col and isinstance(col[0], float)):
+        memo = {v: cell(v) for v in set(col)}
+        return "%s", [memo[v] for v in col]
+    signed_zero = cell(-0.0) != "-0" and 0.0 in col and \
+        any(v == 0.0 and math.copysign(1.0, v) < 0.0 for v in col)
+    if not signed_zero and all(map(math.isfinite, col)):
+        return "%.17g", col
+    patch = {"%.17g" % v: cell(v) for v in (math.nan, math.inf, -math.inf, -0.0)}
+    texts = list(map("%.17g".__mod__, col))
+    return "%s", list(map(patch.get, texts, texts))
 
 
 def _render_sweep(columns: dict, fmt: str) -> str:
     """CSV or JSON of sweep columns, byte for byte what _csv_cell and
-    _to_json write for the rows' as_record() dicts."""
+    _to_json write for the rows' as_record() dicts: one %-template filled
+    once per row."""
     fields = models.SWEEP_FIELDS
+    cell = _to_json if fmt == "json" else _csv_cell
+    specs, cols = zip(*(_column_cells(columns[k], cell) for k in fields))
     if fmt == "json":
-        cells = [_column_cells(columns[k], _to_json) for k in fields]
-        if not cells[0]:
+        if not cols[0]:
             return "[]\n"
-        row = "  {\n" + ",\n".join(f"    {json.dumps(k)}: %s" for k in fields) + "\n  }"
-        return "[\n" + ",\n".join([row % values for values in zip(*cells)]) + "\n]\n"
-    cells = [_column_cells(columns[k], _csv_cell) for k in fields]
-    lines = [",".join(fields)] + [",".join(values) for values in zip(*cells)]
-    return "\n".join(lines) + "\n"
+        row = "  {\n" + ",\n".join(f"    {json.dumps(k)}: {spec}"
+                                    for k, spec in zip(fields, specs)) + "\n  }"
+        return "[\n" + ",\n".join([row % values for values in zip(*cols)]) + "\n]\n"
+    row = ",".join(specs)
+    return "\n".join([",".join(fields)] + [row % values for values in zip(*cols)]) + "\n"
+
+
+def _write_in_place(path, payload: str) -> None:
+    """Write payload over path and cut a regular file's old tail.  Not
+    O_TRUNC: truncating a non-empty file makes ext4 flush it on close."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(payload.encode("utf-8"))
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
 
 
 def cmd_sweep(args) -> int:
@@ -262,8 +289,7 @@ def cmd_sweep(args) -> int:
     payload = _render_sweep(columns, args.format)
     if args.out:
         try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(payload)
+            _write_in_place(args.out, payload)
         except OSError as exc:
             print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
             return EXIT_BAD_RANGE

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import symsq
 from symsq import cli, models
@@ -322,12 +322,11 @@ def _same_bits(a, b) -> bool:
 @given(call=_sweep_call())
 def test_sweep_csv_and_json_round_trip_bit_exact(call):
     """Every float of a sweep comes back bit-exact from its 17-digit CSV and
-    JSON text (a JSON reader taking every number as a double, so -0 keeps
-    its sign)."""
+    JSON text; JSON writes a negative zero as -0.0, so it keeps its sign."""
     want = _reference_records(*call)
     argv = _sweep_argv(*call)
     rows = list(csv.DictReader(io.StringIO(_sweep_stdout(argv + ["--format", "csv"]))))
-    records = json.loads(_sweep_stdout(argv + ["--format", "json"]), parse_int=float)
+    records = json.loads(_sweep_stdout(argv + ["--format", "json"]))
     assert len(rows) == len(records) == len(want)
     for row, rec, w in zip(rows, records, want):
         for key in SWEEP_FIELDS:
@@ -374,10 +373,64 @@ def test_sweep_bytes_match_generic_renderer_on_edge_cases():
     # Dicke N = 4: I4 is -0.0 at M = 0.
     records = _assert_sweep_bytes_match_generic_renderer(("dicke", [4], None))
     assert math.copysign(1.0, records[2]["I4"]) == -1.0 and records[2]["I4"] == 0.0
+    i4 = json.loads(_sweep_stdout(_sweep_argv("dicke", [4], None) + ["--format", "json"]))[2]["I4"]
+    assert isinstance(i4, float) and math.copysign(1.0, i4) == -1.0
     records = _assert_sweep_bytes_match_generic_renderer(("atomic", [6], "0.25:0.75:1"))
     assert len(records) == 1
     records = _assert_sweep_bytes_match_generic_renderer(("dicke", [2, 3, 7], None))
     assert [rec["N"] for rec in records] == [2] * 3 + [3] * 4 + [7] * 8
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
+                   -2.2250738585072014e-308, 1e308, -1.7976931348623157e308]
+
+
+def _float_column(n):
+    """n floats: any finite double, integral values, and the values whose
+    text differs between CSV, JSON and %.17g."""
+    cell = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                     st.integers(-2**60, 2**60).map(float), st.sampled_from(_SPECIAL_FLOATS))
+    return st.one_of(st.lists(cell, min_size=n, max_size=n), st.just([math.nan] * n))
+
+
+@st.composite
+def _raw_sweep_columns(draw):
+    """Columns as models.sweep holds them: str, int and float lists of one length."""
+    n = draw(st.integers(0, 8))
+    text = st.text(st.characters(exclude_categories=("Cs",)), max_size=6) | \
+        st.sampled_from(['"', '\\', "a,b", "\u00e9\u03be\u00b2", "\n"])
+    columns = {}
+    for k in SWEEP_FIELDS:
+        if k in ("model", "branch"):
+            columns[k] = draw(st.lists(text, min_size=n, max_size=n))
+        elif k == "N":
+            columns[k] = draw(st.lists(st.integers(-2**70, 2**70), min_size=n, max_size=n))
+        else:
+            columns[k] = draw(_float_column(n))
+    return columns
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(columns=_raw_sweep_columns())
+@example(columns={k: [] for k in SWEEP_FIELDS})
+@example(columns={**{k: [math.nan] * 2 for k in SWEEP_FIELDS}, "model": ["ku"] * 2,
+                  "N": [4, 4], "branch": ['"', "\u00e9"]})
+def test_render_sweep_matches_cell_renderers(columns):
+    """The per-row %-templates write the bytes of _csv_cell and _to_json
+    applied to each record, on any column values."""
+    records = [dict(zip(SWEEP_FIELDS, values))
+               for values in zip(*(columns[k] for k in SWEEP_FIELDS))]
+    csv_lines = [",".join(SWEEP_FIELDS)]
+    csv_lines += [",".join(cli._csv_cell(rec[k]) for k in SWEEP_FIELDS) for rec in records]
+    assert cli._render_sweep(columns, "csv") == "\n".join(csv_lines) + "\n"
+    assert cli._render_sweep(columns, "json") == cli._to_json(records) + "\n"
+
+
+def test_json_negative_zero_keeps_its_sign():
+    assert cli._to_json([-0.0, 0.0, np.float64(-0.0)]) == "[\n  -0.0,\n  0,\n  -0.0\n]"
+    assert [math.copysign(1.0, v) for v in json.loads(cli._to_json([-0.0, 0.0]))] == [-1.0, 1.0]
+    # Text and CSV keep writing -0.
+    assert cli._render_text({"x": -0.0}) == ["x = -0"] and cli._csv_cell(-0.0) == "-0"
 
 
 def test_sweep_negative_lower_bound_with_and_without_equals():
@@ -398,6 +451,27 @@ def test_sweep_to_file(tmp_path):
     assert main(["sweep", "--model", "ku", "--N", "4",
                  "--param-range", "0:1:3", "--out", str(out)]) == EXIT_OK
     assert out.read_text().startswith(",".join(SWEEP_FIELDS))
+
+
+@pytest.mark.parametrize("old", [None, b"", b"x" * 100_000, b"y" * 10],
+                         ids=["new", "empty", "longer", "shorter"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_out_holds_exactly_the_payload(tmp_path, old, fmt):
+    argv = ["sweep", "--model", "ku", "--N", "4", "--param-range", "0:1:3", "--format", fmt]
+    out = tmp_path / "rows"
+    if old is not None:
+        out.write_bytes(old)
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == _sweep_stdout(argv).encode("utf-8")
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs /dev/null")
+def test_sweep_out_dev_null_exit_code(capsys):
+    """A character device is seekable but cannot be truncated: the write
+    leaves it alone after the payload."""
+    assert main(["sweep", "--model", "ku", "--N", "4",
+                 "--param-range", "0:1:3", "--out", os.devnull]) == EXIT_OK
+    assert capsys.readouterr() == ("", "")
 
 
 def test_sweep_unwritable_out_exit_code(tmp_path, capsys):
