@@ -14,7 +14,6 @@ import functools
 import json
 import math
 import os
-import stat
 import sys
 import time
 
@@ -233,25 +232,23 @@ def _csv_cell(v) -> str:
     return "nan" if isinstance(v, float) and math.isnan(v) else _scalar_text(v)
 
 
-def _column_cells(col: list, cell) -> tuple:
+def _column_cells(col: list, json_out: bool) -> tuple:
     """A sweep column's %-spec and the values that go into it.
 
-    A float column goes in raw under %.17g, what _fmt_float writes, unless
-    `cell` renders some cell otherwise (NaN, an infinity, a JSON negative
-    zero); then it goes in as text, formatted in bulk with only those cells
-    patched through `cell`.  A str or int column goes in as text, rendered
-    once per distinct value; a sweep column holds one type.
+    An all-finite float column goes in raw under %.17g, what _fmt_float
+    writes.  A float column with a NaN, an infinity or, in JSON, a negative
+    zero goes in as text, cell by cell.  A str or int column goes in as
+    text, rendered once per distinct value; a sweep column holds one type.
     """
+    cell = _to_json if json_out else _csv_cell
     if not (col and isinstance(col[0], float)):
         memo = {v: cell(v) for v in set(col)}
         return "%s", [memo[v] for v in col]
-    signed_zero = cell(-0.0) != "-0" and 0.0 in col and \
+    negative_zero = json_out and 0.0 in col and \
         any(v == 0.0 and math.copysign(1.0, v) < 0.0 for v in col)
-    if not signed_zero and all(map(math.isfinite, col)):
+    if not negative_zero and all(map(math.isfinite, col)):
         return "%.17g", col
-    patch = {"%.17g" % v: cell(v) for v in (math.nan, math.inf, -math.inf, -0.0)}
-    texts = list(map("%.17g".__mod__, col))
-    return "%s", list(map(patch.get, texts, texts))
+    return "%s", [cell(v) for v in col]
 
 
 def _render_sweep(columns: dict, fmt: str) -> str:
@@ -259,8 +256,7 @@ def _render_sweep(columns: dict, fmt: str) -> str:
     _to_json write for the rows' as_record() dicts: one %-template filled
     once per row."""
     fields = models.SWEEP_FIELDS
-    cell = _to_json if fmt == "json" else _csv_cell
-    specs, cols = zip(*(_column_cells(columns[k], cell) for k in fields))
+    specs, cols = zip(*(_column_cells(columns[k], fmt == "json") for k in fields))
     if fmt == "json":
         if not cols[0]:
             return "[]\n"
@@ -269,15 +265,6 @@ def _render_sweep(columns: dict, fmt: str) -> str:
         return "[\n" + ",\n".join([row % values for values in zip(*cols)]) + "\n]\n"
     row = ",".join(specs)
     return "\n".join([",".join(fields)] + [row % values for values in zip(*cols)]) + "\n"
-
-
-def _write_in_place(path, payload: str) -> None:
-    """Write payload over path and cut a regular file's old tail.  Not
-    O_TRUNC: truncating a non-empty file makes ext4 flush it on close."""
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
-        fh.write(payload.encode("utf-8"))
-        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            fh.truncate()
 
 
 def cmd_sweep(args) -> int:
@@ -289,7 +276,8 @@ def cmd_sweep(args) -> int:
     payload = _render_sweep(columns, args.format)
     if args.out:
         try:
-            _write_in_place(args.out, payload)
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(payload)
         except OSError as exc:
             print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
             return EXIT_BAD_RANGE

@@ -453,8 +453,7 @@ def test_sweep_to_file(tmp_path):
     assert out.read_text().startswith(",".join(SWEEP_FIELDS))
 
 
-@pytest.mark.parametrize("old", [None, b"", b"x" * 100_000, b"y" * 10],
-                         ids=["new", "empty", "longer", "shorter"])
+@pytest.mark.parametrize("old", [None, b"x" * 100_000], ids=["new", "longer"])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_sweep_out_holds_exactly_the_payload(tmp_path, old, fmt):
     argv = ["sweep", "--model", "ku", "--N", "4", "--param-range", "0:1:3", "--format", fmt]
@@ -467,8 +466,7 @@ def test_sweep_out_holds_exactly_the_payload(tmp_path, old, fmt):
 
 @pytest.mark.skipif(os.name != "posix", reason="needs /dev/null")
 def test_sweep_out_dev_null_exit_code(capsys):
-    """A character device is seekable but cannot be truncated: the write
-    leaves it alone after the payload."""
+    """--out accepts a target that is not a regular file."""
     assert main(["sweep", "--model", "ku", "--N", "4",
                  "--param-range", "0:1:3", "--out", os.devnull]) == EXIT_OK
     assert capsys.readouterr() == ("", "")
