@@ -24,7 +24,7 @@ from .collective import check_n, classify_invariants, pair_from_moments, squeezi
 from .covariance import bar_invariants, c_matrix, c_negativity_test, collective_criterion
 from .errors import SymsqError, ZeroMeanSpin
 from .invariants import makhlin_all, separability_flags, symmetric_six, symmetric_six_from_bloch
-from .numerics import SIGN_TOL, hermitian_eigenvalues
+from .numerics import SIGN_TOL, check_tol, hermitian_eigenvalues
 from .states import (
     SymmetricTwoQubitState,
     apply_local_unitaries,
@@ -49,9 +49,7 @@ def _tol() -> float:
         val = float(raw)
     except ValueError as exc:
         raise SymsqError(f"SYMSQ_TOL is not a number: {raw!r}") from exc
-    if not (val > 0 and math.isfinite(val)):
-        raise SymsqError("SYMSQ_TOL must be a positive finite number")
-    return val
+    return check_tol(val, "SYMSQ_TOL")
 
 
 # ----------------------------------------------------------------------
@@ -295,6 +293,7 @@ def cmd_sweep(args) -> int:
 def suite_invariance(rng, count, tol):
     """The 18 invariants under count Haar pairs u1 (x) u2, then I1..I6 and
     the branch under count // 5 pairs u (x) u.  Returns (drift, flips, ok)."""
+    tol = check_tol(tol)
     drift = 0.0
     for _ in range(count):
         state = random_symmetric_state(3, rng)
@@ -321,6 +320,7 @@ def suite_ppt_c(rng, count, tol):
     """PPT (LAPACK eigvalsh of the partial transpose) vs C < 0 on count
     states of rank 1..3, and the witness minimum vs eigvalsh(C).
     Returns (disagreements, witness deviation, ok)."""
+    tol = check_tol(tol)
     disagreements = 0
     witness_dev = 0.0
     for _ in range(count):
@@ -338,6 +338,8 @@ def suite_xi_i5(rng, count, tol):
     """sign(xi^2 - 1) = sign(I5) on count random rank-3 states with
     sqrt(I3) > 0.1, then on KU sweeps at N = 4, 6, 8, skipping the band
     |I5| <= tol.  Returns (disagreements, compared, skipped, ok)."""
+    tol = check_tol(tol)
+
     def samples():
         checked = 0
         while checked < count:
@@ -372,7 +374,7 @@ def suite_oracle(n_values):
     (and <J3> = -(N/2) cos^(N-1) chi t), 25 atomic points at even N.
     Returns (Dicke/KU deviation, atomic deviation, <J3> deviation, ok)."""
     dev_closed = dev_atomic = dev_j3 = 0.0
-    for n in n_values:
+    for n in map(check_n, n_values):
         for m2 in range(-n, n + 1, 2):
             state, _ = models.dicke_pair(n, m2 / 2)
             dev_closed = max(dev_closed, _bloch_dev(

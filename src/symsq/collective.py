@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidN, TraceViolation, ZeroMeanSpin
-from .invariants import SymmetricInvariants, symmetric_six
-from .numerics import SIGN_TOL, hermitian_eigenvalues
-from .states import SymmetricTwoQubitState
+from .errors import InvalidN, TraceViolation, ZeroMeanSpin
+from .invariants import SymmetricInvariants
+from .numerics import SIGN_TOL, check_finite, check_tol, hermitian_eigenvalues
 
 # Gate on Tr T = 1 for pair data entering the moment map.
 TRACE_TOL = 1e-9
@@ -83,18 +82,9 @@ def check_n(n) -> int:
     return int(n)
 
 
-def _pair_data(s, T):
-    """s and T as float arrays; raises DomainError on a non-finite entry."""
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(T, dtype=float)
-    if not (np.isfinite(s).all() and np.isfinite(t).all()):
-        raise DomainError("pair data s and T must be finite")
-    return s, t
-
-
 def moments_from_pair(s, T, N: int) -> CollectiveMoments:
     n = check_n(N)
-    s, t = _pair_data(s, T)
+    s, t = check_finite(s, T)
     if abs(np.trace(t) - 1.0) > TRACE_TOL:
         raise TraceViolation("symmetric pair data requires Tr T = 1")
     j_mean = 0.5 * n * s
@@ -104,8 +94,8 @@ def moments_from_pair(s, T, N: int) -> CollectiveMoments:
 
 def pair_from_moments(m: CollectiveMoments):
     n = check_n(m.N)
-    s = 2.0 * np.asarray(m.j_mean, dtype=float) / n
-    second = np.asarray(m.j_second, dtype=float)
+    j_mean, second = check_finite(m.j_mean, m.j_second)
+    s = 2.0 * j_mean / n
     t = (4.0 * second / n - np.eye(3)) / (n - 1)
     return s, t
 
@@ -140,7 +130,7 @@ def squeezing(s, T, N: int) -> SqueezingReport:
     mean spin vanishes.
     """
     n = check_n(N)
-    s, t = _pair_data(s, T)
+    s, t = check_finite(s, T)
     s0 = np.sqrt(np.einsum("...i,...i->...", s, s))
     if (s0 <= ZERO_SPIN_TOL).any():
         raise ZeroMeanSpin("mean spin vanishes; use the I3 = 0 classification branch")
@@ -178,6 +168,7 @@ def classify_invariants(inv: SymmetricInvariants, tol: float = SIGN_TOL) -> Pair
     (...) give a branch, note and margin of that shape (object arrays of
     Branch and str for the first two); float fields give one Branch.
     """
+    tol = check_tol(tol)
     inv.require_finite()
     spin = inv.I3 > tol
     # The four tests in _BRANCHES order; a test on the other side of
@@ -195,10 +186,6 @@ def classify_invariants(inv: SymmetricInvariants, tol: float = SIGN_TOL) -> Pair
                                   margin=float(margin))
     return PairClassification(branch=_BRANCH_TABLE[k], collective_note=_NOTE_TABLE[k],
                               margin=margin)
-
-
-def classify(state: SymmetricTwoQubitState, tol: float = SIGN_TOL) -> PairClassification:
-    return classify_invariants(symmetric_six(state), tol)
 
 
 @dataclass(frozen=True)
@@ -222,7 +209,8 @@ def collective_forms(inv: SymmetricInvariants, s, T, N: int) -> CollectiveFormsR
     deviation.
     """
     n = check_n(N)
-    s, t = _pair_data(s, T)
+    inv.require_finite()
+    s, t = check_finite(s, T)
     rep = squeezing(s, t, n)  # raises ZeroMeanSpin when the mean spin vanishes
     m = moments_from_pair(s, t, n)
     jsq = float(m.j_mean @ m.j_mean)

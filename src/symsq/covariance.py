@@ -17,13 +17,8 @@ import numpy as np
 from .collective import check_n
 from .errors import ChainMismatch, NonUnitVector, NotSymmetricState
 from .invariants import _triple
-from .numerics import SIGN_TOL, hermitian_eigenvalues
-from .states import (
-    SymmetricTwoQubitState,
-    TwoQubitState,
-    partial_transpose,
-    rho_from_bloch,
-)
+from .numerics import SIGN_TOL, check_finite, check_tol, hermitian_eigenvalues
+from .states import SymmetricTwoQubitState, partial_transpose, rho_from_bloch
 
 # Product basis -> {|1,1>, |1,0>, |1,-1>, |0,0>}.
 _SQ2 = np.sqrt(2.0)
@@ -60,13 +55,6 @@ CHAIN_INERTIA_TOL = 1e-11
 
 
 @dataclass(frozen=True)
-class CovarianceBlocks:
-    A: np.ndarray  # I - s s^T
-    B: np.ndarray  # I - r r^T
-    C: np.ndarray  # T - s r^T
-
-
-@dataclass(frozen=True)
 class BarInvariants:
     bar1: float  # det C
     bar2: float  # Tr C
@@ -94,19 +82,9 @@ class ChainDiagnostics:
     inertia_match: bool
 
 
-def covariance_blocks(state: TwoQubitState) -> CovarianceBlocks:
-    s, r, t = state.s, state.r, state.T
-    return CovarianceBlocks(
-        A=np.eye(3) - np.outer(s, s),
-        B=np.eye(3) - np.outer(r, r),
-        C=t - np.outer(s, r),
-    )
-
-
 def _c(s, T) -> np.ndarray:
     """C = T - s s^T of pair data (s, T)."""
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(T, dtype=float)
+    s, t = check_finite(s, T)
     return t - np.outer(s, s)
 
 
@@ -123,6 +101,7 @@ def c_matrix(state: SymmetricTwoQubitState) -> np.ndarray:
 def c_negativity_test(state: SymmetricTwoQubitState, tol: float = SIGN_TOL):
     """(min eigenvalue of C, entangled flag); exact PPT-equivalent test."""
     _require_symmetric(state)
+    tol = check_tol(tol)
     min_eig = korbicz_minimum(state.s, state.T)
     return min_eig, min_eig < -tol
 
@@ -170,6 +149,7 @@ def ppt_equivalence_chain(state: SymmetricTwoQubitState) -> ChainDiagnostics:
 
 
 def bar_invariants(state: SymmetricTwoQubitState, tol: float = SIGN_TOL) -> BarInvariants:
+    tol = check_tol(tol)
     c = c_matrix(state)
     bar1 = float(_triple(c[0], c[1], c[2]))
     bar2 = float(np.trace(c))
@@ -184,7 +164,8 @@ def bar_invariants(state: SymmetricTwoQubitState, tol: float = SIGN_TOL) -> BarI
 def collective_criterion(s, T, N: int, tol: float = SIGN_TOL) -> CollectiveCriterion:
     """Pairwise-entanglement witness from collective first/second moments."""
     check_n(N)
-    s = np.asarray(s, dtype=float)
+    tol = check_tol(tol)
+    s = check_finite(s)
     c = _c(s, T)
     big_s = 0.5 * N * s
     vn = 0.25 * N * (np.eye(3) - np.outer(s, s) + (N - 1) * c)
@@ -203,7 +184,7 @@ def korbicz_witness(s, T, k_hat) -> float:
     4 <Delta J_k^2>/N < 1 - 4 <J_k>^2/N^2; the exact minimum over
     directions is the least eigenvalue of C.
     """
-    k = np.asarray(k_hat, dtype=float)
+    k = check_finite(k_hat)
     if abs(np.linalg.norm(k) - 1.0) > UNIT_NORM_TOL:
         raise NonUnitVector("k_hat must be a unit vector")
     return float(k @ _c(s, T) @ k)

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NotSymmetricState
-from .numerics import SIGN_TOL, svd3
+from .errors import NotSymmetricState
+from .numerics import SIGN_TOL, check_finite, check_tol, svd3
 from .states import SpecialClassState, SymmetricTwoQubitState, TwoQubitState
 
 # Levi-Civita tensor for the explicit epsilon contractions.
@@ -67,8 +67,7 @@ class SymmetricInvariants:
 
     def require_finite(self) -> None:
         """Raises DomainError if any field has a NaN or infinite entry."""
-        if not all(np.isfinite(getattr(self, f"I{k}")).all() for k in range(1, 7)):
-            raise DomainError("invariants must be finite")
+        check_finite(self.I1, self.I2, self.I3, self.I4, self.I5, self.I6)
 
     def as_dict(self):
         d = {f"I{k}": getattr(self, f"I{k}") for k in range(1, 7)}
@@ -77,9 +76,7 @@ class SymmetricInvariants:
 
 
 def makhlin_from_bloch(s, r, t) -> MakhlinInvariants:
-    s = np.asarray(s, dtype=float)
-    r = np.asarray(r, dtype=float)
-    t = np.asarray(t, dtype=float)
+    s, r, t = check_finite(s, r, t)
     tt = t @ t.T          # T T^T
     ttt = t.T @ t         # T^T T
     tts = tt @ s
@@ -123,8 +120,7 @@ def symmetric_six_from_bloch(s, t) -> SymmetricInvariants:
     pair gives floats.  I1 and I5 are epsilon contractions, so no
     determinant routine sees subnormal entries.
     """
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
+    s, t = check_finite(s, t)
     ts = (t @ s[..., None])[..., 0]
     # I5 = eps_ijk eps_lmn s_i s_l t_jm t_kn, contracted in stages:
     # a_jk = eps_ijk s_i, then sum_jk a_jk (t a t^T)_jk.
@@ -155,6 +151,7 @@ def special_class_six(a, b, c, d) -> SymmetricInvariants:
     Works elementwise: arrays of one shape (b may be a scalar) give
     fields of that shape, and floats give floats.
     """
+    check_finite(a, b, c, d)
     b = abs(b)
     sz2 = (a - d) ** 2
     return SymmetricInvariants(
@@ -191,6 +188,7 @@ class SeparabilityFlags:
 
 def separability_flags(inv: SymmetricInvariants, tol: float = SIGN_TOL) -> SeparabilityFlags:
     """Strict sign tests; each true flag is sufficient for entanglement."""
+    tol = check_tol(tol)
     inv.require_finite()
     return SeparabilityFlags(
         I4_negative=inv.I4 < -tol,

@@ -35,7 +35,7 @@ from .invariants import (
     special_class_six,
     symmetric_six_from_bloch,
 )
-from .numerics import SIGN_TOL
+from .numerics import SIGN_TOL, check_finite, check_tol
 from .states import SpecialClassState, special_class_bloch
 
 # Rounding slack of the (half-)integer checks on J, M and 2M.
@@ -65,8 +65,7 @@ def wigner_d_pi2(J, M) -> float:
 
     evaluated with log-factorials so large J stays finite.
     """
-    if not (math.isfinite(J) and math.isfinite(M)):
-        raise DomainError("J and M must be finite")
+    check_finite(J, M)
     twoj = 2 * J
     if abs(twoj - round(twoj)) > INTEGER_TOL or round(twoj) < 0:
         raise DomainError("J must be a nonnegative half-integer")
@@ -92,9 +91,8 @@ def wigner_d_pi2(J, M) -> float:
 def _dicke_acd(N: int, M):
     """(a, c, d) of the special-class pair of |J = N/2, M>, over the shape of M."""
     check_n(N)
+    M = check_finite(M)
     twom = np.rint(2 * M)
-    if not np.isfinite(twom).all():
-        raise DomainError("M must be finite")
     if ((abs(2 * M - twom) > INTEGER_TOL) | ((N + twom) % 2 != 0) | (abs(twom) > N)).any():
         raise ParityViolation("M must be a (half-)integer with N + 2M even and |M| <= N/2")
     # 2M is integral, so these products are exact in floating point.
@@ -122,9 +120,7 @@ def ku_pair(N: int, chi_t):
     shape as leading axes.
     """
     check_n(N)
-    chi = np.asarray(chi_t, dtype=float)
-    if not np.isfinite(chi).all():
-        raise DomainError("chi_t must be finite")
+    chi = check_finite(chi_t)
     cosx = np.cos(chi)
     cos2x = np.cos(2.0 * chi)
     s = np.zeros(chi.shape + (3,))
@@ -151,7 +147,7 @@ def atomic_pair(N: int, x):
     check_n(N)
     if N % 2 != 0:
         raise ParityViolation("the steady state requires an even N")
-    x = np.asarray(x, dtype=float)
+    x = check_finite(x)
     if not ((x > 0.0) & (x < 1.0)).all():
         raise DomainError("x must lie strictly between 0 and 1")
     m = np.arange(-N // 2, N // 2 + 1, 2)  # J + M even <-> M same parity as J
@@ -252,7 +248,8 @@ def sweep(model: str, params: Iterable[float], n_values: Iterable[int],
           tol: float = SIGN_TOL) -> SweepTable:
     """One row per (N, parameter), each N computed as one stack over all
     parameters and its values appended to the table's columns."""
-    params = np.array(list(params), dtype=float)
+    tol = check_tol(tol)
+    params = check_finite(list(params))
     param_list = params.tolist()
     columns = {k: [] for k in SWEEP_FIELDS + ("I6",)}
     for n in n_values:

@@ -6,9 +6,14 @@ for Hermitian input.  The 3x3 SVD (LAPACK's, with fixed sign and rotation
 conventions) and the SU(2) -> SO(3) covering map are the geometric
 workhorses for correlation-matrix manipulations; PAULI_PAIRS is the one
 Pauli basis that every rho <-> (s, r, T) conversion contracts.
+check_finite and check_tol are the two input gates: every public function
+that takes pair data, moments or model parameters passes them through the
+first, and every sign test passes its tol through the second.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -28,6 +33,30 @@ SVD_NULL_TOL = 1e-13
 
 _JACOBI_OFF_TARGET = 1e-14
 _JACOBI_MAX_SWEEPS = 50
+
+
+def check_finite(*arrays):
+    """The real arrays as float arrays, one array or a tuple of them;
+    raises DomainError if any entry is NaN or infinite."""
+    out = [np.asarray(a, dtype=float) for a in arrays]
+    for a in out:
+        # On a pair's few entries a Python loop costs a third of a ufunc
+        # and a reduction; stacks take the ufunc.
+        if a.size <= 16:
+            finite = all(map(math.isfinite, a.ravel().tolist()))
+        else:
+            finite = np.isfinite(a).all()
+        if not finite:
+            raise DomainError("input has a NaN or infinite entry; it must be finite")
+    return out[0] if len(out) == 1 else tuple(out)
+
+
+def check_tol(tol, name: str = "tol") -> float:
+    """A sign-test margin as a float; raises DomainError unless 0 < tol < inf."""
+    tol = float(tol)
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"{name} must be a positive finite number")
+    return tol
 
 
 def _as_square(m) -> np.ndarray:
@@ -127,11 +156,9 @@ def svd3(t):
     negative, carrying the sign of det t.  Entries are ordered by ascending
     absolute value.
     """
-    a = np.asarray(t, dtype=float)
+    a = check_finite(t)
     if a.shape != (3, 3):
         raise NonSquare(f"expected 3x3, got {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise DomainError("matrix has a non-finite entry")
     u, sigma, vt = np.linalg.svd(a)
     # LAPACK orders singular values descending; rows of o1 / o2 are the
     # left / right singular vectors in ascending order.
@@ -157,11 +184,6 @@ _SIGMA = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dt
 # R_00 = 1, R[1:, 0] = s, R[0, 1:] = r and R[1:, 1:] = T.
 _PAULI = np.concatenate([np.eye(2, dtype=complex)[None], _SIGMA])
 PAULI_PAIRS = np.array([[np.kron(a, b) for b in _PAULI] for a in _PAULI])
-
-
-def pauli(i: int) -> np.ndarray:
-    """Pauli matrix sigma_i, i in {0,1,2} for (x, y, z)."""
-    return _SIGMA[i]
 
 
 def check_unitary_2x2(u) -> np.ndarray:

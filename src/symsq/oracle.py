@@ -16,7 +16,7 @@ from math import comb
 
 import numpy as np
 
-from .collective import CollectiveMoments, pair_from_moments
+from .collective import CollectiveMoments, check_n, pair_from_moments
 from .errors import DomainError, InvalidN, NormalizationFailure, ParityViolation
 from .states import SymmetricTwoQubitState, from_bloch
 
@@ -194,5 +194,5 @@ def full_hilbert_vector(state: CollectiveState) -> np.ndarray:
 
 def reduced_pair_from_full(psi: np.ndarray, n: int) -> np.ndarray:
     """Partial trace over qubits 3..N of a pure 2^N state vector."""
-    m = psi.reshape(4, -1) if n > 2 else psi.reshape(4, 1)
+    m = psi.reshape(4, 2 ** (check_n(n) - 2))
     return m @ m.conj().T

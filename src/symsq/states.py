@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidDensityMatrix, NotPositive, NotSymmetricState
-from .numerics import (DEFAULT_TOL, PAULI_PAIRS, check_unitary_2x2, hermitian_eigenvalues,
-                       hermitian_eigh)
+from .numerics import (DEFAULT_TOL, PAULI_PAIRS, check_finite, check_unitary_2x2,
+                       hermitian_eigenvalues, hermitian_eigh)
 
 # Positivity gate used when assembling states from Bloch data; slightly
 # looser than the working tolerance to absorb rounding accumulated in
@@ -94,10 +94,8 @@ class SymmetricTwoQubitState(TwoQubitState):
 
 
 def rho_from_bloch(s, r, T) -> np.ndarray:
-    """Assemble the 4x4 matrix of the Bloch parametrization (only shapes checked)."""
-    s = np.asarray(s, dtype=float)
-    r = np.asarray(r, dtype=float)
-    t = np.asarray(T, dtype=float)
+    """Assemble the 4x4 matrix of the Bloch parametrization (shapes and finiteness checked)."""
+    s, r, t = check_finite(s, r, T)
     if s.shape != (3,) or r.shape != (3,) or t.shape != (3, 3):
         raise ValueError(f"Bloch data need s, r of shape (3,) and T of shape (3, 3), "
                          f"got {s.shape}, {r.shape}, {t.shape}")
@@ -156,6 +154,7 @@ class SpecialClassState:
 def special_class_bloch(a, b, c, d):
     """(s, T) of the special class; over leading axes when a and d are
     arrays of one shape (b and c broadcast against them)."""
+    check_finite(a, b, c, d)
     sz = np.asarray(a - d)
     s = np.zeros(sz.shape + (3,))
     s[..., 2] = sz
@@ -191,15 +190,6 @@ def concurrence(state: TwoQubitState) -> float:
     m = sqrt_rho @ rho_tilde @ sqrt_rho
     lam = np.sqrt(np.clip(hermitian_eigenvalues(m), 0.0, None))[::-1]
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
-
-
-def entanglement_of_formation(state: TwoQubitState) -> float:
-    """Binary entropy of (1 + sqrt(1 - C^2))/2."""
-    c = concurrence(state)
-    x = 0.5 * (1.0 + np.sqrt(max(0.0, 1.0 - c * c)))
-    if x <= 0.0 or x >= 1.0:
-        return 0.0
-    return float(-x * np.log2(x) - (1 - x) * np.log2(1 - x))
 
 
 def apply_local_unitaries(state: TwoQubitState, u1, u2) -> TwoQubitState:

@@ -532,3 +532,8 @@ def test_symsq_tol_env(monkeypatch, bell_file, capsys):
     assert report["entangled"] is False
     monkeypatch.setenv("SYMSQ_TOL", "not-a-number")
     assert main(["analyze", bell_file]) == EXIT_INVALID_STATE
+    assert "SYMSQ_TOL is not a number: 'not-a-number'" in capsys.readouterr().err
+    for raw in ("nan", "inf", "0", "-1e-9"):
+        monkeypatch.setenv("SYMSQ_TOL", raw)
+        assert main(["analyze", bell_file]) == EXIT_INVALID_STATE, raw
+        assert "SYMSQ_TOL must be a positive finite number" in capsys.readouterr().err, raw

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from symsq.collective import (
     Branch,
-    classify,
     classify_invariants,
     collective_forms,
     moments_from_pair,
@@ -109,8 +108,8 @@ def test_squeezed_iff_i5_negative(rng):
 
 
 def test_classification_branches(bell_state, product_state):
-    assert classify(bell_state).branch is Branch.I3_ZERO_I1_NEGATIVE
-    assert classify(product_state).branch is Branch.SEPARABLE_SIGNATURE
+    assert classify_invariants(symmetric_six(bell_state)).branch is Branch.I3_ZERO_I1_NEGATIVE
+    assert classify_invariants(symmetric_six(product_state)).branch is Branch.SEPARABLE_SIGNATURE
     # W-like reduced pair: I4, I5 nonnegative but I4 - I3^2 < 0
     from symsq.models import dicke_pair
     _, inv = dicke_pair(4, 1)

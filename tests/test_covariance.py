@@ -11,7 +11,6 @@ from symsq.covariance import (
     c_matrix,
     c_negativity_test,
     collective_criterion,
-    covariance_blocks,
     korbicz_minimum,
     korbicz_witness,
     ppt_equivalence_chain,
@@ -35,13 +34,6 @@ def test_basis_change_matrices_are_unitary():
 def test_c_matrix_requires_symmetric(maximally_mixed):
     with pytest.raises(NotSymmetricState):
         c_matrix(maximally_mixed)
-
-
-def test_covariance_blocks(rng):
-    state = random_symmetric_state(3, rng)
-    blocks = covariance_blocks(state)
-    assert np.allclose(blocks.A, np.eye(3) - np.outer(state.s, state.s))
-    assert np.allclose(blocks.C, state.T - np.outer(state.s, state.s))
 
 
 def test_bell_is_c_negative(bell_state):

@@ -1,19 +1,38 @@
 """Hygiene of the package and its tests: every imported name is used, every
-tol parameter is a sign-test margin, and non-finite input raises a
+tol parameter is a sign-test margin, and a NaN in any numeric parameter of
+any public function, or a non-finite entry anywhere in a stack, raises a
 SymsqError."""
 
 import ast
+import dataclasses
+import importlib
+import inspect
+import math
+import pkgutil
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import symsq
 from symsq import models, oracle
-from symsq.collective import classify_invariants, moments_from_pair, squeezing
+from symsq.collective import (
+    CollectiveMoments,
+    classify_invariants,
+    moments_from_pair,
+    squeezing,
+)
 from symsq.covariance import collective_criterion
 from symsq.errors import SymsqError
-from symsq.invariants import SymmetricInvariants, separability_flags
-from symsq.numerics import check_unitary_2x2, hermitian_eigh, su2_to_so3, svd3
+from symsq.invariants import (
+    SymmetricInvariants,
+    separability_flags,
+    special_class_six,
+    symmetric_six_from_bloch,
+)
+from symsq.numerics import SIGN_TOL, check_unitary_2x2, hermitian_eigh, su2_to_so3, svd3
+from symsq.states import SpecialClassState, symmetric_from_special
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted([*(ROOT / "src" / "symsq").glob("*.py"), *(ROOT / "tests").glob("*.py")])
@@ -94,5 +113,139 @@ def test_every_tol_parameter_is_a_sign_test():
         "separability_flags", "check_unitary_2x2", "su2_to_so3", "squeezing",
         "moments_from_pair_s", "moments_from_pair_T", "svd3"])
 def test_non_finite_input_raises_symsq_error(call):
+    """Hand-picked non-finite calls, the infinities among them; the walk
+    below feeds a NaN to every numeric parameter of every public function."""
     with pytest.raises(SymsqError):
         call()
+
+
+def _public_functions() -> dict:
+    """Every public module-level function of src/symsq, by module.name."""
+    found = {}
+    for info in pkgutil.iter_modules(symsq.__path__):
+        module = importlib.import_module(f"symsq.{info.name}")
+        for name, fn in inspect.getmembers(module, inspect.isfunction):
+            if fn.__module__ == module.__name__ and not name.startswith("_"):
+                found[f"{info.name}.{name}"] = fn
+    return found
+
+
+PUBLIC = _public_functions()
+
+# Parameters that get no NaN: the data they take are not numbers the
+# function computes with, or they are gated elsewhere.
+EXEMPT = {
+    # states: the constructors of TwoQubitState, SpecialClassState and
+    # CollectiveState hold their own gates; obj is a JSON state object and
+    # psi a full-Hilbert state vector
+    "state", "s1", "s2", "p", "obj", "psi",
+    # random generators and seeds
+    "rng", "seed",
+    # a file path, CLI arguments, and a label for an error message
+    "path", "args", "argv", "name",
+    # not numbers: a model name and a flag
+    "model", "symmetric",
+    # integer sample sizes, which a NaN stops in range() or the rank check
+    "count", "rank", "n_terms",
+}
+
+_S, _T = np.array([0.0, 0.0, 0.5]), np.eye(3) / 3
+_SPECIAL = SpecialClassState(a=0.4, b=0.1, c=0.1, d=0.4)
+_PSI = np.zeros(16)
+_PSI[0] = 1.0
+
+# A value every public function accepts, by parameter name.
+VALID = {
+    "s": _S, "r": _S, "T": _T, "t": _T, "k_hat": [0.0, 0.0, 1.0],
+    "inv": symmetric_six_from_bloch(_S, _T),
+    "N": 4, "n": 4, "J": 2, "M": 0, "x": 0.5, "chi_t": 0.3, "theta": -0.3,
+    "a": _SPECIAL.a, "b": _SPECIAL.b, "c": _SPECIAL.c, "d": _SPECIAL.d,
+    "u": np.eye(2), "u1": np.eye(2), "u2": np.eye(2), "m": np.eye(2),
+    "params": [0.3], "n_values": [4], "tol": SIGN_TOL, "arrays": [0.5],
+    "state": symmetric_from_special(_SPECIAL), "psi": _PSI,
+    "rng": np.random.default_rng(0), "count": 1, "model": "ku",
+}
+# Where a name means something else in one function.
+VALID_IN = {
+    "collective.pair_from_moments": {
+        "m": CollectiveMoments(N=4, j_mean=2 * _S, j_second=np.eye(3) + 3 * _T)},
+}
+
+
+def _with_nan(value):
+    """value with its last number, or its last field's last number, NaN."""
+    if dataclasses.is_dataclass(value):
+        last = dataclasses.fields(value)[-1].name
+        return dataclasses.replace(value, **{last: _with_nan(getattr(value, last))})
+    if np.ndim(value) == 0:
+        return math.nan
+    out = np.array(value, dtype=float)
+    out.flat[-1] = math.nan
+    return out
+
+
+def _call(fn, values: dict):
+    """fn on values by name; a *args parameter takes its value as one argument."""
+    params = inspect.signature(fn).parameters
+    star = [values.pop(k) for k, p in params.items()
+            if p.kind is p.VAR_POSITIONAL and k in values]
+    return fn(*star, **values)
+
+
+NAN_CASES = [(qual, name) for qual, fn in PUBLIC.items()
+             for name in inspect.signature(fn).parameters if name not in EXEMPT]
+
+
+def test_every_parameter_has_a_value_or_is_exempt():
+    names = {name for fn in PUBLIC.values() for name in inspect.signature(fn).parameters}
+    assert names - VALID.keys() - EXEMPT == set()
+
+
+@pytest.mark.parametrize("qual, name", NAN_CASES, ids=[f"{q}:{n}" for q, n in NAN_CASES])
+def test_nan_in_a_numeric_parameter_raises(qual, name):
+    """Each public function runs on valid values, and raises a SymsqError
+    once one numeric parameter, tol included, holds a NaN."""
+    fn = PUBLIC[qual]
+    valid = {**VALID, **VALID_IN.get(qual, {})}
+    values = {k: valid[k] for k, p in inspect.signature(fn).parameters.items()
+              if k == name or p.default is p.empty}
+    _call(fn, dict(values))
+    values[name] = _with_nan(values[name])
+    with pytest.raises(SymsqError):
+        _call(fn, values)
+
+
+@st.composite
+def _stacks(draw):
+    """A finite (K, 12) stack, K in 1..8, and a copy with one drawn entry
+    replaced by NaN, +inf or -inf."""
+    k = draw(st.integers(1, 8))
+    entries = draw(st.lists(st.floats(0.125, 1.0), min_size=12 * k, max_size=12 * k))
+    good = np.array(entries).reshape(k, 12)
+    bad = good.copy()
+    bad.flat[draw(st.integers(0, 12 * k - 1))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    return good, bad
+
+
+def _stacked_calls(x):
+    """The stacked entry points on one (K, 12) stack: s = x[:, :3] and
+    T = x[:, 3:] as (K, 3, 3); the 12K entries as four special-class
+    parameter vectors; the 12K entries as KU parameters."""
+    s, t = x[:, :3], x[:, 3:].reshape(-1, 3, 3)
+    return [
+        lambda: symmetric_six_from_bloch(s, t),
+        lambda: squeezing(s, t, 4),
+        lambda: special_class_six(*x.T.reshape(4, -1)),
+        lambda: models.sweep("ku", x.ravel(), [4]),
+    ]
+
+
+@settings(derandomize=True, deadline=None)
+@given(_stacks())
+def test_non_finite_entry_in_a_stack_raises(stacks):
+    good, bad = stacks
+    for call in _stacked_calls(good):
+        call()
+    for call in _stacked_calls(bad):
+        with pytest.raises(SymsqError):
+            call()

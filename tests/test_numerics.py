@@ -7,13 +7,18 @@ from hypothesis import given, settings, strategies as st
 from symsq import numerics
 from symsq.errors import NoConvergence, NonHermitian, NonSquare
 from symsq.numerics import (
+    PAULI_PAIRS,
     SVD_NULL_TOL,
     hermitian_eigenvalues,
     hermitian_eigh,
-    pauli,
     su2_to_so3,
     svd3,
 )
+
+_I2 = np.eye(2, dtype=complex)
+_SIGMA = (np.array([[0, 1], [1, 0]], dtype=complex),
+          np.array([[0, -1j], [1j, 0]]),
+          np.array([[1, 0], [0, -1]], dtype=complex))
 
 
 def _random_hermitian(rng, n):
@@ -113,11 +118,17 @@ def test_svd3_rotations_diagonalization_and_sign_rule(entries, rank):
 
 
 def test_pauli_algebra():
-    s1, s2, s3 = pauli(0), pauli(1), pauli(2)
+    """PAULI_PAIRS[mu, nu] is sigma_mu (x) sigma_nu of the literal Pauli
+    matrices, which obey [s1, s2] = 2i s3, s^2 = I and Tr s = 0."""
+    s1, s2, s3 = _SIGMA
     assert np.allclose(s1 @ s2 - s2 @ s1, 2j * s3)
-    for s in (s1, s2, s3):
+    for s in _SIGMA:
         assert np.allclose(s @ s, np.eye(2))
         assert abs(np.trace(s)) < 1e-15
+    basis = (_I2, *_SIGMA)
+    for mu, a in enumerate(basis):
+        for nu, b in enumerate(basis):
+            assert np.array_equal(PAULI_PAIRS[mu, nu], np.kron(a, b))
 
 
 def test_su2_to_so3_is_rotation(rng):
@@ -129,8 +140,8 @@ def test_su2_to_so3_is_rotation(rng):
         assert abs(np.linalg.det(o) - 1.0) < 1e-12
         # defining property: u sigma_j u^dag = sum_i O_ij sigma_i
         for j in range(3):
-            lhs = u @ pauli(j) @ u.conj().T
-            rhs = sum(o[i, j] * pauli(i) for i in range(3))
+            lhs = u @ _SIGMA[j] @ u.conj().T
+            rhs = sum(o[i, j] * _SIGMA[i] for i in range(3))
             assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 

@@ -17,7 +17,6 @@ from symsq.states import (
     TwoQubitState,
     apply_local_unitaries,
     concurrence,
-    entanglement_of_formation,
     haar_unitary_2x2,
     load_state_file,
     partial_transpose,
@@ -195,11 +194,6 @@ def test_concurrence_werner_family():
         rho = p * bell + (1 - p) * np.eye(4) / 4
         c = concurrence(TwoQubitState(rho))
         assert abs(c - max(0.0, (3 * p - 1) / 2)) < 1e-8
-
-
-def test_entanglement_of_formation_limits(bell_state, product_state):
-    assert abs(entanglement_of_formation(bell_state) - 1.0) < 1e-7
-    assert entanglement_of_formation(product_state) < 1e-7
 
 
 def test_concurrence_agrees_with_ppt_sign(rng):
