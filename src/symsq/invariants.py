@@ -109,7 +109,11 @@ def makhlin_from_bloch(s, r, t) -> MakhlinInvariants:
 
 
 def makhlin_all(state: TwoQubitState) -> MakhlinInvariants:
-    return makhlin_from_bloch(state.s, state.r, state.T)
+    """The 18 invariants of a state, computed once per state and kept in its memo."""
+    memo = state._memo
+    if "makhlin" not in memo:
+        memo["makhlin"] = makhlin_from_bloch(state.s, state.r, state.T)
+    return memo["makhlin"]
 
 
 def symmetric_six_from_bloch(s, t) -> SymmetricInvariants:

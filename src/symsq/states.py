@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidDensityMatrix, NotPositive, NotSymmetricState
-from .numerics import (DEFAULT_TOL, PAULI_PAIRS, check_finite, check_unitary_2x2,
-                       hermitian_eigenvalues, hermitian_eigh)
+from .numerics import DEFAULT_TOL, PAULI_PAIRS, check_finite, check_unitary_2x2, hermitian_eigh
 
 # Positivity gate used when assembling states from Bloch data; slightly
 # looser than the working tolerance to absorb rounding accumulated in
@@ -46,15 +45,25 @@ TRIPLET_BASIS = np.array(
 
 @dataclass(frozen=True)
 class TwoQubitState:
-    """A validated 4x4 density matrix with cached Bloch data (s, r, T)."""
+    """A validated 4x4 density matrix, diagonalized once, at construction.
+
+    The constructor keeps a copy of rho, its Bloch data (s, r, T) and the
+    (w, V) of the one hermitian_eigh(rho) call behind its positivity gate
+    as `spectrum`; concurrence reuses that decomposition.  All of these
+    arrays are read-only, so nothing derived from them can go stale.
+    `_memo` holds what other modules compute once per state (the Makhlin
+    set of invariants.makhlin_all); it lives and dies with the state.
+    """
 
     rho: np.ndarray
     s: np.ndarray = field(init=False)
     r: np.ndarray = field(init=False)
     T: np.ndarray = field(init=False)
+    spectrum: tuple = field(init=False, repr=False, compare=False)
+    _memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
-        rho = np.asarray(self.rho, dtype=complex)
+        rho = np.array(self.rho, dtype=complex)
         if rho.shape != (4, 4):
             raise InvalidDensityMatrix(f"expected 4x4, got {rho.shape}")
         if not np.all(np.isfinite(rho)):
@@ -63,15 +72,19 @@ class TwoQubitState:
             raise InvalidDensityMatrix("density matrix is not Hermitian")
         if abs(np.trace(rho).real - 1.0) > DEFAULT_TOL:
             raise InvalidDensityMatrix("trace differs from 1")
-        w = hermitian_eigenvalues(rho)
+        w, v = hermitian_eigh(rho)
         if w[0] < -FROM_BLOCH_PSD_TOL:
             raise NotPositive("density matrix has a negative eigenvalue", min_eig=float(w[0]))
-        object.__setattr__(self, "rho", rho)
         bloch = np.real(np.sum(rho * _PAULI_PAIRS_T, axis=(-2, -1)))
         # Contiguous copies: matmul rounds differently on strided views.
-        object.__setattr__(self, "s", bloch[1:, 0].copy())
-        object.__setattr__(self, "r", bloch[0, 1:].copy())
-        object.__setattr__(self, "T", bloch[1:, 1:].copy())
+        s, r, t = bloch[1:, 0].copy(), bloch[0, 1:].copy(), bloch[1:, 1:].copy()
+        for a in (rho, w, v, s, r, t):
+            a.flags.writeable = False
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "T", t)
+        object.__setattr__(self, "spectrum", (w, v))
 
     def bloch(self):
         return self.s, self.r, self.T
@@ -180,15 +193,16 @@ def concurrence(state: TwoQubitState) -> float:
 
     The lambda_i are square roots of the eigenvalues of
     rho (sy x sy) rho* (sy x sy), computed through the Hermitian form
-    sqrt(rho) rho~ sqrt(rho) which shares the same spectrum.
+    sqrt(rho) rho~ sqrt(rho) which shares the same spectrum.  sqrt(rho)
+    comes from the state's stored spectrum, so this solves one eigenproblem.
     """
     rho = state.rho
     sysy = PAULI_PAIRS[2, 2]
     rho_tilde = sysy @ rho.conj() @ sysy
-    w, v = hermitian_eigh(rho)
+    w, v = state.spectrum
     sqrt_rho = v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
     m = sqrt_rho @ rho_tilde @ sqrt_rho
-    lam = np.sqrt(np.clip(hermitian_eigenvalues(m), 0.0, None))[::-1]
+    lam = np.sqrt(np.clip(hermitian_eigh(m)[0], 0.0, None))[::-1]
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 

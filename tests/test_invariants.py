@@ -1,10 +1,13 @@
 """Local-unitary invariants: the 18-member set, symmetric reduction,
 special-class closed forms, sign tests, canonical form."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from symsq import invariants, numerics, states
 from symsq.errors import NotSymmetricState
 from symsq.invariants import (
     MAKHLIN_NAMES,
@@ -17,10 +20,12 @@ from symsq.invariants import (
     symmetric_six,
     symmetric_six_from_bloch,
 )
+from symsq.numerics import PAULI_PAIRS, hermitian_eigh
 from symsq.states import (
     SpecialClassState,
     TwoQubitState,
     apply_local_unitaries,
+    concurrence,
     from_bloch,
     haar_unitary_2x2,
     random_special_class,
@@ -217,17 +222,37 @@ def test_locally_equivalent_true_and_false(rng):
     assert not locally_equivalent(state, other)
 
 
+def _ginibre_rho(rng):
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def _two_solve_concurrence(rho):
+    """concurrence's formula with both eigenproblems solved afresh."""
+    w, v = hermitian_eigh(rho)
+    sqrt_rho = v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    sysy = PAULI_PAIRS[2, 2]
+    m = sqrt_rho @ (sysy @ rho.conj() @ sysy) @ sqrt_rho
+    lam = np.sqrt(np.clip(hermitian_eigh(m)[0], 0.0, None))[::-1]
+    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+
+
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_locally_equivalent_generic_states(seed):
     """A generic (Ginibre) state and its copy under a Haar u1 (x) u2 agree
-    on all 18 invariants within LOCAL_EQUIVALENCE_TOL."""
+    on all 18 invariants within LOCAL_EQUIVALENCE_TOL.  Reusing each
+    state's decomposition and Makhlin set changes no result: concurrence
+    equals the two-solve formula bit for bit, and makhlin_all returns the
+    one object it computed for the state."""
     rng = np.random.default_rng(seed)
-    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    rho = g @ g.conj().T
-    state = TwoQubitState(rho / np.trace(rho).real)
+    state = TwoQubitState(_ginibre_rho(rng))
     rotated = apply_local_unitaries(state, haar_unitary_2x2(rng), haar_unitary_2x2(rng))
     assert locally_equivalent(state, rotated)
+    for st_ in (state, rotated):
+        assert concurrence(st_) == _two_solve_concurrence(st_.rho)
+        assert makhlin_all(st_) is makhlin_all(st_)
 
 
 def _bell_diagonal(t_diag):
@@ -264,3 +289,55 @@ def test_makhlin_from_bloch_direct():
     assert abs(m.I1 + 1.0) < 1e-15
     assert abs(m.I2 - 3.0) < 1e-15
     assert len(MAKHLIN_NAMES) == 18
+
+
+# ----------------------------------------------------------------------
+# One decomposition and one Makhlin set per state
+
+
+def test_one_lu_item_solves_three_eigenproblems_and_two_makhlin_sets(monkeypatch, rng):
+    """One lu_equivalence item by hand: the two constructors solve one
+    eigenproblem each and concurrence one more; each state's 18 invariants
+    are computed once, however many callers ask for them."""
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # hermitian_eigenvalues reaches the solver through numerics' own name.
+    eigh = counted("eigh", numerics.hermitian_eigh)
+    monkeypatch.setattr(numerics, "hermitian_eigh", eigh)
+    monkeypatch.setattr(states, "hermitian_eigh", eigh)
+    monkeypatch.setattr(invariants, "makhlin_from_bloch",
+                        counted("makhlin", invariants.makhlin_from_bloch))
+    state = TwoQubitState(_ginibre_rho(rng))
+    rotated = apply_local_unitaries(state, haar_unitary_2x2(rng), haar_unitary_2x2(rng))
+    makhlin_all(state)
+    makhlin_all(rotated)
+    canonical_form(rotated)
+    assert locally_equivalent(state, rotated)
+    concurrence(state)
+    assert counts == {"eigh": 3, "makhlin": 2}
+
+
+def test_state_arrays_are_read_only(rng):
+    """The state keeps its own read-only copy of rho: a write to the
+    caller's array, or an in-place write to any array the state holds,
+    leaves concurrence and the Makhlin set as a fresh state computes them."""
+    rho = _ginibre_rho(rng)
+    kept = rho.copy()
+    state = TwoQubitState(rho)
+    conc, inv = concurrence(state), makhlin_all(state)
+    rho[0, 0] += 1.0
+    w, v = state.spectrum
+    for arr in (state.rho, state.s, state.r, state.T, w, v):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+        with pytest.raises(ValueError):
+            arr *= 2.0
+    fresh = TwoQubitState(kept)
+    assert concurrence(state) == conc == concurrence(fresh)
+    assert makhlin_all(state).values == inv.values == makhlin_all(fresh).values
