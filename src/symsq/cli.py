@@ -26,7 +26,6 @@ from .errors import SymsqError, ZeroMeanSpin
 from .invariants import makhlin_all, separability_flags, symmetric_six, symmetric_six_from_bloch
 from .numerics import SIGN_TOL, check_tol, hermitian_eigenvalues
 from .states import (
-    SymmetricTwoQubitState,
     apply_local_unitaries,
     haar_unitary_2x2,
     load_state_file,
@@ -133,12 +132,6 @@ def cmd_analyze(args) -> int:
         return EXIT_INVALID_STATE
 
     try:
-        sym = state if isinstance(state, SymmetricTwoQubitState) \
-            else SymmetricTwoQubitState(state.rho)
-    except SymsqError:
-        sym = None
-
-    try:
         n_values = _parse_n_list(args.N)
     except SymsqError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -146,7 +139,7 @@ def cmd_analyze(args) -> int:
     pt_eigs = hermitian_eigenvalues(partial_transpose(state))
     report = {
         "input": os.fspath(args.path),
-        "symmetric": sym is not None,
+        "symmetric": state.symmetric,
         "bloch": {
             "s": list(state.s),
             "r": list(state.r),
@@ -155,11 +148,11 @@ def cmd_analyze(args) -> int:
         "ppt_min_eigenvalue": float(pt_eigs[0]),
         "makhlin": makhlin_all(state).as_dict(),
     }
-    if sym is not None:
-        inv = symmetric_six(sym)
+    if state.symmetric:
+        inv = symmetric_six(state)
         flags = separability_flags(inv, tol)
-        bars = bar_invariants(sym, tol)
-        c_min, c_neg = c_negativity_test(sym, tol)
+        bars = bar_invariants(state, tol)
+        c_min, c_neg = c_negativity_test(state, tol)
         cls = classify_invariants(inv, tol)
         report["invariants"] = inv.as_dict()
         report["flags"] = dataclasses.asdict(flags)
@@ -169,9 +162,9 @@ def cmd_analyze(args) -> int:
         report["classification"] = cls.branch.value
         collective = []
         for n in n_values:
-            crit = collective_criterion(sym.s, sym.T, n, tol)
+            crit = collective_criterion(state.s, state.T, n, tol)
             try:
-                xi_sq = squeezing(sym.s, sym.T, n).xi_sq
+                xi_sq = squeezing(state.s, state.T, n).xi_sq
             except ZeroMeanSpin:
                 xi_sq = float("nan")
             collective.append({

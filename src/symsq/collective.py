@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidN, TraceViolation, ZeroMeanSpin
 from .invariants import SymmetricInvariants
-from .numerics import SIGN_TOL, check_finite, check_tol, hermitian_eigenvalues
+from .numerics import SIGN_TOL, _scalar, check_finite, check_tol, hermitian_eigenvalues
 
 # Gate on Tr T = 1 for pair data entering the moment map.
 TRACE_TOL = 1e-9
@@ -143,19 +143,15 @@ def squeezing(s, T, N: int) -> SqueezingReport:
     t_plus = 0.5 * (a + b + disc)
     xi_sq = 1.0 + (n - 1) * t_minus
     max_ratio = 1.0 + (n - 1) * t_plus
-    degenerate = disc < DEGENERATE_DIRECTION_TOL
-    if s.ndim == 1:
-        xi_sq, t_minus, t_plus, max_ratio = map(float, (xi_sq, t_minus, t_plus, max_ratio))
-        degenerate = bool(degenerate)
-    return SqueezingReport(xi_sq=xi_sq, t_perp_minus=t_minus, t_perp_plus=t_plus,
-                           mean_spin_dir=n0, max_variance_ratio=max_ratio,
-                           degenerate_direction=degenerate)
+    return SqueezingReport(xi_sq=_scalar(xi_sq), t_perp_minus=_scalar(t_minus),
+                           t_perp_plus=_scalar(t_plus), mean_spin_dir=n0,
+                           max_variance_ratio=_scalar(max_ratio),
+                           degenerate_direction=_scalar(disc < DEGENERATE_DIRECTION_TOL))
 
 
-_BRANCHES = (Branch.I5_NEGATIVE, Branch.I4_NEGATIVE, Branch.I4_POS_COMBO_NEGATIVE,
-             Branch.I3_ZERO_I1_NEGATIVE, Branch.SEPARABLE_SIGNATURE)
-_BRANCH_TABLE = np.array(_BRANCHES, dtype=object)
-_NOTE_TABLE = np.array([_NOTES[b] for b in _BRANCHES], dtype=object)
+# Branch in declaration order, the order of classify_invariants' tests.
+_BRANCH_TABLE = np.array(list(Branch), dtype=object)
+_NOTE_TABLE = np.array([_NOTES[b] for b in Branch], dtype=object)
 
 
 def classify_invariants(inv: SymmetricInvariants, tol: float = SIGN_TOL) -> PairClassification:
@@ -171,21 +167,17 @@ def classify_invariants(inv: SymmetricInvariants, tol: float = SIGN_TOL) -> Pair
     tol = check_tol(tol)
     inv.require_finite()
     spin = inv.I3 > tol
-    # The four tests in _BRANCHES order; a test on the other side of
+    # The four tests in Branch order; a test on the other side of
     # I3 = tol reads +inf, so it neither decides nor sets the margin.
     tested = np.where(np.array([spin, spin, spin, inv.I3 <= tol]),
                       np.array([inv.I5, inv.I4, inv.combo_I4_minus_I3sq, inv.I1]), np.inf)
-    # Row j holds where branch _BRANCHES[j] applies; the last row always does.
+    # Row j holds where branch _BRANCH_TABLE[j] applies; the last row always does.
     holds = np.concatenate([tested < -tol, np.ones((1,) + tested.shape[1:], dtype=bool)])
     margins = np.concatenate([-tested - tol, tested.min(axis=0, keepdims=True) + tol])
     k = holds.argmax(axis=0)
     margin = np.take_along_axis(margins, k[None], axis=0)[0]
-    if k.ndim == 0:
-        branch = _BRANCHES[k]
-        return PairClassification(branch=branch, collective_note=_NOTES[branch],
-                                  margin=float(margin))
     return PairClassification(branch=_BRANCH_TABLE[k], collective_note=_NOTE_TABLE[k],
-                              margin=margin)
+                              margin=_scalar(margin))
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collective import check_n
-from .errors import ChainMismatch, NonUnitVector, NotSymmetricState
+from .errors import ChainMismatch, NonUnitVector
 from .invariants import _triple
 from .numerics import SIGN_TOL, check_finite, check_tol, hermitian_eigenvalues
-from .states import SymmetricTwoQubitState, partial_transpose, rho_from_bloch
+from .states import TwoQubitState, _require_symmetric, partial_transpose, rho_from_bloch
 
 # Product basis -> {|1,1>, |1,0>, |1,-1>, |0,0>}.
 _SQ2 = np.sqrt(2.0)
@@ -88,17 +88,12 @@ def _c(s, T) -> np.ndarray:
     return t - np.outer(s, s)
 
 
-def _require_symmetric(state):
-    if not isinstance(state, SymmetricTwoQubitState):
-        raise NotSymmetricState("operation requires a symmetric two-qubit state")
-
-
-def c_matrix(state: SymmetricTwoQubitState) -> np.ndarray:
+def c_matrix(state: TwoQubitState) -> np.ndarray:
     _require_symmetric(state)
     return _c(state.s, state.T)
 
 
-def c_negativity_test(state: SymmetricTwoQubitState, tol: float = SIGN_TOL):
+def c_negativity_test(state: TwoQubitState, tol: float = SIGN_TOL):
     """(min eigenvalue of C, entangled flag); exact PPT-equivalent test."""
     _require_symmetric(state)
     tol = check_tol(tol)
@@ -106,7 +101,7 @@ def c_negativity_test(state: SymmetricTwoQubitState, tol: float = SIGN_TOL):
     return min_eig, min_eig < -tol
 
 
-def ppt_equivalence_chain(state: SymmetricTwoQubitState) -> ChainDiagnostics:
+def ppt_equivalence_chain(state: TwoQubitState) -> ChainDiagnostics:
     """Verify the constructive PPT <-> C < 0 chain step by step."""
     _require_symmetric(state)
     s, t = state.s, state.T
@@ -148,7 +143,7 @@ def ppt_equivalence_chain(state: SymmetricTwoQubitState) -> ChainDiagnostics:
     )
 
 
-def bar_invariants(state: SymmetricTwoQubitState, tol: float = SIGN_TOL) -> BarInvariants:
+def bar_invariants(state: TwoQubitState, tol: float = SIGN_TOL) -> BarInvariants:
     tol = check_tol(tol)
     c = c_matrix(state)
     bar1 = float(_triple(c[0], c[1], c[2]))

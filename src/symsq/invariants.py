@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotSymmetricState
-from .numerics import SIGN_TOL, check_finite, check_tol, svd3
-from .states import SpecialClassState, SymmetricTwoQubitState, TwoQubitState
+from .numerics import SIGN_TOL, _scalar, check_finite, check_tol, svd3
+from .states import SpecialClassState, TwoQubitState, _require_symmetric
 
 # Levi-Civita tensor for the explicit epsilon contractions.
 EPS = np.zeros((3, 3, 3))
@@ -138,14 +137,11 @@ def symmetric_six_from_bloch(s, t) -> SymmetricInvariants:
         i5,                                                # I5
         _triple(s, ts, (t @ ts[..., None])[..., 0]),       # I6
     )
-    if s.ndim == 1:
-        vals = map(float, vals)
-    return SymmetricInvariants(*vals)
+    return SymmetricInvariants(*map(_scalar, vals))
 
 
-def symmetric_six(state: SymmetricTwoQubitState) -> SymmetricInvariants:
-    if not isinstance(state, SymmetricTwoQubitState):
-        raise NotSymmetricState("symmetric_six requires a symmetric state")
+def symmetric_six(state: TwoQubitState) -> SymmetricInvariants:
+    _require_symmetric(state)
     return symmetric_six_from_bloch(state.s, state.T)
 
 
@@ -215,12 +211,6 @@ _FLIPS = (
     np.array([-1.0, -1.0, 1.0]),
 )
 
-# Invariant subsets that remain independent when T^T T is degenerate.
-_SUBSET_TWO_EQUAL = ("I1", "I2", "I3", "I4", "I5", "I6", "I7", "I8", "I9",
-                     "I12", "I13", "I14")
-_SUBSET_ALL_EQUAL = ("I1", "I2", "I3", "I4", "I5", "I6", "I7", "I8", "I9",
-                     "I12")
-
 
 @dataclass(frozen=True)
 class CanonicalForm:
@@ -228,7 +218,6 @@ class CanonicalForm:
     s_canon: np.ndarray
     r_canon: np.ndarray
     degeneracy: str  # "none", "two_equal", "all_equal"
-    residual_invariants: dict
 
 
 def _degeneracy_class(d: np.ndarray) -> str:
@@ -266,19 +255,11 @@ def canonical_form(state: TwoQubitState) -> CanonicalForm:
         key = tuple(np.round(np.concatenate([cand_s, cand_r]), 9))
         if best is None or key > best[0]:
             best = (key, cand_s, cand_r)
-    inv = makhlin_all(state).as_dict()
-    if degeneracy == "two_equal":
-        residual = {k: inv[k] for k in _SUBSET_TWO_EQUAL}
-    elif degeneracy == "all_equal":
-        residual = {k: inv[k] for k in _SUBSET_ALL_EQUAL}
-    else:
-        residual = inv
     return CanonicalForm(
         t_diag=d,
         s_canon=best[1],
         r_canon=best[2],
         degeneracy=degeneracy,
-        residual_invariants=residual,
     )
 
 

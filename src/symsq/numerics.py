@@ -59,6 +59,15 @@ def check_tol(tol, name: str = "tol") -> float:
     return tol
 
 
+def _scalar(x):
+    """A kernel's result for one pair, a 0-d float or bool, as a Python
+    float or bool; a stacked result as it is.  (.item() gives the same
+    value at several times the cost on a NumPy scalar.)"""
+    if x.ndim:
+        return x
+    return bool(x) if isinstance(x, np.bool_) else float(x)
+
+
 def _as_square(m) -> np.ndarray:
     a = np.asarray(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -189,7 +198,9 @@ PAULI_PAIRS = np.array([[np.kron(a, b) for b in _PAULI] for a in _PAULI])
 def check_unitary_2x2(u) -> np.ndarray:
     """u as a complex array; raises NonUnitary unless a finite 2x2 unitary within DEFAULT_TOL."""
     a = np.asarray(u, dtype=complex)
-    if a.shape != (2, 2) or not np.max(np.abs(a.conj().T @ a - np.eye(2))) <= DEFAULT_TOL:
+    # Finiteness first: an infinite entry would make a^dag a warn on inf * 0.
+    if a.shape != (2, 2) or not np.isfinite(a).all() \
+            or not np.max(np.abs(a.conj().T @ a - np.eye(2))) <= DEFAULT_TOL:
         raise NonUnitary("expected a 2x2 unitary")
     return a
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .collective import CollectiveMoments, check_n, pair_from_moments
 from .errors import DomainError, InvalidN, NormalizationFailure, ParityViolation
-from .states import SymmetricTwoQubitState, from_bloch
+from .states import SymmetricTwoQubitState, rho_from_bloch
 
 
 @dataclass(frozen=True)
@@ -31,10 +31,6 @@ class CollectiveState:
         if amp.shape != (self.N + 1,):
             raise InvalidN("amplitude vector must have length N+1")
         object.__setattr__(self, "amplitudes", amp)
-
-    @property
-    def m_values(self) -> np.ndarray:
-        return self.N / 2.0 - np.arange(self.N + 1)
 
 
 @dataclass(frozen=True)
@@ -170,7 +166,7 @@ def pair_state_of(state: CollectiveState) -> SymmetricTwoQubitState:
     if state.N < 2:
         raise InvalidN("pair reduction needs N >= 2")
     s, t = pair_from_moments(moments_of(state))
-    return from_bloch(s, s, t, symmetric=True)
+    return SymmetricTwoQubitState(rho_from_bloch(s, s, t))
 
 
 # ----------------------------------------------------------------------

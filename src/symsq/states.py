@@ -51,14 +51,19 @@ class TwoQubitState:
     (w, V) of the one hermitian_eigh(rho) call behind its positivity gate
     as `spectrum`; concurrence reuses that decomposition.  All of these
     arrays are read-only, so nothing derived from them can go stale.
-    `_memo` holds what other modules compute once per state (the Makhlin
-    set of invariants.makhlin_all); it lives and dies with the state.
+    `symmetric` says whether the state is exchange-symmetric: r = s,
+    T = T^T and Tr T = 1, each within SYMMETRIC_STATE_TOL.  It is decided
+    once, after the positivity gate, and every operation that needs a
+    symmetric state reads it.  `_memo` holds what other modules compute
+    once per state (the Makhlin set of invariants.makhlin_all); it lives
+    and dies with the state.
     """
 
     rho: np.ndarray
     s: np.ndarray = field(init=False)
     r: np.ndarray = field(init=False)
     T: np.ndarray = field(init=False)
+    symmetric: bool = field(init=False, repr=False, compare=False)
     spectrum: tuple = field(init=False, repr=False, compare=False)
     _memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
@@ -85,25 +90,28 @@ class TwoQubitState:
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "T", t)
         object.__setattr__(self, "spectrum", (w, v))
+        object.__setattr__(self, "symmetric", bool(
+            np.max(np.abs(r - s)) <= SYMMETRIC_STATE_TOL
+            and np.max(np.abs(t - t.T)) <= SYMMETRIC_STATE_TOL
+            and abs(np.trace(t) - 1.0) <= SYMMETRIC_STATE_TOL))
 
     def bloch(self):
         return self.s, self.r, self.T
 
 
 class SymmetricTwoQubitState(TwoQubitState):
-    """Two-qubit state supported on the exchange-symmetric subspace.
-
-    Enforces r = s, T = T^T and Tr T = 1, so the singlet population (1 - Tr T)/4 vanishes.
-    """
+    """A TwoQubitState whose constructor raises NotSymmetricState unless
+    `symmetric` holds, so the singlet population (1 - Tr T)/4 vanishes."""
 
     def __post_init__(self):
         super().__post_init__()
-        if (
-            np.max(np.abs(self.r - self.s)) > SYMMETRIC_STATE_TOL
-            or np.max(np.abs(self.T - self.T.T)) > SYMMETRIC_STATE_TOL
-            or abs(np.trace(self.T) - 1.0) > SYMMETRIC_STATE_TOL
-        ):
-            raise NotSymmetricState("state violates r = s, T = T^T or Tr T = 1")
+        _require_symmetric(self)
+
+
+def _require_symmetric(state: TwoQubitState) -> None:
+    """Raises NotSymmetricState unless the state is exchange-symmetric."""
+    if not state.symmetric:
+        raise NotSymmetricState("state violates r = s, T = T^T or Tr T = 1")
 
 
 def rho_from_bloch(s, r, T) -> np.ndarray:
@@ -116,11 +124,9 @@ def rho_from_bloch(s, r, T) -> np.ndarray:
     return np.tensordot(bloch, PAULI_PAIRS, axes=2) / 4.0
 
 
-def from_bloch(s, r, T, symmetric: bool = False) -> TwoQubitState:
+def from_bloch(s, r, T) -> TwoQubitState:
     """Build a validated state from Bloch data; rejects non-PSD input."""
-    rho = rho_from_bloch(s, r, T)
-    cls = SymmetricTwoQubitState if symmetric else TwoQubitState
-    return cls(rho)
+    return TwoQubitState(rho_from_bloch(s, r, T))
 
 
 @dataclass(frozen=True)

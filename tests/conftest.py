@@ -3,7 +3,9 @@ import pytest
 
 from symsq.states import (
     SpecialClassState,
+    SymmetricTwoQubitState,
     from_bloch,
+    rho_from_bloch,
     symmetric_from_special,
 )
 
@@ -23,8 +25,7 @@ def bell_state():
 @pytest.fixture
 def product_state():
     """|00><00|: s = r = (0, 0, 1), T = diag(0, 0, 1)."""
-    return from_bloch([0, 0, 1], [0, 0, 1],
-                      np.diag([0.0, 0.0, 1.0]), symmetric=True)
+    return SymmetricTwoQubitState(rho_from_bloch([0, 0, 1], [0, 0, 1], np.diag([0.0, 0.0, 1.0])))
 
 
 @pytest.fixture

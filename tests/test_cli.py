@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import symsq
-from symsq import cli, models
+from symsq import cli, models, states
 from symsq.cli import (
     EXIT_BAD_RANGE,
     EXIT_INVALID_STATE,
@@ -28,6 +28,7 @@ from symsq.cli import (
     main,
 )
 from symsq.models import SWEEP_FIELDS
+from symsq.states import SpecialClassState, random_symmetric_state, rho_from_bloch
 
 
 @pytest.fixture
@@ -152,6 +153,47 @@ def test_analyze_tiny_coherence_raises_no_warning(tmp_path, capsys):
         warnings.simplefilter("error", RuntimeWarning)
         assert main(["analyze", str(path)]) == EXIT_OK
         assert main(["analyze", str(path), "--format", "json"]) == EXIT_OK
+
+
+def _rho_obj(rho):
+    return {"rho": [[[z.real, z.imag] for z in row] for row in rho.tolist()]}
+
+
+_SYMMETRIC = random_symmetric_state(3, seed=11)
+_SPECIAL = {"a": 0.5, "b": 0.3, "c": 0.1, "d": 0.3}
+_KET_01 = np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex)
+# A state file of each kind and the rho it describes.
+_ONE_SOLVE_FILES = {
+    "rho": (_rho_obj(_SYMMETRIC.rho), _SYMMETRIC.rho),
+    "bloch": ({"bloch": {"s": _SYMMETRIC.s.tolist(), "r": _SYMMETRIC.r.tolist(),
+                         "T": _SYMMETRIC.T.tolist()}},
+              rho_from_bloch(_SYMMETRIC.s, _SYMMETRIC.r, _SYMMETRIC.T)),
+    "special": ({"special": _SPECIAL}, SpecialClassState(**_SPECIAL).matrix()),
+    "rho_01": (_rho_obj(_KET_01), _KET_01),
+}
+
+
+@pytest.mark.parametrize("kind", list(_ONE_SOLVE_FILES))
+def test_analyze_solves_each_rho_once(kind, tmp_path, monkeypatch, capsys):
+    """analyze decides symmetry on the state it loaded: the file's rho goes
+    through one eigen solve, the positivity gate's, whatever its kind;
+    |01><01| reports symmetric = false and no invariants."""
+    obj, rho = _ONE_SOLVE_FILES[kind]
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(obj))
+    solved = []
+
+    def counted(m):
+        solved.append(np.array(m))
+        return eigh(m)
+
+    eigh = states.hermitian_eigh
+    monkeypatch.setattr(states, "hermitian_eigh", counted)
+    assert main(["analyze", str(path), "--format", "json"]) == EXIT_OK
+    assert sum(np.array_equal(m, rho) for m in solved) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["symmetric"] is (kind != "rho_01")
+    assert ("invariants" in report) is report["symmetric"]
 
 
 def test_analyze_invalid_state_exit_code(tmp_path, capsys):

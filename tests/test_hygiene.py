@@ -1,7 +1,7 @@
 """Hygiene of the package and its tests: every imported name is used, every
-tol parameter is a sign-test margin, and a NaN in any numeric parameter of
-any public function, or a non-finite entry anywhere in a stack, raises a
-SymsqError."""
+tol parameter is a sign-test margin, and a NaN or an infinity in any numeric
+parameter of any public function, or a non-finite entry anywhere in a stack,
+raises a SymsqError."""
 
 import ast
 import dataclasses
@@ -113,8 +113,9 @@ def test_every_tol_parameter_is_a_sign_test():
         "separability_flags", "check_unitary_2x2", "su2_to_so3", "squeezing",
         "moments_from_pair_s", "moments_from_pair_T", "svd3"])
 def test_non_finite_input_raises_symsq_error(call):
-    """Hand-picked non-finite calls, the infinities among them; the walk
-    below feeds a NaN to every numeric parameter of every public function."""
+    """Hand-picked non-finite calls.  The walk below feeds NaN, +inf and
+    -inf to every numeric parameter of every public function, so it repeats
+    each of these cases but sweep_atomic and sweep_dicke (it sweeps ku)."""
     with pytest.raises(SymsqError):
         call()
 
@@ -143,8 +144,8 @@ EXEMPT = {
     "rng", "seed",
     # a file path, CLI arguments, and a label for an error message
     "path", "args", "argv", "name",
-    # not numbers: a model name and a flag
-    "model", "symmetric",
+    # not a number: a model name
+    "model",
     # integer sample sizes, which a NaN stops in range() or the rank check
     "count", "rank", "n_terms",
 }
@@ -172,15 +173,15 @@ VALID_IN = {
 }
 
 
-def _with_nan(value):
-    """value with its last number, or its last field's last number, NaN."""
+def _with_bad(value, bad: float):
+    """value with its last number, or its last field's last number, set to bad."""
     if dataclasses.is_dataclass(value):
         last = dataclasses.fields(value)[-1].name
-        return dataclasses.replace(value, **{last: _with_nan(getattr(value, last))})
+        return dataclasses.replace(value, **{last: _with_bad(getattr(value, last), bad)})
     if np.ndim(value) == 0:
-        return math.nan
+        return bad
     out = np.array(value, dtype=float)
-    out.flat[-1] = math.nan
+    out.flat[-1] = bad
     return out
 
 
@@ -197,22 +198,25 @@ NAN_CASES = [(qual, name) for qual, fn in PUBLIC.items()
 
 
 def test_every_parameter_has_a_value_or_is_exempt():
+    """Every parameter name has a valid value or an exemption, and every
+    exemption names a parameter that some public function takes."""
     names = {name for fn in PUBLIC.values() for name in inspect.signature(fn).parameters}
     assert names - VALID.keys() - EXEMPT == set()
+    assert EXEMPT - names == set()
 
 
 @pytest.mark.parametrize("qual, name", NAN_CASES, ids=[f"{q}:{n}" for q, n in NAN_CASES])
 def test_nan_in_a_numeric_parameter_raises(qual, name):
     """Each public function runs on valid values, and raises a SymsqError
-    once one numeric parameter, tol included, holds a NaN."""
+    once one numeric parameter, tol included, holds a NaN, +inf or -inf."""
     fn = PUBLIC[qual]
     valid = {**VALID, **VALID_IN.get(qual, {})}
     values = {k: valid[k] for k, p in inspect.signature(fn).parameters.items()
               if k == name or p.default is p.empty}
     _call(fn, dict(values))
-    values[name] = _with_nan(values[name])
-    with pytest.raises(SymsqError):
-        _call(fn, values)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(SymsqError):
+            _call(fn, {**values, name: _with_bad(values[name], bad)})
 
 
 @st.composite

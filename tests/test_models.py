@@ -302,7 +302,7 @@ def test_sweep_ku_subnormal_t_warns_nowhere():
     s, t, _ = ku_pair(1000, ct)
     assert 0.0 < abs(t[0, 1]) < np.finfo(float).tiny
     assert row.invariants.I1 == makhlin_from_bloch(s, s, t).I1 == 0.0
-    assert bar_invariants(from_bloch(s, s, t, symmetric=True)).bar1 == 0.0
+    assert bar_invariants(from_bloch(s, s, t)).bar1 == 0.0
 
 
 # Acceptance criterion 10's KU and atomic grids, every Dicke M for N <= 60,

@@ -1,16 +1,19 @@
 """Density-matrix construction, Bloch round trips, concurrence, samplers."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from symsq.covariance import bar_invariants, c_matrix, c_negativity_test
 from symsq.errors import (
     InvalidDensityMatrix,
     NonUnitary,
     NotPositive,
     NotSymmetricState,
 )
+from symsq.invariants import symmetric_six
 from symsq.states import (
     SpecialClassState,
     SymmetricTwoQubitState,
@@ -62,12 +65,35 @@ def test_symmetric_rejects_singlet_population():
         SymmetricTwoQubitState(rho)
 
 
-def test_symmetric_rejects_asymmetric_bloch():
+def _bits(result) -> bytes:
+    """The float64 bytes of a result: a dataclass, a tuple or an array."""
+    if dataclasses.is_dataclass(result):
+        result = dataclasses.astuple(result)
+    return np.asarray(result, dtype=float).tobytes()
+
+
+def test_symmetric_rejects_asymmetric_bloch(rng):
     # |01><01| has r != s
     rho = np.zeros((4, 4), dtype=complex)
     rho[1, 1] = 1.0
     with pytest.raises(NotSymmetricState):
         SymmetricTwoQubitState(rho)
+    # A plain state's symmetric flag holds exactly where the symmetric
+    # constructor accepts, and the symmetric-only functions give the same
+    # bits on either type.
+    sampled = [random_symmetric_state(rank, rng).rho for rank in (1, 2, 3)]
+    sampled += [random_separable_symmetric(3, rng).rho,
+                symmetric_from_special(random_special_class(rng)).rho]
+    for m in sampled:
+        plain, sym = TwoQubitState(m), SymmetricTwoQubitState(m)
+        assert plain.symmetric
+        for fn in (symmetric_six, c_matrix, c_negativity_test, bar_invariants):
+            assert _bits(fn(plain)) == _bits(fn(sym)), fn.__name__
+    singlet = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
+    for m in (np.outer(singlet, singlet), rho, np.eye(4) / 4):
+        assert not TwoQubitState(m).symmetric
+        with pytest.raises(NotSymmetricState):
+            SymmetricTwoQubitState(m)
 
 
 # ----------------------------------------------------------------------
