@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidN, TraceViolation, ZeroMeanSpin
+from .errors import InvalidN, ParityViolation, TraceViolation, ZeroMeanSpin
 from .invariants import SymmetricInvariants
 from .numerics import SIGN_TOL, _scalar, check_finite, check_tol, hermitian_eigenvalues
 
@@ -26,8 +26,8 @@ ZERO_SPIN_TOL = 1e-12
 # A unit mean-spin direction within this of +e3 or -e3 is rotated onto e3
 # by the identity or by the pi rotation about e1.
 AXIS_GUARD_TOL = 1e-14
-# Transverse eigenvalue gap below which squeezing has no unique axis.
-DEGENERATE_DIRECTION_TOL = 1e-12
+# Rounding slack of the integer checks on 2J and 2M.
+INTEGER_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -46,32 +46,25 @@ class SqueezingReport:
     t_perp_plus: float
     mean_spin_dir: np.ndarray
     max_variance_ratio: float      # 4 (Delta J_perp)^2_max / N
-    degenerate_direction: bool     # t_perp_plus == t_perp_minus (no unique axis)
 
 
 class Branch(enum.Enum):
+    # minimal transverse collective variance below N/4 (spin squeezing)
     I5_NEGATIVE = "I5_negative"
+    # second moment of J along the mean-spin axis at most N/4
     I4_NEGATIVE = "I4_negative"
+    # second moment of J along the mean-spin axis between N/4 and
+    # N/4 + (N-1)|<J>|^2/N
     I4_POS_COMBO_NEGATIVE = "I4_pos_combo_negative"
+    # vanishing mean spin with <J_i^2> below N/4 along a principal axis
     I3_ZERO_I1_NEGATIVE = "I3_zero_I1_negative"
+    # no negative invariant signature at this tolerance
     SEPARABLE_SIGNATURE = "separable_signature"
-
-
-_NOTES = {
-    Branch.I5_NEGATIVE: "minimal transverse collective variance below N/4 (spin squeezing)",
-    Branch.I4_NEGATIVE: "second moment of J along the mean-spin axis at most N/4",
-    Branch.I4_POS_COMBO_NEGATIVE: (
-        "second moment of J along the mean-spin axis between N/4 and N/4 + (N-1)|<J>|^2/N"
-    ),
-    Branch.I3_ZERO_I1_NEGATIVE: "vanishing mean spin with <J_i^2> below N/4 along a principal axis",
-    Branch.SEPARABLE_SIGNATURE: "no negative invariant signature at this tolerance",
-}
 
 
 @dataclass(frozen=True)
 class PairClassification:
     branch: Branch
-    collective_note: str
     margin: float  # distance of the deciding invariant from the tol boundary
 
 
@@ -80,6 +73,17 @@ def check_n(n) -> int:
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise InvalidN("N must be an integer >= 2")
     return int(n)
+
+
+def _check_m(n: int, M):
+    """2M over the shape of M, as integer-valued floats; raises
+    ParityViolation unless each M labels a state |J = n/2, M>: 2M an
+    integer within INTEGER_TOL, n + 2M even and |2M| <= n."""
+    m = check_finite(M)[()]  # a 0-d array as a NumPy scalar, whose arithmetic is cheaper
+    twom = np.rint(2 * m)
+    if ((abs(2 * m - twom) > INTEGER_TOL) | ((n + twom) % 2 != 0) | (abs(twom) > n)).any():
+        raise ParityViolation("M must be a (half-)integer with N + 2M even and |M| <= N/2")
+    return twom
 
 
 def moments_from_pair(s, T, N: int) -> CollectiveMoments:
@@ -145,13 +149,11 @@ def squeezing(s, T, N: int) -> SqueezingReport:
     max_ratio = 1.0 + (n - 1) * t_plus
     return SqueezingReport(xi_sq=_scalar(xi_sq), t_perp_minus=_scalar(t_minus),
                            t_perp_plus=_scalar(t_plus), mean_spin_dir=n0,
-                           max_variance_ratio=_scalar(max_ratio),
-                           degenerate_direction=_scalar(disc < DEGENERATE_DIRECTION_TOL))
+                           max_variance_ratio=_scalar(max_ratio))
 
 
 # Branch in declaration order, the order of classify_invariants' tests.
 _BRANCH_TABLE = np.array(list(Branch), dtype=object)
-_NOTE_TABLE = np.array([_NOTES[b] for b in Branch], dtype=object)
 
 
 def classify_invariants(inv: SymmetricInvariants, tol: float = SIGN_TOL) -> PairClassification:
@@ -161,8 +163,8 @@ def classify_invariants(inv: SymmetricInvariants, tol: float = SIGN_TOL) -> Pair
     signature the smallest tested value's distance above it.
 
     Works over leading axes: invariants whose fields are arrays of shape
-    (...) give a branch, note and margin of that shape (object arrays of
-    Branch and str for the first two); float fields give one Branch.
+    (...) give a branch and margin of that shape (the branch an object
+    array of Branch); float fields give one Branch.
     """
     tol = check_tol(tol)
     inv.require_finite()
@@ -176,8 +178,7 @@ def classify_invariants(inv: SymmetricInvariants, tol: float = SIGN_TOL) -> Pair
     margins = np.concatenate([-tested - tol, tested.min(axis=0, keepdims=True) + tol])
     k = holds.argmax(axis=0)
     margin = np.take_along_axis(margins, k[None], axis=0)[0]
-    return PairClassification(branch=_BRANCH_TABLE[k], collective_note=_NOTE_TABLE[k],
-                              margin=_scalar(margin))
+    return PairClassification(branch=_BRANCH_TABLE[k], margin=_scalar(margin))
 
 
 @dataclass(frozen=True)

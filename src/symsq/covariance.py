@@ -65,10 +65,7 @@ class BarInvariants:
 
 @dataclass(frozen=True)
 class CollectiveCriterion:
-    N: int
-    S: np.ndarray           # <J> = N s / 2
-    Vn: np.ndarray          # collective covariance matrix
-    witness_matrix: np.ndarray  # Vn + S S^T / N
+    witness_matrix: np.ndarray  # Vn + S S^T / N: covariance Vn, mean spin S = <J>
     min_eig: float
     entangled: bool         # min_eig < N/4
 
@@ -158,7 +155,7 @@ def bar_invariants(state: TwoQubitState, tol: float = SIGN_TOL) -> BarInvariants
 
 def collective_criterion(s, T, N: int, tol: float = SIGN_TOL) -> CollectiveCriterion:
     """Pairwise-entanglement witness from collective first/second moments."""
-    check_n(N)
+    N = check_n(N)
     tol = check_tol(tol)
     s = check_finite(s)
     c = _c(s, T)
@@ -166,10 +163,8 @@ def collective_criterion(s, T, N: int, tol: float = SIGN_TOL) -> CollectiveCrite
     vn = 0.25 * N * (np.eye(3) - np.outer(s, s) + (N - 1) * c)
     witness = vn + np.outer(big_s, big_s) / N
     min_eig = float(hermitian_eigenvalues(witness)[0])
-    return CollectiveCriterion(
-        N=int(N), S=big_s, Vn=vn, witness_matrix=witness,
-        min_eig=min_eig, entangled=min_eig < N / 4.0 - tol,
-    )
+    return CollectiveCriterion(witness_matrix=witness, min_eig=min_eig,
+                               entangled=min_eig < N / 4.0 - tol)
 
 
 def korbicz_witness(s, T, k_hat) -> float:

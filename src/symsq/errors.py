@@ -56,15 +56,15 @@ class ZeroMeanSpin(SymsqError):
     pass
 
 
-class ParityViolation(SymsqError):
+class DomainError(SymsqError):
     pass
+
+
+class ParityViolation(DomainError):
+    """(N, M) is not a spin label |J = N/2, M>, or a model needs another parity of N."""
 
 
 class NormalizationFailure(SymsqError):
-    pass
-
-
-class DomainError(SymsqError):
     pass
 
 

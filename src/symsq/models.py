@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collective import check_n, classify_invariants, squeezing
+from .collective import INTEGER_TOL, _check_m, check_n, classify_invariants, squeezing
 from .errors import DomainError, NormalizationFailure, ParityViolation
 from .invariants import (
     SymmetricInvariants,
@@ -37,9 +37,6 @@ from .invariants import (
 )
 from .numerics import SIGN_TOL, check_finite, check_tol
 from .states import SpecialClassState, special_class_bloch
-
-# Rounding slack of the (half-)integer checks on J, M and 2M.
-INTEGER_TOL = 1e-12
 
 
 def _log_d_pi2_sq_table(n: int) -> np.ndarray:
@@ -65,24 +62,15 @@ def wigner_d_pi2(J, M) -> float:
 
     evaluated with log-factorials so large J stays finite.
     """
-    check_finite(J, M)
-    twoj = 2 * J
-    if abs(twoj - round(twoj)) > INTEGER_TOL or round(twoj) < 0:
+    twoj = 2 * float(check_finite(J))
+    n = round(twoj)
+    if abs(twoj - n) > INTEGER_TOL or n < 0:
         raise DomainError("J must be a nonnegative half-integer")
-    if abs(M - round(M)) > INTEGER_TOL and abs(2 * M - round(2 * M)) > INTEGER_TOL:
-        raise DomainError("M must be a (half-)integer")
-    if abs(M) > J + INTEGER_TOL:
-        raise DomainError("|M| must not exceed J")
-    jm = J - M
-    jp = J + M
-    if abs(jm - round(jm)) > INTEGER_TOL:
-        raise DomainError("J - M must be an integer")
-    jm = int(round(jm))
-    jp = int(round(jp))
-    if (jp % 2) != 0 or (jm % 2) != 0:
-        # J + M odd, or half-integer J (no M' = 0 level to project onto)
+    jp = (n + int(_check_m(n, M))) // 2
+    if n % 2 or jp % 2:
+        # half-integer J (no M' = 0 level to project onto), or J + M odd
         return 0.0
-    return (-1.0) ** (jm // 2) * math.exp(0.5 * _log_d_pi2_sq_table(jp + jm)[jp // 2])
+    return (-1.0) ** ((n - jp) // 2) * math.exp(0.5 * _log_d_pi2_sq_table(n)[jp // 2])
 
 
 # ----------------------------------------------------------------------
@@ -90,11 +78,8 @@ def wigner_d_pi2(J, M) -> float:
 
 def _dicke_acd(N: int, M):
     """(a, c, d) of the special-class pair of |J = N/2, M>, over the shape of M."""
-    check_n(N)
-    M = check_finite(M)
-    twom = np.rint(2 * M)
-    if ((abs(2 * M - twom) > INTEGER_TOL) | ((N + twom) % 2 != 0) | (abs(twom) > N)).any():
-        raise ParityViolation("M must be a (half-)integer with N + 2M even and |M| <= N/2")
+    N = check_n(N)
+    twom = _check_m(N, M)
     # 2M is integral, so these products are exact in floating point.
     den = 4.0 * N * (N - 1)
     a = (N + twom) * (N - 2 + twom) / den

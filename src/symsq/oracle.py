@@ -16,8 +16,9 @@ from math import comb
 
 import numpy as np
 
-from .collective import CollectiveMoments, check_n, pair_from_moments
-from .errors import DomainError, InvalidN, NormalizationFailure, ParityViolation
+from .collective import CollectiveMoments, _check_m, check_n, pair_from_moments
+from .errors import InvalidN, NormalizationFailure, ParityViolation
+from .numerics import check_finite
 from .states import SymmetricTwoQubitState, rho_from_bloch
 
 
@@ -79,9 +80,11 @@ class JOperators:
 
 @lru_cache(maxsize=16)
 def build_j_operators(N: int) -> JOperators:
-    """Collective spin data in the |J, M> basis, M = N/2 ... -N/2."""
-    if not isinstance(N, int) or N < 1:
+    """Collective spin data in the |J, M> basis, M = N/2 ... -N/2.  Unlike
+    check_n's N >= 2, any spin J = N/2 >= 1/2 is allowed."""
+    if not isinstance(N, (int, np.integer)) or N < 1:
         raise InvalidN("N must be an integer >= 1")
+    N = int(N)
     j = N / 2.0
     m = j - np.arange(N + 1)
     ladder = np.sqrt((j - m[1:]) * (j + m[1:] + 1.0))
@@ -90,10 +93,8 @@ def build_j_operators(N: int) -> JOperators:
 
 def evolve_ku(N: int, chi_t: float) -> CollectiveState:
     """One-axis twisting exp(-i chi_t J1^2) applied to |J, -J>."""
-    if N < 2:
-        raise InvalidN("N must be >= 2")
-    if not np.isfinite(chi_t):
-        raise DomainError("chi_t must be finite")
+    N = check_n(N)
+    check_finite(chi_t)
     w, v = build_j_operators(N).j1_squared_spectrum
     # The start state is the last basis vector (M = -N/2), so its
     # eigenbasis components are the last row of v.
@@ -115,10 +116,10 @@ def build_atomic_state(N: int, theta: float) -> CollectiveState:
     the rotation matrix element is evaluated spectrally, so this route
     shares nothing with the closed-sum coefficient formula it validates.
     """
-    if N % 2 != 0 or N < 2:
-        raise ParityViolation("the steady state exists for even N >= 2")
-    if not np.isfinite(theta):
-        raise DomainError("theta must be finite")
+    N = check_n(N)
+    if N % 2 != 0:
+        raise ParityViolation("the steady state requires an even N")
+    check_finite(theta)
     ops = build_j_operators(N)
     # Shift the exponent by its largest value, so exp never overflows.
     exponent = ops.m * theta
@@ -130,14 +131,10 @@ def build_atomic_state(N: int, theta: float) -> CollectiveState:
 
 
 def build_dicke_state(N: int, M) -> CollectiveState:
-    if not np.isfinite(M):
-        raise DomainError("M must be finite")
-    if abs(2 * M - round(2 * M)) > 0 or (N + round(2 * M)) % 2 != 0:
-        raise ParityViolation("N + 2M must be even")
-    if abs(M) > N / 2.0:
-        raise ParityViolation("|M| must not exceed N/2")
+    """The basis state |J = N/2, M>."""
+    N = check_n(N)
     amp = np.zeros(N + 1, dtype=complex)
-    amp[int(round(N / 2.0 - M))] = 1.0
+    amp[(N - int(_check_m(N, M))) // 2] = 1.0
     return CollectiveState(N=N, amplitudes=amp)
 
 
@@ -163,8 +160,7 @@ def moments_of(state: CollectiveState) -> CollectiveMoments:
 
 def pair_state_of(state: CollectiveState) -> SymmetricTwoQubitState:
     """Two-qubit reduced state of any pair, via the moment inversion."""
-    if state.N < 2:
-        raise InvalidN("pair reduction needs N >= 2")
+    check_n(state.N)
     s, t = pair_from_moments(moments_of(state))
     return SymmetricTwoQubitState(rho_from_bloch(s, s, t))
 

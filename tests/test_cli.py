@@ -27,6 +27,7 @@ from symsq.cli import (
     EXIT_VERIFY_FAIL,
     main,
 )
+from symsq.errors import DomainError
 from symsq.models import SWEEP_FIELDS
 from symsq.states import SpecialClassState, random_symmetric_state, rho_from_bloch
 
@@ -531,6 +532,16 @@ def test_verify_failure_hook(monkeypatch, capsys):
     assert main(["verify", "--level", "quick", "--seed", "42"]) == EXIT_VERIFY_FAIL
     out = capsys.readouterr().out
     assert "FAIL ppt_equals_c_negativity" in out and out.count("PASS") == 3
+
+
+def test_suites_reject_a_count_that_checks_nothing():
+    """A suite run on no samples would pass vacuously: every count but an
+    integer >= 1 raises DomainError, NaN and a bool included."""
+    for suite in (cli.suite_invariance, cli.suite_ppt_c, cli.suite_xi_i5):
+        for count in (0, -3, True, 2.5, math.nan):
+            with pytest.raises(DomainError):
+                suite(np.random.default_rng(0), count, 1e-9)
+        suite(np.random.default_rng(0), np.int64(5), 1e-9)
 
 
 @settings(derandomize=True, deadline=None, max_examples=20)

@@ -63,7 +63,6 @@ def test_moment_map_validation(rng):
 def test_squeezing_coherent_state_is_unity(product_state):
     rep = squeezing(product_state.s, product_state.T, 10)
     assert abs(rep.xi_sq - 1.0) < 1e-12
-    assert rep.degenerate_direction
 
 
 def test_squeezing_requires_mean_spin(bell_state):

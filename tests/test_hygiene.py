@@ -1,7 +1,7 @@
 """Hygiene of the package and its tests: every imported name is used, every
-tol parameter is a sign-test margin, and a NaN or an infinity in any numeric
+tol parameter is a sign-test margin, a NaN or an infinity in any numeric
 parameter of any public function, or a non-finite entry anywhere in a stack,
-raises a SymsqError."""
+raises a SymsqError, and a qubit count takes any integer type."""
 
 import ast
 import dataclasses
@@ -120,12 +120,17 @@ def test_non_finite_input_raises_symsq_error(call):
         call()
 
 
+def _is_function(obj) -> bool:
+    """A function, also behind a cache wrapper such as functools.lru_cache."""
+    return callable(obj) and inspect.isfunction(inspect.unwrap(obj))
+
+
 def _public_functions() -> dict:
     """Every public module-level function of src/symsq, by module.name."""
     found = {}
     for info in pkgutil.iter_modules(symsq.__path__):
         module = importlib.import_module(f"symsq.{info.name}")
-        for name, fn in inspect.getmembers(module, inspect.isfunction):
+        for name, fn in inspect.getmembers(module, _is_function):
             if fn.__module__ == module.__name__ and not name.startswith("_"):
                 found[f"{info.name}.{name}"] = fn
     return found
@@ -146,8 +151,8 @@ EXEMPT = {
     "path", "args", "argv", "name",
     # not a number: a model name
     "model",
-    # integer sample sizes, which a NaN stops in range() or the rank check
-    "count", "rank", "n_terms",
+    # the samplers' integer sizes, which a NaN stops in range() or the rank check
+    "rank", "n_terms",
 }
 
 _S, _T = np.array([0.0, 0.0, 0.5]), np.eye(3) / 3
@@ -193,6 +198,13 @@ def _call(fn, values: dict):
     return fn(*star, **values)
 
 
+def _values(qual: str, name: str) -> dict:
+    """Valid values of the required parameters of PUBLIC[qual], and of name."""
+    valid = {**VALID, **VALID_IN.get(qual, {})}
+    return {k: valid[k] for k, p in inspect.signature(PUBLIC[qual]).parameters.items()
+            if k == name or p.default is p.empty}
+
+
 NAN_CASES = [(qual, name) for qual, fn in PUBLIC.items()
              for name in inspect.signature(fn).parameters if name not in EXEMPT]
 
@@ -210,13 +222,36 @@ def test_nan_in_a_numeric_parameter_raises(qual, name):
     """Each public function runs on valid values, and raises a SymsqError
     once one numeric parameter, tol included, holds a NaN, +inf or -inf."""
     fn = PUBLIC[qual]
-    valid = {**VALID, **VALID_IN.get(qual, {})}
-    values = {k: valid[k] for k, p in inspect.signature(fn).parameters.items()
-              if k == name or p.default is p.empty}
+    values = _values(qual, name)
     _call(fn, dict(values))
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(SymsqError):
             _call(fn, {**values, name: _with_bad(values[name], bad)})
+
+
+# The collective-spin builders take any spin J = N/2 >= 1/2 (tests build the
+# J = 1/2 operators); every other qubit count is check_n's N >= 2.
+SPIN_FROM_ONE = {"oracle.build_j_operators", "oracle.rotation_pi2_about_2"}
+
+INT_CASES = [(qual, name) for qual, fn in PUBLIC.items()
+             for name in inspect.signature(fn).parameters if name in ("N", "n")]
+
+
+@pytest.mark.parametrize("qual, name", INT_CASES, ids=[f"{q}:{n}" for q, n in INT_CASES])
+def test_qubit_count_takes_any_integer_type(qual, name):
+    """A qubit count N or n gives the same result for np.int64(4) as for 4,
+    and raises a SymsqError on 4.5 and, outside SPIN_FROM_ONE, on 1."""
+    fn = PUBLIC[qual]
+    values = _values(qual, name)
+    # 4 and np.int64(4) are equal keys: start a cached function afresh.
+    getattr(fn, "cache_clear", lambda: None)()
+    assert repr(_call(fn, {**values, name: np.int64(4)})) == repr(_call(fn, dict(values)))
+    for bad in (4.5, 1):
+        if bad == 1 and qual in SPIN_FROM_ONE:
+            _call(fn, {**values, name: bad})
+        else:
+            with pytest.raises(SymsqError):
+                _call(fn, {**values, name: bad})
 
 
 @st.composite

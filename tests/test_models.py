@@ -79,12 +79,31 @@ def test_wigner_d_large_j_is_finite():
 # Dicke model
 
 def test_dicke_parity_validation():
-    with pytest.raises(ParityViolation):
-        dicke_pair(4, 0.5)
-    with pytest.raises(ParityViolation):
-        dicke_pair(4, 3)
-    with pytest.raises(InvalidN):
-        dicke_pair(1, 0.5)
+    """One table of spin labels for the three users of the rule, over
+    N = 0..12 and 2M = -N-2..N+2.  A label |J = N/2, M> has N + 2M even and
+    |2M| <= N; its M may move by 1e-13 (within INTEGER_TOL) but not by
+    1e-11.  dicke_pair and build_dicke_state accept exactly the labels with
+    N >= 2, for a Python or a NumPy integer N, and raise ParityViolation on
+    any other M (InvalidN below N = 2); wigner_d_pi2(N/2, M) takes the same
+    M, and N = 0 and N = 1 as well."""
+    for n in range(13):
+        for twom in range(-n - 2, n + 3):
+            label = (n + twom) % 2 == 0 and abs(twom) <= n
+            for shift in (0.0, 1e-13, -1e-13, 1e-11) if label else (0.0,):
+                m, ok = twom / 2 + shift, label and shift != 1e-11
+                if ok:
+                    wigner_d_pi2(n / 2, m)
+                else:
+                    with pytest.raises(ParityViolation):
+                        wigner_d_pi2(n / 2, m)
+                for big_n in (n, np.int64(n)):
+                    if ok and n >= 2:
+                        assert dicke_pair(big_n, m) == dicke_pair(n, twom / 2)
+                        assert moments_of(build_dicke_state(big_n, m)).j_mean[2] == twom / 2
+                    else:
+                        for build in (dicke_pair, build_dicke_state):
+                            with pytest.raises(InvalidN if n < 2 else ParityViolation):
+                                build(big_n, m)
 
 
 def test_dicke_extremal_m_is_separable():

@@ -127,10 +127,6 @@ def test_dicke_state_moments():
             m = moments_of(st)
             assert abs(m.j_mean[2] - m2 / 2) < 1e-13
             assert abs(m.j_mean[0]) < 1e-13 and abs(m.j_mean[1]) < 1e-13
-    with pytest.raises(ParityViolation):
-        build_dicke_state(4, 0.7)
-    with pytest.raises(ParityViolation):
-        build_dicke_state(4, 3)
 
 
 def test_pair_state_of_is_valid_symmetric():
