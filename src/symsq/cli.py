@@ -22,9 +22,9 @@ import numpy as np
 from . import models, oracle
 from .collective import check_n, classify_invariants, pair_from_moments, squeezing
 from .covariance import bar_invariants, c_matrix, c_negativity_test, collective_criterion
-from .errors import DomainError, SymsqError, ZeroMeanSpin
+from .errors import SymsqError, ZeroMeanSpin
 from .invariants import makhlin_all, separability_flags, symmetric_six, symmetric_six_from_bloch
-from .numerics import SIGN_TOL, check_tol, hermitian_eigenvalues
+from .numerics import SIGN_TOL, _check_int, check_tol, hermitian_eigenvalues
 from .states import (
     apply_local_unitaries,
     haar_unitary_2x2,
@@ -283,18 +283,10 @@ def cmd_sweep(args) -> int:
 # The four suites below are also acceptance criteria 08, 04, 05 and 06;
 # their fixed bounds are part of the gate and must not be loosened.
 
-def _check_count(count) -> int:
-    """A suite's sample count as an int; raises DomainError unless an
-    integer >= 1, so that no suite passes having checked nothing."""
-    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
-        raise DomainError("count must be an integer >= 1")
-    return int(count)
-
-
 def suite_invariance(rng, count, tol):
     """The 18 invariants under count Haar pairs u1 (x) u2, then I1..I6 and
     the branch under count // 5 pairs u (x) u.  Returns (drift, flips, ok)."""
-    count, tol = _check_count(count), check_tol(tol)
+    count, tol = _check_int(count, "count", 1), check_tol(tol)
     drift = 0.0
     for _ in range(count):
         state = random_symmetric_state(3, rng)
@@ -321,7 +313,7 @@ def suite_ppt_c(rng, count, tol):
     """PPT (LAPACK eigvalsh of the partial transpose) vs C < 0 on count
     states of rank 1..3, and the witness minimum vs eigvalsh(C).
     Returns (disagreements, witness deviation, ok)."""
-    count, tol = _check_count(count), check_tol(tol)
+    count, tol = _check_int(count, "count", 1), check_tol(tol)
     disagreements = 0
     witness_dev = 0.0
     for _ in range(count):
@@ -339,7 +331,7 @@ def suite_xi_i5(rng, count, tol):
     """sign(xi^2 - 1) = sign(I5) on count random rank-3 states with
     sqrt(I3) > 0.1, then on KU sweeps at N = 4, 6, 8, skipping the band
     |I5| <= tol.  Returns (disagreements, compared, skipped, ok)."""
-    count, tol = _check_count(count), check_tol(tol)
+    count, tol = _check_int(count, "count", 1), check_tol(tol)
 
     def samples():
         checked = 0

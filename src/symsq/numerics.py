@@ -8,7 +8,9 @@ workhorses for correlation-matrix manipulations; PAULI_PAIRS is the one
 Pauli basis that every rho <-> (s, r, T) conversion contracts.
 check_finite and check_tol are the two input gates: every public function
 that takes pair data, moments or model parameters passes them through the
-first, and every sign test passes its tol through the second.
+first, and every sign test passes its tol through the second.  _check_int
+is the gate on integer sizes: the samplers' rank and term count and the
+verify suites' sample count.
 """
 
 from __future__ import annotations
@@ -57,6 +59,16 @@ def check_tol(tol, name: str = "tol") -> float:
     if not 0.0 < tol < math.inf:
         raise DomainError(f"{name} must be a positive finite number")
     return tol
+
+
+def _check_int(value, name: str, lo: int, hi: float = math.inf) -> int:
+    """An integer parameter (a sample count, rank or term count) as an int;
+    raises DomainError unless an integer, not a bool, in lo..hi."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or not lo <= value <= hi:
+        bounds = f">= {lo}" if hi == math.inf else f"in {lo}..{hi}"
+        raise DomainError(f"{name} must be an integer {bounds}")
+    return int(value)
 
 
 def _scalar(x):

@@ -78,17 +78,26 @@ class JOperators:
         return np.real(rotation_pi2_about_2(self.N)[:, self.N // 2])
 
 
-@lru_cache(maxsize=16)
 def build_j_operators(N: int) -> JOperators:
     """Collective spin data in the |J, M> basis, M = N/2 ... -N/2.  Unlike
-    check_n's N >= 2, any spin J = N/2 >= 1/2 is allowed."""
+    check_n's N >= 2, any spin J = N/2 >= 1/2 is allowed.  Cached per N:
+    N is checked and made an int first, so 4, N=4 and np.int64(4) share
+    one entry of the cache that cache_info and cache_clear report on."""
     if not isinstance(N, (int, np.integer)) or N < 1:
         raise InvalidN("N must be an integer >= 1")
-    N = int(N)
+    return _build_j_operators(int(N))
+
+
+@lru_cache(maxsize=16)
+def _build_j_operators(N: int) -> JOperators:
     j = N / 2.0
     m = j - np.arange(N + 1)
     ladder = np.sqrt((j - m[1:]) * (j + m[1:] + 1.0))
     return JOperators(N=N, m=m, ladder=ladder)
+
+
+build_j_operators.cache_info = _build_j_operators.cache_info
+build_j_operators.cache_clear = _build_j_operators.cache_clear
 
 
 def evolve_ku(N: int, chi_t: float) -> CollectiveState:

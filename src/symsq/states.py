@@ -16,7 +16,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidDensityMatrix, NotPositive, NotSymmetricState
-from .numerics import DEFAULT_TOL, PAULI_PAIRS, check_finite, check_unitary_2x2, hermitian_eigh
+from .numerics import (
+    DEFAULT_TOL,
+    PAULI_PAIRS,
+    _check_int,
+    check_finite,
+    check_unitary_2x2,
+    hermitian_eigh,
+)
 
 # Positivity gate used when assembling states from Bloch data; slightly
 # looser than the working tolerance to absorb rounding accumulated in
@@ -45,15 +52,17 @@ TRIPLET_BASIS = np.array(
 
 @dataclass(frozen=True)
 class TwoQubitState:
-    """A validated 4x4 density matrix, diagonalized once, at construction.
+    """A validated 4x4 density matrix with its Bloch data (s, r, T).
 
-    The constructor keeps a copy of rho, its Bloch data (s, r, T) and the
-    (w, V) of the one hermitian_eigh(rho) call behind its positivity gate
-    as `spectrum`; concurrence reuses that decomposition.  All of these
-    arrays are read-only, so nothing derived from them can go stale.
+    The constructor keeps a copy of rho and its Bloch data.  `spectrum` is
+    the (w, V) of hermitian_eigh(rho), solved at most once per state: the
+    constructor's positivity gate fills it, and concurrence reuses it.  An
+    image under apply_local_unitaries inherits positivity from its parent
+    and solves its spectrum only when something first reads it.  All of
+    these arrays are read-only, so nothing derived from them can go stale.
     `symmetric` says whether the state is exchange-symmetric: r = s,
     T = T^T and Tr T = 1, each within SYMMETRIC_STATE_TOL.  It is decided
-    once, after the positivity gate, and every operation that needs a
+    once, on the state's own Bloch data, and every operation that needs a
     symmetric state reads it.  `_memo` holds what other modules compute
     once per state (the Makhlin set of invariants.makhlin_all); it lives
     and dies with the state.
@@ -64,39 +73,62 @@ class TwoQubitState:
     r: np.ndarray = field(init=False)
     T: np.ndarray = field(init=False)
     symmetric: bool = field(init=False, repr=False, compare=False)
-    spectrum: tuple = field(init=False, repr=False, compare=False)
-    _memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _spectrum: tuple | None = field(init=False, repr=False, compare=False)
+    _memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rho = np.array(self.rho, dtype=complex)
-        if rho.shape != (4, 4):
-            raise InvalidDensityMatrix(f"expected 4x4, got {rho.shape}")
-        if not np.all(np.isfinite(rho)):
-            raise InvalidDensityMatrix("density matrix has a non-finite entry")
-        if np.max(np.abs(rho - rho.conj().T)) > DEFAULT_TOL:
-            raise InvalidDensityMatrix("density matrix is not Hermitian")
-        if abs(np.trace(rho).real - 1.0) > DEFAULT_TOL:
-            raise InvalidDensityMatrix("trace differs from 1")
+        rho = _checked_rho(self.rho)
         w, v = hermitian_eigh(rho)
         if w[0] < -FROM_BLOCH_PSD_TOL:
             raise NotPositive("density matrix has a negative eigenvalue", min_eig=float(w[0]))
-        bloch = np.real(np.sum(rho * _PAULI_PAIRS_T, axis=(-2, -1)))
-        # Contiguous copies: matmul rounds differently on strided views.
-        s, r, t = bloch[1:, 0].copy(), bloch[0, 1:].copy(), bloch[1:, 1:].copy()
-        for a in (rho, w, v, s, r, t):
-            a.flags.writeable = False
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "T", t)
-        object.__setattr__(self, "spectrum", (w, v))
-        object.__setattr__(self, "symmetric", bool(
-            np.max(np.abs(r - s)) <= SYMMETRIC_STATE_TOL
-            and np.max(np.abs(t - t.T)) <= SYMMETRIC_STATE_TOL
-            and abs(np.trace(t) - 1.0) <= SYMMETRIC_STATE_TOL))
+        _fill(self, rho, _read_only(w, v))
+
+    @property
+    def spectrum(self) -> tuple:
+        """(w, V) of hermitian_eigh(rho), ascending and read-only."""
+        if self._spectrum is None:
+            object.__setattr__(self, "_spectrum", _read_only(*hermitian_eigh(self.rho)))
+        return self._spectrum
 
     def bloch(self):
         return self.s, self.r, self.T
+
+
+def _checked_rho(rho) -> np.ndarray:
+    """rho as a complex copy; raises InvalidDensityMatrix unless a finite,
+    Hermitian 4x4 matrix of unit trace."""
+    rho = np.array(rho, dtype=complex)
+    if rho.shape != (4, 4):
+        raise InvalidDensityMatrix(f"expected 4x4, got {rho.shape}")
+    if not np.all(np.isfinite(rho)):
+        raise InvalidDensityMatrix("density matrix has a non-finite entry")
+    if np.max(np.abs(rho - rho.conj().T)) > DEFAULT_TOL:
+        raise InvalidDensityMatrix("density matrix is not Hermitian")
+    if abs(np.trace(rho).real - 1.0) > DEFAULT_TOL:
+        raise InvalidDensityMatrix("trace differs from 1")
+    return rho
+
+
+def _read_only(*arrays) -> tuple:
+    """The arrays, each made read-only in place."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _fill(state: TwoQubitState, rho: np.ndarray, spectrum) -> None:
+    """Set the fields of a state whose rho passed every gate: its Bloch
+    data, the symmetry rule on them, and spectrum (None: solve on first read)."""
+    bloch = np.real(np.sum(rho * _PAULI_PAIRS_T, axis=(-2, -1)))
+    # Contiguous copies: matmul rounds differently on strided views.
+    s, r, t = _read_only(bloch[1:, 0].copy(), bloch[0, 1:].copy(), bloch[1:, 1:].copy())
+    symmetric = bool(np.max(np.abs(r - s)) <= SYMMETRIC_STATE_TOL
+                     and np.max(np.abs(t - t.T)) <= SYMMETRIC_STATE_TOL
+                     and abs(np.trace(t) - 1.0) <= SYMMETRIC_STATE_TOL)
+    fields = {"rho": _read_only(rho)[0], "s": s, "r": r, "T": t, "symmetric": symmetric,
+              "_spectrum": spectrum, "_memo": {}}
+    for name, value in fields.items():
+        object.__setattr__(state, name, value)
 
 
 class SymmetricTwoQubitState(TwoQubitState):
@@ -213,9 +245,18 @@ def concurrence(state: TwoQubitState) -> float:
 
 
 def apply_local_unitaries(state: TwoQubitState, u1, u2) -> TwoQubitState:
-    """Conjugate by u1 (x) u2; Bloch data rotates by the SO(3) images."""
+    """Conjugate by u1 (x) u2; Bloch data rotates by the SO(3) images.
+
+    The image passes the constructor's shape, finiteness, Hermiticity and
+    trace gates and its symmetry rule, but solves no eigenproblem: u1 and
+    u2 are unitary within DEFAULT_TOL, so its eigenvalues are the parent's
+    within 2 DEFAULT_TOL and it inherits the parent's positivity.  Its
+    spectrum is solved when something first reads it.
+    """
     big = np.kron(check_unitary_2x2(u1), check_unitary_2x2(u2))
-    return TwoQubitState(big @ state.rho @ big.conj().T)
+    image = object.__new__(TwoQubitState)
+    _fill(image, _checked_rho(big @ state.rho @ big.conj().T), None)
+    return image
 
 
 # ----------------------------------------------------------------------
@@ -246,8 +287,7 @@ def _dirichlet_flat(rng, n: int) -> np.ndarray:
 
 def random_separable_symmetric(n_terms: int, seed=None) -> SymmetricTwoQubitState:
     """Convex mixture sum_w p_w rho_w (x) rho_w of identical pure pairs."""
-    if n_terms < 1:
-        raise ValueError("n_terms must be >= 1")
+    n_terms = _check_int(n_terms, "n_terms", 1)
     rng = _rng(seed)
     p = _dirichlet_flat(rng, n_terms)
     rho = np.zeros((4, 4), dtype=complex)
@@ -260,8 +300,7 @@ def random_separable_symmetric(n_terms: int, seed=None) -> SymmetricTwoQubitStat
 
 def random_symmetric_state(rank: int, seed=None) -> SymmetricTwoQubitState:
     """Random mixed state supported on span{|1,1>, |1,0>, |1,-1>}."""
-    if not 1 <= rank <= 3:
-        raise ValueError("rank must be in 1..3")
+    rank = _check_int(rank, "rank", 1, 3)
     rng = _rng(seed)
     p = _dirichlet_flat(rng, rank)
     rho = np.zeros((4, 4), dtype=complex)

@@ -151,8 +151,6 @@ EXEMPT = {
     "path", "args", "argv", "name",
     # not a number: a model name
     "model",
-    # the samplers' integer sizes, which a NaN stops in range() or the rank check
-    "rank", "n_terms",
 }
 
 _S, _T = np.array([0.0, 0.0, 0.5]), np.eye(3) / 3
@@ -169,7 +167,7 @@ VALID = {
     "u": np.eye(2), "u1": np.eye(2), "u2": np.eye(2), "m": np.eye(2),
     "params": [0.3], "n_values": [4], "tol": SIGN_TOL, "arrays": [0.5],
     "state": symmetric_from_special(_SPECIAL), "psi": _PSI,
-    "rng": np.random.default_rng(0), "count": 1, "model": "ku",
+    "rng": np.random.default_rng(0), "count": 1, "rank": 2, "n_terms": 2, "model": "ku",
 }
 # Where a name means something else in one function.
 VALID_IN = {

@@ -295,10 +295,9 @@ def test_makhlin_from_bloch_direct():
 # One decomposition and one Makhlin set per state
 
 
-def test_one_lu_item_solves_three_eigenproblems_and_two_makhlin_sets(monkeypatch, rng):
-    """One lu_equivalence item by hand: the two constructors solve one
-    eigenproblem each and concurrence one more; each state's 18 invariants
-    are computed once, however many callers ask for them."""
+def _count_calls(monkeypatch):
+    """A Counter of hermitian_eigh ("eigh") and makhlin_from_bloch
+    ("makhlin") calls, filled while the test runs."""
     counts = Counter()
 
     def counted(name, fn):
@@ -313,6 +312,15 @@ def test_one_lu_item_solves_three_eigenproblems_and_two_makhlin_sets(monkeypatch
     monkeypatch.setattr(states, "hermitian_eigh", eigh)
     monkeypatch.setattr(invariants, "makhlin_from_bloch",
                         counted("makhlin", invariants.makhlin_from_bloch))
+    return counts
+
+
+def test_one_lu_item_solves_two_eigenproblems_and_two_makhlin_sets(monkeypatch, rng):
+    """One lu_equivalence item by hand: the constructor solves one
+    eigenproblem, its local-unitary image none, and concurrence one more;
+    each state's 18 invariants are computed once, however many callers ask
+    for them."""
+    counts = _count_calls(monkeypatch)
     state = TwoQubitState(_ginibre_rho(rng))
     rotated = apply_local_unitaries(state, haar_unitary_2x2(rng), haar_unitary_2x2(rng))
     makhlin_all(state)
@@ -320,7 +328,63 @@ def test_one_lu_item_solves_three_eigenproblems_and_two_makhlin_sets(monkeypatch
     canonical_form(rotated)
     assert locally_equivalent(state, rotated)
     concurrence(state)
-    assert counts == {"eigh": 3, "makhlin": 2}
+    assert counts == {"eigh": 2, "makhlin": 2}
+
+
+def test_apply_local_unitaries_solves_no_eigenproblem(monkeypatch, rng):
+    """The image inherits positivity from its parent, also an image's image,
+    but not its Makhlin set: that comes from the image's own Bloch data."""
+    state = TwoQubitState(_ginibre_rho(rng))
+    parent = makhlin_all(state)
+    counts = _count_calls(monkeypatch)
+    rotated = apply_local_unitaries(state, haar_unitary_2x2(rng), haar_unitary_2x2(rng))
+    apply_local_unitaries(rotated, haar_unitary_2x2(rng), haar_unitary_2x2(rng))
+    assert counts["eigh"] == 0
+    assert makhlin_all(rotated) is not parent
+    assert makhlin_all(rotated).values == makhlin_from_bloch(*rotated.bloch()).values
+
+
+def test_image_spectrum_is_solved_once_on_first_read(monkeypatch, rng):
+    """An image's spectrum, on first read, is a fresh state's bit for bit,
+    read-only, and solved once however often it is read."""
+    rotated = apply_local_unitaries(TwoQubitState(_ginibre_rho(rng)),
+                                    haar_unitary_2x2(rng), haar_unitary_2x2(rng))
+    fresh_w, fresh_v = TwoQubitState(rotated.rho).spectrum
+    counts = _count_calls(monkeypatch)
+    w, v = rotated.spectrum
+    assert rotated.spectrum[0] is w and counts["eigh"] == 1
+    assert np.array_equal(w, fresh_w) and np.array_equal(v, fresh_v)
+    for arr in (w, v):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    with pytest.raises(AttributeError):
+        rotated.spectrum = (w, v)
+
+
+def _rank_one_triplet_rho(rng):
+    amp = rng.normal(size=3) + 1j * rng.normal(size=3)
+    psi = amp @ states.TRIPLET_BASIS / np.linalg.norm(amp)
+    return np.outer(psi, psi.conj())
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(kind=st.sampled_from(["ginibre", "rank1_triplet", "separable"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_image_inherits_the_parents_positivity_verdict(kind, seed):
+    """Under Haar u1 (x) u2 the smallest eigenvalue moves by rounding only,
+    so the positivity verdict an image inherits is the one a fresh gate
+    gives, also for rank-1 states whose smallest eigenvalue is zero."""
+    rng = np.random.default_rng(seed)
+    if kind == "ginibre":
+        state = TwoQubitState(_ginibre_rho(rng))
+    elif kind == "rank1_triplet":
+        state = TwoQubitState(_rank_one_triplet_rho(rng))
+    else:
+        state = states.random_separable_symmetric(int(rng.integers(1, 6)), rng)
+    rotated = apply_local_unitaries(state, haar_unitary_2x2(rng), haar_unitary_2x2(rng))
+    w_parent, w_image = state.spectrum[0][0], hermitian_eigh(rotated.rho)[0][0]
+    assert abs(w_image - w_parent) < 1e-12
+    assert w_image >= -states.FROM_BLOCH_PSD_TOL
 
 
 def test_state_arrays_are_read_only(rng):

@@ -213,3 +213,13 @@ def test_j_operator_cache_is_bounded_and_refills():
     moments_of(evolve_ku(6, 0.5))
     assert build_j_operators.cache_info().currsize == 1
     assert build_j_operators(6) is build_j_operators(6)
+
+
+def test_j_operator_cache_keeps_one_entry_per_n():
+    """However N is spelled, one N is one cache entry."""
+    build_j_operators.cache_clear()
+    ops = build_j_operators(4)
+    assert build_j_operators(N=4) is ops and build_j_operators(np.int64(4)) is ops
+    assert build_j_operators.cache_info().currsize == 1
+    with pytest.raises(InvalidN):
+        build_j_operators(N=4.0)

@@ -2,12 +2,14 @@
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
 from symsq.covariance import bar_invariants, c_matrix, c_negativity_test
 from symsq.errors import (
+    DomainError,
     InvalidDensityMatrix,
     NonUnitary,
     NotPositive,
@@ -269,10 +271,18 @@ def test_separable_sampler_is_ppt(rng):
 
 
 def test_sampler_validation():
-    with pytest.raises(ValueError):
-        random_symmetric_state(0, seed=1)
-    with pytest.raises(ValueError):
-        random_separable_symmetric(0, seed=1)
+    """rank and n_terms pass one integer gate: anything but an integer (not
+    a bool) in range raises DomainError; any integer type is accepted."""
+    for bad in (0, 4, -1, 2.5, math.nan, True):
+        with pytest.raises(DomainError):
+            random_symmetric_state(bad, seed=1)
+    for bad in (0, -2, 2.5, math.nan, math.inf, True):
+        with pytest.raises(DomainError):
+            random_separable_symmetric(bad, seed=1)
+    assert np.array_equal(random_symmetric_state(np.int64(2), seed=1).rho,
+                          random_symmetric_state(2, seed=1).rho)
+    assert np.array_equal(random_separable_symmetric(np.int32(3), seed=1).rho,
+                          random_separable_symmetric(3, seed=1).rho)
 
 
 # ----------------------------------------------------------------------
