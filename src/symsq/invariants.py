@@ -152,6 +152,11 @@ def special_class_six(a, b, c, d) -> SymmetricInvariants:
     fields of that shape, and floats give floats.
     """
     check_finite(a, b, c, d)
+    return _special_class_six(a, b, c, d)
+
+
+def _special_class_six(a, b, c, d) -> SymmetricInvariants:
+    """special_class_six without its gate, for a validated SpecialClassState."""
     b = abs(b)
     sz2 = (a - d) ** 2
     return SymmetricInvariants(
@@ -166,7 +171,7 @@ def special_class_six(a, b, c, d) -> SymmetricInvariants:
 
 def special_class_invariants(p: SpecialClassState) -> SymmetricInvariants:
     """Closed forms of a special-class state (special_class_six of its parameters)."""
-    return special_class_six(p.a, p.b, p.c, p.d)
+    return _special_class_six(p.a, p.b, p.c, p.d)
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,7 @@ TRIPLET_BASIS = np.array(
 )  # rows: |1,1>, |1,0>, |1,-1>
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwoQubitState:
     """A validated 4x4 density matrix with its Bloch data (s, r, T).
 
@@ -65,16 +65,16 @@ class TwoQubitState:
     once, on the state's own Bloch data, and every operation that needs a
     symmetric state reads it.  `_memo` holds what other modules compute
     once per state (the Makhlin set of invariants.makhlin_all); it lives
-    and dies with the state.
+    and dies with the state.  States compare and hash by identity.
     """
 
     rho: np.ndarray
     s: np.ndarray = field(init=False)
     r: np.ndarray = field(init=False)
     T: np.ndarray = field(init=False)
-    symmetric: bool = field(init=False, repr=False, compare=False)
-    _spectrum: tuple | None = field(init=False, repr=False, compare=False)
-    _memo: dict = field(init=False, repr=False, compare=False)
+    symmetric: bool = field(init=False, repr=False)
+    _spectrum: tuple | None = field(init=False, repr=False)
+    _memo: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         rho = _checked_rho(self.rho)
@@ -199,13 +199,18 @@ class SpecialClassState:
         )
 
     def bloch(self):
-        return special_class_bloch(self.a, self.b, self.c, self.d)
+        return _special_class_bloch(self.a, self.b, self.c, self.d)
 
 
 def special_class_bloch(a, b, c, d):
     """(s, T) of the special class; over leading axes when a and d are
     arrays of one shape (b and c broadcast against them)."""
     check_finite(a, b, c, d)
+    return _special_class_bloch(a, b, c, d)
+
+
+def _special_class_bloch(a, b, c, d):
+    """special_class_bloch without its gate, for a validated SpecialClassState."""
     sz = np.asarray(a - d)
     s = np.zeros(sz.shape + (3,))
     s[..., 2] = sz
@@ -227,20 +232,17 @@ def partial_transpose(state: TwoQubitState) -> np.ndarray:
 
 
 def concurrence(state: TwoQubitState) -> float:
-    """Wootters concurrence from the spin-flipped spectrum.
+    """Wootters concurrence max(0, lambda_1 - lambda_2 - lambda_3 - lambda_4).
 
-    The lambda_i are square roots of the eigenvalues of
-    rho (sy x sy) rho* (sy x sy), computed through the Hermitian form
-    sqrt(rho) rho~ sqrt(rho) which shares the same spectrum.  sqrt(rho)
-    comes from the state's stored spectrum, so this solves one eigenproblem.
+    The lambda_i, in descending order, are the square roots of the
+    eigenvalues of rho (sy x sy) rho* (sy x sy).  For any factor
+    rho = X X^dag they are the singular values of the complex symmetric
+    tau = X^T (sy x sy) X (Wootters, PRL 80, 2245 (1998)).  X = V sqrt(w)
+    comes from the state's stored spectrum, so this solves no eigenproblem.
     """
-    rho = state.rho
-    sysy = PAULI_PAIRS[2, 2]
-    rho_tilde = sysy @ rho.conj() @ sysy
     w, v = state.spectrum
-    sqrt_rho = v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    m = sqrt_rho @ rho_tilde @ sqrt_rho
-    lam = np.sqrt(np.clip(hermitian_eigh(m)[0], 0.0, None))[::-1]
+    x = v * np.sqrt(np.clip(w, 0.0, None))
+    lam = np.linalg.svd(x.T @ PAULI_PAIRS[2, 2] @ x, compute_uv=False)
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 

@@ -112,6 +112,27 @@ def test_special_class_closed_forms(rng):
             assert abs(getattr(closed, k) - getattr(direct, k)) < 1e-12
 
 
+def test_special_class_state_passes_no_second_gate(monkeypatch, rng):
+    """A SpecialClassState validated its parameters, so its invariants and
+    its Bloch data run no finiteness gate again, and equal what the gated
+    special_class_six and special_class_bloch return."""
+    p = random_special_class(rng)
+    six = invariants.special_class_six(p.a, p.b, p.c, p.d)
+    s, t = states.special_class_bloch(p.a, p.b, p.c, p.d)
+    calls = Counter()
+
+    def counted(*arrays):
+        calls["check_finite"] += 1
+        return numerics.check_finite(*arrays)
+
+    monkeypatch.setattr(invariants, "check_finite", counted)
+    monkeypatch.setattr(states, "check_finite", counted)
+    assert special_class_invariants(p) == six
+    s_p, t_p = p.bloch()
+    assert np.array_equal(s_p, s) and np.array_equal(t_p, t)
+    assert calls == {}
+
+
 def test_special_class_reduction_identities(rng):
     """When I3 != 0: I1 = I5 I4 / (2 I3^2) and
     I2 = ((I3 - I4)^2 - I3 I5 + I4^2)/I3^2."""
@@ -229,12 +250,21 @@ def _ginibre_rho(rng):
 
 
 def _two_solve_concurrence(rho):
-    """concurrence's formula with both eigenproblems solved afresh."""
+    """Wootters' lambda_i as square roots of the spectrum of
+    sqrt(rho) rho~ sqrt(rho), with both eigenproblems solved afresh."""
     w, v = hermitian_eigh(rho)
     sqrt_rho = v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
     sysy = PAULI_PAIRS[2, 2]
     m = sqrt_rho @ (sysy @ rho.conj() @ sysy) @ sqrt_rho
     lam = np.sqrt(np.clip(hermitian_eigh(m)[0], 0.0, None))[::-1]
+    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+
+
+def _fresh_factor_concurrence(rho):
+    """concurrence's formula on a fresh hermitian_eigh of rho."""
+    w, v = hermitian_eigh(rho)
+    x = v * np.sqrt(np.clip(w, 0.0, None))
+    lam = np.linalg.svd(x.T @ PAULI_PAIRS[2, 2] @ x, compute_uv=False)
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 
@@ -244,15 +274,38 @@ def test_locally_equivalent_generic_states(seed):
     """A generic (Ginibre) state and its copy under a Haar u1 (x) u2 agree
     on all 18 invariants within LOCAL_EQUIVALENCE_TOL.  Reusing each
     state's decomposition and Makhlin set changes no result: concurrence
-    equals the two-solve formula bit for bit, and makhlin_all returns the
-    one object it computed for the state."""
+    equals its formula on a fresh hermitian_eigh bit for bit, and
+    makhlin_all returns the one object it computed for the state.  The
+    singular values of tau = X^T (sy x sy) X give the concurrence that the
+    spectrum of sqrt(rho) rho~ sqrt(rho) gives."""
     rng = np.random.default_rng(seed)
     state = TwoQubitState(_ginibre_rho(rng))
     rotated = apply_local_unitaries(state, haar_unitary_2x2(rng), haar_unitary_2x2(rng))
     assert locally_equivalent(state, rotated)
     for st_ in (state, rotated):
-        assert concurrence(st_) == _two_solve_concurrence(st_.rho)
+        assert concurrence(st_) == _fresh_factor_concurrence(st_.rho)
+        assert abs(concurrence(st_) - _two_solve_concurrence(st_.rho)) < 1e-9
         assert makhlin_all(st_) is makhlin_all(st_)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(kind=st.sampled_from(["ginibre", "pure", "triplet"]), seed=st.integers(0, 2**32 - 1))
+def test_concurrence_is_invariant_under_local_unitaries(kind, seed):
+    """An image under a Haar u1 (x) u2, whose spectrum is solved on first
+    read, has its parent's concurrence, also for states of rank 1..3; a
+    pure state's is the closed form C(psi) = |psi^T (sy x sy) psi|."""
+    rng = np.random.default_rng(seed)
+    if kind == "ginibre":
+        state = TwoQubitState(_ginibre_rho(rng))
+    elif kind == "pure":
+        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+        psi /= np.linalg.norm(psi)
+        state = TwoQubitState(np.outer(psi, psi.conj()))
+        assert abs(concurrence(state) - abs(psi @ PAULI_PAIRS[2, 2] @ psi)) < 1e-9
+    else:
+        state = random_symmetric_state(int(rng.integers(1, 4)), rng)
+    rotated = apply_local_unitaries(state, haar_unitary_2x2(rng), haar_unitary_2x2(rng))
+    assert abs(concurrence(rotated) - concurrence(state)) < 1e-9
 
 
 def _bell_diagonal(t_diag):
@@ -315,11 +368,11 @@ def _count_calls(monkeypatch):
     return counts
 
 
-def test_one_lu_item_solves_two_eigenproblems_and_two_makhlin_sets(monkeypatch, rng):
+def test_one_lu_item_solves_one_eigenproblem_and_two_makhlin_sets(monkeypatch, rng):
     """One lu_equivalence item by hand: the constructor solves one
-    eigenproblem, its local-unitary image none, and concurrence one more;
-    each state's 18 invariants are computed once, however many callers ask
-    for them."""
+    eigenproblem, and its local-unitary image and concurrence none; each
+    state's 18 invariants are computed once, however many callers ask for
+    them."""
     counts = _count_calls(monkeypatch)
     state = TwoQubitState(_ginibre_rho(rng))
     rotated = apply_local_unitaries(state, haar_unitary_2x2(rng), haar_unitary_2x2(rng))
@@ -328,7 +381,7 @@ def test_one_lu_item_solves_two_eigenproblems_and_two_makhlin_sets(monkeypatch, 
     canonical_form(rotated)
     assert locally_equivalent(state, rotated)
     concurrence(state)
-    assert counts == {"eigh": 2, "makhlin": 2}
+    assert counts == {"eigh": 1, "makhlin": 2}
 
 
 def test_apply_local_unitaries_solves_no_eigenproblem(monkeypatch, rng):

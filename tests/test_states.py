@@ -98,6 +98,15 @@ def test_symmetric_rejects_asymmetric_bloch(rng):
             SymmetricTwoQubitState(m)
 
 
+def test_states_compare_and_hash_by_identity(rng):
+    """Two states are equal only when they are one object, also when they
+    hold the same rho, so states work as set members and dict keys."""
+    a = random_symmetric_state(2, rng)
+    b = TwoQubitState(a.rho)
+    assert a == a and a != b
+    assert {a, b, a} == {b, a} and len({a, b}) == 2
+
+
 # ----------------------------------------------------------------------
 # Bloch decomposition
 
