@@ -6,11 +6,17 @@ equivalent to the partial-transpose test.  The equivalence is verified
 constructively through a basis change to the angular-momentum basis
 followed by a congruence that block-diagonalizes the partially transposed
 matrix into (1/2) diag(T - s s^T, 1).
+
+The collective witness of N such qubits is the same matrix seen through an
+affine map: V + S S^T / N = (N/4)(I + (N - 1) C).  So one eigensolve of C
+per pair serves c_negativity_test, korbicz_minimum and collective_criterion
+at every N; the last C's least eigenvalue is memoized.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -154,7 +160,13 @@ def bar_invariants(state: TwoQubitState, tol: float = SIGN_TOL) -> BarInvariants
 
 
 def collective_criterion(s, T, N: int, tol: float = SIGN_TOL) -> CollectiveCriterion:
-    """Pairwise-entanglement witness from collective first/second moments."""
+    """Pairwise-entanglement witness from collective first/second moments.
+
+    The witness matrix is built from the moments, V + S S^T / N.  It equals
+    (N/4)(I + (N - 1) C), and N - 1 > 0 keeps the eigenvalue order, so its
+    least eigenvalue is (N/4)(1 + (N - 1) korbicz_minimum(s, T)): one solve
+    of C serves every N.
+    """
     N = check_n(N)
     tol = check_tol(tol)
     s = check_finite(s)
@@ -162,7 +174,7 @@ def collective_criterion(s, T, N: int, tol: float = SIGN_TOL) -> CollectiveCrite
     big_s = 0.5 * N * s
     vn = 0.25 * N * (np.eye(3) - np.outer(s, s) + (N - 1) * c)
     witness = vn + np.outer(big_s, big_s) / N
-    min_eig = float(hermitian_eigenvalues(witness)[0])
+    min_eig = 0.25 * N * (1.0 + (N - 1) * korbicz_minimum(s, T))
     return CollectiveCriterion(witness_matrix=witness, min_eig=min_eig,
                                entangled=min_eig < N / 4.0 - tol)
 
@@ -181,5 +193,12 @@ def korbicz_witness(s, T, k_hat) -> float:
 
 
 def korbicz_minimum(s, T) -> float:
-    """Exact minimization of korbicz_witness over unit directions."""
-    return float(hermitian_eigenvalues(_c(s, T))[0])
+    """Exact minimization of korbicz_witness over unit directions: the least
+    eigenvalue of C, memoized on C's bytes for the last C asked about."""
+    c = _c(s, T)
+    return _least_eigenvalue(c.shape, c.tobytes())
+
+
+@lru_cache(maxsize=1)
+def _least_eigenvalue(shape, data: bytes) -> float:
+    return float(hermitian_eigenvalues(np.frombuffer(data).reshape(shape))[0])

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import symsq
-from symsq import cli, models, states
+from symsq import cli, covariance, models, states
 from symsq.cli import (
     EXIT_BAD_RANGE,
     EXIT_INVALID_STATE,
@@ -195,6 +195,29 @@ def test_analyze_solves_each_rho_once(kind, tmp_path, monkeypatch, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["symmetric"] is (kind != "rho_01")
     assert ("invariants" in report) is report["symmetric"]
+
+
+def test_analyze_solves_c_once_for_every_n(tmp_path, monkeypatch, capsys):
+    """analyze --N 2,3,10,100 reads the C test and all four witness rows
+    from one solve of the state's C."""
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(_rho_obj(_SYMMETRIC.rho)))
+    solved = []
+    solve = covariance.hermitian_eigenvalues
+
+    def counted(m):
+        solved.append(np.shape(m))
+        return solve(m)
+
+    monkeypatch.setattr(covariance, "hermitian_eigenvalues", counted)
+    covariance._least_eigenvalue.cache_clear()
+    assert main(["analyze", str(path), "--N", "2,3,10,100", "--format", "json"]) == EXIT_OK
+    assert solved == [(3, 3)]
+    report = json.loads(capsys.readouterr().out)
+    c_min = report["c_min_eigenvalue"]
+    for row in report["collective"]:
+        n = row["N"]
+        assert row["witness_min_eigenvalue"] == 0.25 * n * (1.0 + (n - 1) * c_min)
 
 
 def test_analyze_invalid_state_exit_code(tmp_path, capsys):

@@ -3,7 +3,10 @@ collective witness."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from symsq import covariance, numerics, states
+from symsq.collective import classify_invariants, squeezing
 from symsq.covariance import (
     U_ANGULAR,
     U_PRIME,
@@ -16,12 +19,15 @@ from symsq.covariance import (
     ppt_equivalence_chain,
 )
 from symsq.errors import InvalidN, NonUnitVector, NotSymmetricState
-from symsq.invariants import symmetric_six
+from symsq.invariants import makhlin_all, symmetric_six
 from symsq.states import (
+    SpecialClassState,
+    SymmetricTwoQubitState,
     partial_transpose,
     random_separable_symmetric,
     random_special_class,
     random_symmetric_state,
+    rho_from_bloch,
     symmetric_from_special,
 )
 
@@ -158,3 +164,128 @@ def test_special_class_ppt_matches_closed_eigenvalues(rng):
             p.c + abs(p.b),
         ])
         assert np.max(np.abs(w - closed)) < 1e-10
+
+
+def _count_c_solves(monkeypatch):
+    """The shapes of the matrices covariance hands to its eigensolver, with
+    the memo of the last C emptied first."""
+    solved = []
+    solve = covariance.hermitian_eigenvalues
+
+    def counted(m):
+        solved.append(np.shape(m))
+        return solve(m)
+
+    monkeypatch.setattr(covariance, "hermitian_eigenvalues", counted)
+    covariance._least_eigenvalue.cache_clear()
+    return solved
+
+
+def test_one_pair_solves_c_once_for_every_n(monkeypatch, rng):
+    """c_negativity_test and the collective witness at N = 2, 10 and 100
+    read one solve of the pair's C."""
+    state = random_symmetric_state(3, rng)
+    solved = _count_c_solves(monkeypatch)
+    min_eig, _ = c_negativity_test(state)
+    for n in (2, 10, 100):
+        crit = collective_criterion(state.s, state.T, n)
+        assert crit.min_eig == 0.25 * n * (1.0 + (n - 1) * min_eig)
+    assert korbicz_minimum(state.s, state.T) == min_eig
+    assert solved == [(3, 3)]
+
+
+def test_one_pair_item_makes_three_eigensolves(monkeypatch, rng):
+    """One pair-verdicts item by hand (construct, 18 and 6 invariants, PPT,
+    C test, bar invariants, branch, squeezing, witness at three N) solves
+    rho, its partial transpose and C: three eigenproblems."""
+    rho = random_symmetric_state(3, rng).rho
+    covariance._least_eigenvalue.cache_clear()
+    solved = []
+    eigh = numerics.hermitian_eigh
+
+    def counted(m):
+        solved.append(np.shape(m))
+        return eigh(m)
+
+    # hermitian_eigenvalues reaches the solver through numerics' own name.
+    monkeypatch.setattr(numerics, "hermitian_eigh", counted)
+    monkeypatch.setattr(states, "hermitian_eigh", counted)
+    state = SymmetricTwoQubitState(rho)
+    makhlin_all(state)
+    inv = symmetric_six(state)
+    numerics.hermitian_eigenvalues(partial_transpose(state))
+    c_negativity_test(state)
+    bar_invariants(state)
+    classify_invariants(inv)
+    squeezing(state.s, state.T, 2)
+    for n in (2, 10, 100):
+        collective_criterion(state.s, state.T, n)
+    assert solved == [(4, 4), (4, 4), (3, 3)]
+
+
+def _spin_flip_mix(state, p):
+    """p rho + (1 - p) rho~ with rho~ the spin flip of rho: a symmetric state
+    with Bloch data ((2p - 1) s, (2p - 1) s, T)."""
+    w = 2.0 * p - 1.0
+    return SymmetricTwoQubitState(rho_from_bloch(w * state.s, w * state.s, state.T))
+
+
+def test_c_memo_follows_s_and_t(rng):
+    """Alternating pairs that share s but not T (special class, different b)
+    or T but not s (spin-flip mixtures, all given the one T array) each get
+    their own C's least eigenvalue from korbicz_minimum, c_negativity_test
+    and the witness."""
+    same_s = [symmetric_from_special(SpecialClassState(a=0.4, b=b, c=0.15, d=0.3))
+              for b in (-0.3, 0.0, 0.2)]
+    assert all(np.array_equal(x.s, same_s[0].s) for x in same_s)
+    base = random_symmetric_state(2, rng)
+    same_t = [_spin_flip_mix(base, p) for p in (1.0, 0.75, 0.5)]
+    pairs = [(x.s, x.T, x) for x in same_s] + [(x.s, base.T, x) for x in same_t]
+    wants = [float(np.linalg.eigvalsh(t - np.outer(s, s))[0]) for s, t, _ in pairs]
+    assert len({round(w, 9) for w in wants}) == len(pairs)
+    order = [0, 1, 2, 1, 0, 3, 4, 5, 4, 3, 0, 5, 1, 4, 2, 3]
+    for k in order:
+        s, t, _ = pairs[k]
+        assert abs(korbicz_minimum(s, t) - wants[k]) < 1e-12
+        for n in (2, 17):
+            crit = collective_criterion(s, t, n)
+            assert abs(crit.min_eig - 0.25 * n * (1.0 + (n - 1) * wants[k])) < 1e-12 * n * n
+    for k in order:
+        state = pairs[k][2]
+        min_eig, _ = c_negativity_test(state)
+        assert abs(min_eig - np.linalg.eigvalsh(c_matrix(state))[0]) < 1e-12
+
+
+def test_witness_minimum_matches_its_matrix(rng):
+    """min_eig agrees with LAPACK's least eigenvalue of the moment-built
+    witness matrix within 1e-14 N^2 for every N in 2..1000."""
+    samples = [random_symmetric_state(rank, rng) for rank in (1, 2, 3)]
+    samples += [random_separable_symmetric(3, rng),
+                symmetric_from_special(random_special_class(rng))]
+    for state in samples:
+        for n in range(2, 1001):
+            crit = collective_criterion(state.s, state.T, n)
+            lapack = np.linalg.eigvalsh(crit.witness_matrix)[0]
+            assert abs(crit.min_eig - lapack) <= 1e-14 * n * n, (n, crit.min_eig, lapack)
+
+
+def _sampled_state(kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "triplet":
+        return random_symmetric_state(int(rng.integers(1, 4)), rng)
+    if kind == "separable":
+        return random_separable_symmetric(int(rng.integers(1, 6)), rng)
+    return symmetric_from_special(random_special_class(rng))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(kind=st.sampled_from(["triplet", "separable", "special"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_c_carries_the_partial_transpose_sign(kind, seed):
+    """det(rho^Gamma) = det(C)/16, and C has at most one negative eigenvalue,
+    as rho^Gamma is congruent to (1/2) diag(C, 1); LAPACK on both sides."""
+    state = _sampled_state(kind, seed)
+    c = c_matrix(state)
+    det_pt = float(np.real(np.linalg.det(partial_transpose(state))))
+    assert abs(det_pt - np.linalg.det(c) / 16.0) <= 1e-15
+    assert np.sum(np.linalg.eigvalsh(c) < -1e-12) <= 1
