@@ -29,6 +29,11 @@ from .numerics import (
 # looser than the working tolerance to absorb rounding accumulated in
 # model-generated inputs.
 FROM_BLOCH_PSD_TOL = 1e-9
+# The positivity gate factors rho + (FROM_BLOCH_PSD_TOL - 1e-12) I.  The
+# 1e-12 is far above the rounding of the factorization and of Jacobi, so
+# every rho the factorization accepts hermitian_eigh accepts too, and a
+# rho within 1e-12 of the boundary is left to hermitian_eigh.
+_PSD_SHIFT = (FROM_BLOCH_PSD_TOL - 1e-12) * np.eye(4)
 # Gate on r = s, T = T^T and Tr T = 1 of a symmetric state.  The singlet
 # population (1 - Tr T)/4 is then at most a quarter of it.
 SYMMETRIC_STATE_TOL = 1e-8
@@ -54,12 +59,17 @@ TRIPLET_BASIS = np.array(
 class TwoQubitState:
     """A validated 4x4 density matrix with its Bloch data (s, r, T).
 
-    The constructor keeps a copy of rho and its Bloch data.  `spectrum` is
-    the (w, V) of hermitian_eigh(rho), solved at most once per state: the
-    constructor's positivity gate fills it, and concurrence reuses it.  An
-    image under apply_local_unitaries inherits positivity from its parent
-    and solves its spectrum only when something first reads it.  All of
-    these arrays are read-only, so nothing derived from them can go stale.
+    The constructor keeps a copy of rho and its Bloch data.  Its positivity
+    gate is one Cholesky factorization of h + _PSD_SHIFT, with
+    h = (rho + rho^dag)/2: up to rounding, it succeeds exactly when the
+    least eigenvalue of h is above -FROM_BLOCH_PSD_TOL + 1e-12 (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 10).  Only a
+    failed factorization solves hermitian_eigh(rho), whose least
+    eigenvalue then decides, so the verdict is always hermitian_eigh's and
+    NotPositive carries its least eigenvalue.
+    `spectrum` is the (w, V) of hermitian_eigh(rho), solved on first read
+    and at most once per state.  All of these arrays are read-only, so
+    nothing derived from them can go stale.
     `symmetric` says whether the state is exchange-symmetric: r = s,
     T = T^T and Tr T = 1, each within SYMMETRIC_STATE_TOL.  It is decided
     once, on the state's own Bloch data, and every operation that needs a
@@ -78,14 +88,19 @@ class TwoQubitState:
 
     def __post_init__(self):
         rho = _checked_rho(self.rho)
-        w, v = hermitian_eigh(rho)
-        if w[0] < -FROM_BLOCH_PSD_TOL:
-            raise NotPositive("density matrix has a negative eigenvalue", min_eig=float(w[0]))
-        _fill(self, rho, _read_only(w, v))
+        try:
+            np.linalg.cholesky((rho + rho.conj().T) / 2.0 + _PSD_SHIFT)
+        except np.linalg.LinAlgError:
+            least = hermitian_eigh(rho)[0][0]
+            if least < -FROM_BLOCH_PSD_TOL:
+                raise NotPositive("density matrix has a negative eigenvalue",
+                                  min_eig=float(least)) from None
+        _fill(self, rho)
 
     @property
     def spectrum(self) -> tuple:
-        """(w, V) of hermitian_eigh(rho), ascending and read-only."""
+        """(w, V) of hermitian_eigh(rho), ascending and read-only; solved on
+        first read, at most once per state."""
         if self._spectrum is None:
             object.__setattr__(self, "_spectrum", _read_only(*hermitian_eigh(self.rho)))
         return self._spectrum
@@ -116,9 +131,9 @@ def _read_only(*arrays) -> tuple:
     return arrays
 
 
-def _fill(state: TwoQubitState, rho: np.ndarray, spectrum) -> None:
+def _fill(state: TwoQubitState, rho: np.ndarray) -> None:
     """Set the fields of a state whose rho passed every gate: its Bloch
-    data, the symmetry rule on them, and spectrum (None: solve on first read)."""
+    data and the symmetry rule on them; its spectrum is solved on first read."""
     bloch = np.real(np.sum(rho * _PAULI_PAIRS_T, axis=(-2, -1)))
     # Contiguous copies: matmul rounds differently on strided views.
     s, r, t = _read_only(bloch[1:, 0].copy(), bloch[0, 1:].copy(), bloch[1:, 1:].copy())
@@ -126,7 +141,7 @@ def _fill(state: TwoQubitState, rho: np.ndarray, spectrum) -> None:
                      and np.max(np.abs(t - t.T)) <= SYMMETRIC_STATE_TOL
                      and abs(np.trace(t) - 1.0) <= SYMMETRIC_STATE_TOL)
     fields = {"rho": _read_only(rho)[0], "s": s, "r": r, "T": t, "symmetric": symmetric,
-              "_spectrum": spectrum, "_memo": {}}
+              "_spectrum": None, "_memo": {}}
     for name, value in fields.items():
         object.__setattr__(state, name, value)
 
@@ -238,7 +253,8 @@ def concurrence(state: TwoQubitState) -> float:
     eigenvalues of rho (sy x sy) rho* (sy x sy).  For any factor
     rho = X X^dag they are the singular values of the complex symmetric
     tau = X^T (sy x sy) X (Wootters, PRL 80, 2245 (1998)).  X = V sqrt(w)
-    comes from the state's stored spectrum, so this solves no eigenproblem.
+    comes from the state's spectrum, which is solved on its first read;
+    a later call solves no eigenproblem.
     """
     w, v = state.spectrum
     x = v * np.sqrt(np.clip(w, 0.0, None))
@@ -250,14 +266,14 @@ def apply_local_unitaries(state: TwoQubitState, u1, u2) -> TwoQubitState:
     """Conjugate by u1 (x) u2; Bloch data rotates by the SO(3) images.
 
     The image passes the constructor's shape, finiteness, Hermiticity and
-    trace gates and its symmetry rule, but solves no eigenproblem: u1 and
-    u2 are unitary within DEFAULT_TOL, so its eigenvalues are the parent's
-    within 2 DEFAULT_TOL and it inherits the parent's positivity.  Its
-    spectrum is solved when something first reads it.
+    trace gates and its symmetry rule, but skips the positivity gate: u1
+    and u2 are unitary within DEFAULT_TOL, so its eigenvalues are the
+    parent's within 2 DEFAULT_TOL and it inherits the parent's positivity.
+    Like every state, it solves its spectrum on first read.
     """
     big = np.kron(check_unitary_2x2(u1), check_unitary_2x2(u2))
     image = object.__new__(TwoQubitState)
-    _fill(image, _checked_rho(big @ state.rho @ big.conj().T), None)
+    _fill(image, _checked_rho(big @ state.rho @ big.conj().T))
     return image
 
 

@@ -164,7 +164,7 @@ _SYMMETRIC = random_symmetric_state(3, seed=11)
 _SPECIAL = {"a": 0.5, "b": 0.3, "c": 0.1, "d": 0.3}
 _KET_01 = np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex)
 # A state file of each kind and the rho it describes.
-_ONE_SOLVE_FILES = {
+_STATE_FILES = {
     "rho": (_rho_obj(_SYMMETRIC.rho), _SYMMETRIC.rho),
     "bloch": ({"bloch": {"s": _SYMMETRIC.s.tolist(), "r": _SYMMETRIC.r.tolist(),
                          "T": _SYMMETRIC.T.tolist()}},
@@ -174,14 +174,8 @@ _ONE_SOLVE_FILES = {
 }
 
 
-@pytest.mark.parametrize("kind", list(_ONE_SOLVE_FILES))
-def test_analyze_solves_each_rho_once(kind, tmp_path, monkeypatch, capsys):
-    """analyze decides symmetry on the state it loaded: the file's rho goes
-    through one eigen solve, the positivity gate's, whatever its kind;
-    |01><01| reports symmetric = false and no invariants."""
-    obj, rho = _ONE_SOLVE_FILES[kind]
-    path = tmp_path / "state.json"
-    path.write_text(json.dumps(obj))
+def _count_rho_solves(monkeypatch):
+    """The matrices that states.hermitian_eigh solves while the test runs."""
     solved = []
 
     def counted(m):
@@ -190,11 +184,40 @@ def test_analyze_solves_each_rho_once(kind, tmp_path, monkeypatch, capsys):
 
     eigh = states.hermitian_eigh
     monkeypatch.setattr(states, "hermitian_eigh", counted)
+    return solved
+
+
+@pytest.mark.parametrize("kind", list(_STATE_FILES))
+def test_analyze_solves_each_rho_once(kind, tmp_path, monkeypatch, capsys):
+    """analyze decides symmetry on the state it loaded, and a valid file's
+    rho goes through no eigen solve: the positivity gate is a Cholesky
+    factorization and no output reads the spectrum.  |01><01| reports
+    symmetric = false and no invariants."""
+    obj, rho = _STATE_FILES[kind]
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(obj))
+    solved = _count_rho_solves(monkeypatch)
     assert main(["analyze", str(path), "--format", "json"]) == EXIT_OK
-    assert sum(np.array_equal(m, rho) for m in solved) == 1
+    assert not any(np.array_equal(m, rho) for m in solved)
     report = json.loads(capsys.readouterr().out)
     assert report["symmetric"] is (kind != "rho_01")
     assert ("invariants" in report) is report["symmetric"]
+
+
+def test_analyze_solves_a_rejected_rho_once(tmp_path, monkeypatch, capsys):
+    """A Werner matrix p |psi-><psi-| + (1 - p) I/4 with p = 1.01 has the
+    triple eigenvalue -0.0025: its failed factorization sends it to one
+    eigen solve, whose least eigenvalue rejects it."""
+    singlet = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
+    rho = (1.01 * np.outer(singlet, singlet) - 0.01 * np.eye(4) / 4.0).astype(complex)
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(_rho_obj(rho)))
+    solved = _count_rho_solves(monkeypatch)
+    assert main(["analyze", str(path), "--format", "json"]) == EXIT_INVALID_STATE
+    assert sum(np.array_equal(m, rho) for m in solved) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: invalid state: density matrix has a negative eigenvalue\n"
 
 
 def test_analyze_solves_c_once_for_every_n(tmp_path, monkeypatch, capsys):

@@ -398,20 +398,26 @@ def test_apply_local_unitaries_solves_no_eigenproblem(monkeypatch, rng):
 
 
 def test_image_spectrum_is_solved_once_on_first_read(monkeypatch, rng):
-    """An image's spectrum, on first read, is a fresh state's bit for bit,
-    read-only, and solved once however often it is read."""
-    rotated = apply_local_unitaries(TwoQubitState(_ginibre_rho(rng)),
-                                    haar_unitary_2x2(rng), haar_unitary_2x2(rng))
-    fresh_w, fresh_v = TwoQubitState(rotated.rho).spectrum
+    """The spectrum of a local-unitary image and of a freshly constructed
+    state is solved on first read, never at construction, and once however
+    often it is read; it is hermitian_eigh(rho) bit for bit, read-only."""
+    rho = _ginibre_rho(rng)
+    u1, u2 = haar_unitary_2x2(rng), haar_unitary_2x2(rng)
     counts = _count_calls(monkeypatch)
-    w, v = rotated.spectrum
-    assert rotated.spectrum[0] is w and counts["eigh"] == 1
-    assert np.array_equal(w, fresh_w) and np.array_equal(v, fresh_v)
-    for arr in (w, v):
-        with pytest.raises(ValueError):
-            arr[0] = 0.0
-    with pytest.raises(AttributeError):
-        rotated.spectrum = (w, v)
+    image = apply_local_unitaries(TwoQubitState(rho), u1, u2)
+    fresh = TwoQubitState(rho)
+    assert counts["eigh"] == 0
+    for state in (image, fresh):
+        expected_w, expected_v = hermitian_eigh(state.rho)
+        counts.clear()
+        w, v = state.spectrum
+        assert state.spectrum[0] is w and counts["eigh"] == 1
+        assert np.array_equal(w, expected_w) and np.array_equal(v, expected_v)
+        for arr in (w, v):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        with pytest.raises(AttributeError):
+            state.spectrum = (w, v)
 
 
 def _rank_one_triplet_rho(rng):

@@ -6,7 +6,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from symsq import states
 from symsq.covariance import bar_invariants, c_matrix, c_negativity_test
 from symsq.errors import (
     DomainError,
@@ -16,6 +18,7 @@ from symsq.errors import (
     NotSymmetricState,
 )
 from symsq.invariants import symmetric_six
+from symsq.numerics import hermitian_eigh
 from symsq.states import (
     SpecialClassState,
     SymmetricTwoQubitState,
@@ -58,6 +61,71 @@ def test_rejects_negative_eigenvalue():
     with pytest.raises(NotPositive) as exc:
         TwoQubitState(np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex))
     assert exc.value.min_eig < -0.4
+
+
+def _haar_unitary_4x4(rng):
+    q, r = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(seed=st.integers(0, 2**32 - 1),
+       delta=st.sampled_from([1e-3, -1e-3, 1e-6, -1e-6, 1e-9, -1e-9, 0.0]),
+       zeros=st.integers(0, 2))
+def test_positivity_gate_decides_by_the_least_eigenvalue(seed, delta, zeros):
+    """rho = V diag(w) V^dag with Haar V and least eigenvalue
+    -FROM_BLOCH_PSD_TOL (1 + delta), the next `zeros` eigenvalues zero:
+    the Cholesky gate accepts rho exactly when hermitian_eigh's least
+    eigenvalue is at least -FROM_BLOCH_PSD_TOL, and a rejection carries
+    that eigenvalue bit for bit.  At delta = 0 and +-1e-9 the boundary is
+    within rounding: there a shift of FROM_BLOCH_PSD_TOL itself lets the
+    factorization accept about a fifth of the states that hermitian_eigh
+    rejects, which the 1e-12 inside states._PSD_SHIFT prevents."""
+    rng = np.random.default_rng(seed)
+    tol = states.FROM_BLOCH_PSD_TOL
+    w = np.zeros(4)
+    w[0] = -tol * (1.0 + delta)
+    w[1 + zeros:] = rng.exponential(size=3 - zeros)
+    w[1 + zeros:] *= (1.0 - w[0]) / w[1 + zeros:].sum()
+    v = _haar_unitary_4x4(rng)
+    rho = (v * w) @ v.conj().T
+    least = hermitian_eigh(rho)[0][0]
+    try:
+        TwoQubitState(rho)
+    except NotPositive as exc:
+        assert least < -tol
+        assert exc.min_eig == least
+    else:
+        assert least >= -tol
+
+
+def _ginibre_rho(rng):
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+_SAMPLERS = {
+    "rank1": lambda rng: random_symmetric_state(1, rng).rho,
+    "rank2": lambda rng: random_symmetric_state(2, rng).rho,
+    "rank3": lambda rng: random_symmetric_state(3, rng).rho,
+    "separable": lambda rng: random_separable_symmetric(int(rng.integers(1, 6)), rng).rho,
+    "special": lambda rng: random_special_class(rng).matrix(),
+    "ginibre": _ginibre_rho,
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(kind=st.sampled_from(list(_SAMPLERS)), seed=st.integers(0, 2**32 - 1))
+def test_positivity_gate_accepts_every_sampler_without_a_solve(kind, seed):
+    """Every sampler's rho, rank-deficient ones included, passes the
+    factorization itself, so its constructor solves no eigenproblem."""
+    rho = _SAMPLERS[kind](np.random.default_rng(seed))
+    solved = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(states, "hermitian_eigh", lambda m: solved.append(m) or hermitian_eigh(m))
+        TwoQubitState(rho)
+    assert solved == []
 
 
 def test_symmetric_rejects_singlet_population():
