@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 verification failure, 2 invalid state,
 3 state-file parse error, 4 invalid sweep range, model, N or --out path.
-The environment variable SYMSQ_TOL overrides the default sign-test
-tolerance, numerics.SIGN_TOL.
+The environment variable SYMSQ_TOL, read once by main, overrides the
+default sign-test tolerance, numerics.SIGN_TOL.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ import time
 import numpy as np
 
 from . import models, oracle
-from .collective import check_n, classify_invariants, pair_from_moments, squeezing
+from .collective import ZERO_SPIN_TOL, check_n, classify_invariants, pair_from_moments, squeezing
 from .covariance import bar_invariants, c_matrix, c_negativity_test, collective_criterion
-from .errors import SymsqError, ZeroMeanSpin
+from .errors import SymsqError
 from .invariants import makhlin_all, separability_flags, symmetric_six, symmetric_six_from_bloch
 from .numerics import SIGN_TOL, _check_int, check_tol, hermitian_eigenvalues
 from .states import (
@@ -41,14 +41,12 @@ EXIT_BAD_RANGE = 4
 
 
 def _tol() -> float:
-    raw = os.environ.get("SYMSQ_TOL")
-    if raw is None:
-        return SIGN_TOL
+    """SYMSQ_TOL as a sign-test margin; SIGN_TOL when it is not set."""
+    raw = os.environ.get("SYMSQ_TOL", repr(SIGN_TOL))
     try:
-        val = float(raw)
-    except ValueError as exc:
-        raise SymsqError(f"SYMSQ_TOL is not a number: {raw!r}") from exc
-    return check_tol(val, "SYMSQ_TOL")
+        return check_tol(float(raw), "SYMSQ_TOL")
+    except ValueError:
+        raise SymsqError(f"SYMSQ_TOL is not a number: {raw!r}") from None
 
 
 # ----------------------------------------------------------------------
@@ -120,7 +118,6 @@ def _parse_n_list(raw: str) -> list:
 
 
 def cmd_analyze(args) -> int:
-    tol = _tol()
     t0 = time.perf_counter()
     try:
         state = load_state_file(args.path)
@@ -150,23 +147,21 @@ def cmd_analyze(args) -> int:
     }
     if state.symmetric:
         inv = symmetric_six(state)
-        flags = separability_flags(inv, tol)
-        bars = bar_invariants(state, tol)
-        c_min, c_neg = c_negativity_test(state, tol)
-        cls = classify_invariants(inv, tol)
+        flags = separability_flags(inv, args.tol)
+        bars = bar_invariants(state, args.tol)
+        c_min, c_neg = c_negativity_test(state, args.tol)
+        cls = classify_invariants(inv, args.tol)
         report["invariants"] = inv.as_dict()
         report["flags"] = dataclasses.asdict(flags)
         report["bar_invariants"] = dataclasses.asdict(bars)
         report["c_min_eigenvalue"] = c_min
         report["entangled"] = c_neg
         report["classification"] = cls.branch.value
+        spin = inv.I3 > args.tol and math.sqrt(inv.I3) > ZERO_SPIN_TOL
         collective = []
         for n in n_values:
-            crit = collective_criterion(state.s, state.T, n, tol)
-            try:
-                xi_sq = squeezing(state.s, state.T, n).xi_sq
-            except ZeroMeanSpin:
-                xi_sq = float("nan")
+            crit = collective_criterion(state.s, state.T, n, args.tol)
+            xi_sq = squeezing(state.s, state.T, n).xi_sq if spin else float("nan")
             collective.append({
                 "N": n,
                 "witness_min_eigenvalue": crit.min_eig,
@@ -203,10 +198,9 @@ def _parse_range(raw: str):
 
 
 def _sweep_columns(args) -> dict:
-    tol = _tol()
     n_values = _parse_n_list(args.N)
     if args.model == "dicke" and args.param_range is None:
-        tables = [models.sweep("dicke", [m / 2.0 for m in range(-n, n + 1, 2)], [n], tol)
+        tables = [models.sweep("dicke", [m / 2.0 for m in range(-n, n + 1, 2)], [n], args.tol)
                   for n in n_values]
         columns = tables[0].columns
         for table in tables[1:]:
@@ -216,7 +210,7 @@ def _sweep_columns(args) -> dict:
     if args.param_range is None:
         raise SymsqError("--param-range is required for this model")
     params = _parse_range(args.param_range)
-    return models.sweep(args.model, params, n_values, tol).columns
+    return models.sweep(args.model, params, n_values, args.tol).columns
 
 
 def _csv_cell(v) -> str:
@@ -387,7 +381,6 @@ def suite_oracle(n_values):
 
 
 def cmd_verify(args) -> int:
-    tol = _tol()
     rng = np.random.default_rng(args.seed)
     if args.level == "full":
         count, n_values = 10_000, range(2, 11)
@@ -395,13 +388,13 @@ def cmd_verify(args) -> int:
         count, n_values = 200, (2, 3, 4, 6)
 
     results = []
-    drift, flips, ok = suite_invariance(rng, count, tol)
+    drift, flips, ok = suite_invariance(rng, count, args.tol)
     results.append(("local_unitary_invariance",
                     f"max drift {drift:.3e}, {flips} branch flips / {count // 5}", ok))
-    mism, witness_dev, ok = suite_ppt_c(rng, count, tol)
+    mism, witness_dev, ok = suite_ppt_c(rng, count, args.tol)
     results.append(("ppt_equals_c_negativity",
                     f"{mism} disagreements / {count}, witness dev {witness_dev:.3e}", ok))
-    mism, compared, skipped, ok = suite_xi_i5(rng, count, tol)
+    mism, compared, skipped, ok = suite_xi_i5(rng, count, args.tol)
     results.append(("squeezing_equals_I5_sign", f"{mism} disagreements / {compared} "
                     f"compared, {skipped} skipped in |I5| <= tol band", ok))
     dev, dev_atomic, dev_j3, ok = suite_oracle(n_values)
@@ -413,6 +406,13 @@ def cmd_verify(args) -> int:
 
 
 # ----------------------------------------------------------------------
+
+def _seed(raw: str) -> int:
+    """--seed as an int >= 0, as np.random.default_rng takes it."""
+    if not raw.strip().lstrip("+").isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer: {raw!r}")
+    return int(raw)
+
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
@@ -442,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ve = sub.add_parser("verify", help="run the randomized property suites")
     p_ve.add_argument("--level", choices=("quick", "full"), default="quick")
-    p_ve.add_argument("--seed", type=int, default=42)
+    p_ve.add_argument("--seed", type=_seed, default=42)
     p_ve.set_defaults(func=cmd_verify)
     return parser
 
@@ -465,6 +465,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(_fold_param_range(argv))
     try:
+        args.tol = _tol()  # read once, for every command
         return args.func(args)
     except SymsqError as exc:
         print(f"error: {exc}", file=sys.stderr)

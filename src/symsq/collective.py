@@ -17,10 +17,9 @@ import numpy as np
 
 from .errors import InvalidN, ParityViolation, TraceViolation, ZeroMeanSpin
 from .invariants import SymmetricInvariants
-from .numerics import SIGN_TOL, _scalar, check_finite, check_tol, hermitian_eigenvalues
+from .numerics import (DEFAULT_TOL, SIGN_TOL, _scalar, check_finite, check_tol,
+                       hermitian_eigenvalues)
 
-# Gate on Tr T = 1 for pair data entering the moment map.
-TRACE_TOL = 1e-9
 # A mean spin |s| at or below this counts as zero (no squeezing axis).
 ZERO_SPIN_TOL = 1e-12
 # A unit mean-spin direction within this of +e3 or -e3 is rotated onto e3
@@ -89,7 +88,7 @@ def _check_m(n: int, M):
 def moments_from_pair(s, T, N: int) -> CollectiveMoments:
     n = check_n(N)
     s, t = check_finite(s, T)
-    if abs(np.trace(t) - 1.0) > TRACE_TOL:
+    if abs(np.trace(t) - 1.0) > DEFAULT_TOL:  # the symmetric state's rule
         raise TraceViolation("symmetric pair data requires Tr T = 1")
     j_mean = 0.5 * n * s
     j_second = 0.25 * n * (np.eye(3) + (n - 1) * t)

@@ -194,8 +194,11 @@ def korbicz_witness(s, T, k_hat) -> float:
 
 def korbicz_minimum(s, T) -> float:
     """Exact minimization of korbicz_witness over unit directions: the least
-    eigenvalue of C, memoized on C's bytes for the last C asked about."""
+    eigenvalue of C, memoized on C's bytes for the last C asked about.
+    It solves (C + C^T)/2, as hermitian_eigh would: C can be an ulp less
+    symmetric than T, whose asymmetry the symmetry rule bounds."""
     c = _c(s, T)
+    c = (c + c.T) / 2.0
     return _least_eigenvalue(c.shape, c.tobytes())
 
 

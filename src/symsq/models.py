@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collective import INTEGER_TOL, _check_m, check_n, classify_invariants, squeezing
+from .collective import (INTEGER_TOL, ZERO_SPIN_TOL, _check_m, check_n, classify_invariants,
+                         squeezing)
 from .errors import DomainError, NormalizationFailure, ParityViolation
 from .invariants import (
     SymmetricInvariants,
@@ -240,7 +241,8 @@ def sweep(model: str, params: Iterable[float], n_values: Iterable[int],
     for n in n_values:
         s, t, inv = _model_stack(model, n, params)
         xi_sq = np.full(params.shape, np.nan)
-        spin = inv.I3 > tol
+        # xi^2 needs the classification's mean spin and squeezing's axis.
+        spin = (inv.I3 > tol) & (np.sqrt(inv.I3) > ZERO_SPIN_TOL)
         if spin.any():
             xi_sq[spin] = squeezing(s[spin], t[spin], n).xi_sq
         columns["model"] += [model] * len(param_list)

@@ -10,7 +10,6 @@ singlet is (|01> - |10>)/sqrt(2).
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,17 +28,12 @@ from .numerics import (
 # looser than the working tolerance to absorb rounding accumulated in
 # model-generated inputs.
 FROM_BLOCH_PSD_TOL = 1e-9
-# The positivity gate factors rho + (FROM_BLOCH_PSD_TOL - 1e-12) I.  The
-# 1e-12 is far above the rounding of the factorization and of Jacobi, so
-# every rho the factorization accepts hermitian_eigh accepts too, and a
-# rho within 1e-12 of the boundary is left to hermitian_eigh.
-_PSD_SHIFT = (FROM_BLOCH_PSD_TOL - 1e-12) * np.eye(4)
-# Gate on r = s, T = T^T and Tr T = 1 of a symmetric state.  The singlet
-# population (1 - Tr T)/4 is then at most a quarter of it.
-SYMMETRIC_STATE_TOL = 1e-8
-# Gate on the nonnegativity, normalization and positivity of the
-# special-class parameters.
-SPECIAL_CLASS_TOL = 1e-9
+# A fast gate (a Cholesky factorization, a closed form) accepts only what
+# lies _EDGE_GUARD inside a rule's edge, far above its rounding, so the
+# exact test accepts it too; it leaves the rest to the exact test.
+_EDGE_GUARD = 1e-12
+_PSD_SHIFT = FROM_BLOCH_PSD_TOL - _EDGE_GUARD
+_PSD_SHIFT_4 = _PSD_SHIFT * np.eye(4)
 
 # PAULI_PAIRS transposed on its last two axes: the sum of rho times entry
 # (mu, nu) is Tr(rho sigma_mu (x) sigma_nu).
@@ -60,10 +54,10 @@ class TwoQubitState:
     """A validated 4x4 density matrix with its Bloch data (s, r, T).
 
     The constructor keeps a copy of rho and its Bloch data.  Its positivity
-    gate is one Cholesky factorization of h + _PSD_SHIFT, with
+    gate is one Cholesky factorization of h + _PSD_SHIFT I, with
     h = (rho + rho^dag)/2: up to rounding, it succeeds exactly when the
-    least eigenvalue of h is above -FROM_BLOCH_PSD_TOL + 1e-12 (Higham,
-    Accuracy and Stability of Numerical Algorithms, ch. 10).  Only a
+    least eigenvalue of h is above -_PSD_SHIFT (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 10).  Only a
     failed factorization solves hermitian_eigh(rho), whose least
     eigenvalue then decides, so the verdict is always hermitian_eigh's and
     NotPositive carries its least eigenvalue.
@@ -71,11 +65,11 @@ class TwoQubitState:
     and at most once per state.  All of these arrays are read-only, so
     nothing derived from them can go stale.
     `symmetric` says whether the state is exchange-symmetric: r = s,
-    T = T^T and Tr T = 1, each within SYMMETRIC_STATE_TOL.  It is decided
-    once, on the state's own Bloch data, and every operation that needs a
-    symmetric state reads it.  `_memo` holds what other modules compute
-    once per state (the Makhlin set of invariants.makhlin_all); it lives
-    and dies with the state.  States compare and hash by identity.
+    T = T^T and Tr T = 1, each within DEFAULT_TOL, as every later check of
+    them.  It is decided once, on the state's own Bloch data, and every
+    operation that needs a symmetric state reads it.  `_memo` holds what
+    other modules compute once per state (makhlin_all's invariants); it
+    lives and dies with the state.  States compare and hash by identity.
     """
 
     rho: np.ndarray
@@ -89,7 +83,7 @@ class TwoQubitState:
     def __post_init__(self):
         rho = _checked_rho(self.rho)
         try:
-            np.linalg.cholesky((rho + rho.conj().T) / 2.0 + _PSD_SHIFT)
+            np.linalg.cholesky((rho + rho.conj().T) / 2.0 + _PSD_SHIFT_4)
         except np.linalg.LinAlgError:
             least = hermitian_eigh(rho)[0][0]
             if least < -FROM_BLOCH_PSD_TOL:
@@ -137,9 +131,9 @@ def _fill(state: TwoQubitState, rho: np.ndarray) -> None:
     bloch = np.real(np.sum(rho * _PAULI_PAIRS_T, axis=(-2, -1)))
     # Contiguous copies: matmul rounds differently on strided views.
     s, r, t = _read_only(bloch[1:, 0].copy(), bloch[0, 1:].copy(), bloch[1:, 1:].copy())
-    symmetric = bool(np.max(np.abs(r - s)) <= SYMMETRIC_STATE_TOL
-                     and np.max(np.abs(t - t.T)) <= SYMMETRIC_STATE_TOL
-                     and abs(np.trace(t) - 1.0) <= SYMMETRIC_STATE_TOL)
+    symmetric = bool(np.max(np.abs(r - s)) <= DEFAULT_TOL
+                     and np.max(np.abs(t - t.T)) <= DEFAULT_TOL
+                     and abs(np.trace(t) - 1.0) <= DEFAULT_TOL)
     fields = {"rho": _read_only(rho)[0], "s": s, "r": r, "T": t, "symmetric": symmetric,
               "_spectrum": None, "_memo": {}}
     for name, value in fields.items():
@@ -181,8 +175,10 @@ class SpecialClassState:
     """Four-parameter symmetric family rho = [[a,0,0,b],[0,c,c,0],[0,c,c,0],[b,0,0,d]].
 
     Normalized so that a + 2c + d = 1.  b is real (its sign is physical
-    only through |b| in every closed form).  Positivity requires a, c, d
-    nonnegative and b^2 <= a d.
+    only through |b| in every closed form).  It accepts exactly what
+    SymmetricTwoQubitState accepts of its matrix: closed forms accept what
+    lies _EDGE_GUARD inside the trace rule and rho + _PSD_SHIFT I >= 0 on
+    the blocks, and the state's own gates decide the rest, NaN included.
     """
 
     a: float
@@ -191,15 +187,11 @@ class SpecialClassState:
     d: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.a, self.b, self.c, self.d))):
-            raise InvalidDensityMatrix("a, b, c, d must be finite")
-        if min(self.a, self.c, self.d) < -SPECIAL_CLASS_TOL:
-            raise InvalidDensityMatrix("a, c, d must be nonnegative")
-        if abs(self.a + 2 * self.c + self.d - 1.0) > SPECIAL_CLASS_TOL:
-            raise InvalidDensityMatrix("a + 2c + d must equal 1")
-        if self.b * self.b > self.a * self.d + SPECIAL_CLASS_TOL:
-            raise NotPositive("need b^2 <= a d for positivity",
-                              min_eig=float(self.a * self.d - self.b * self.b))
+        a, b, c, d = self.a, self.b, self.c, self.d
+        if not (abs(a + 2 * c + d - 1.0) <= DEFAULT_TOL - _EDGE_GUARD
+                and min(a, d, 2 * c) >= -_PSD_SHIFT
+                and b * b <= (a + _PSD_SHIFT) * (d + _PSD_SHIFT)):
+            SymmetricTwoQubitState(self.matrix())
 
     def matrix(self) -> np.ndarray:
         a, b, c, d = self.a, self.b, self.c, self.d

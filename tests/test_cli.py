@@ -636,3 +636,96 @@ def test_symsq_tol_env(monkeypatch, bell_file, capsys):
         monkeypatch.setenv("SYMSQ_TOL", raw)
         assert main(["analyze", bell_file]) == EXIT_INVALID_STATE, raw
         assert "SYMSQ_TOL must be a positive finite number" in capsys.readouterr().err, raw
+    # main reads SYMSQ_TOL once, before any command runs: every command
+    # exits with the same code and the same stderr, and prints nothing.
+    commands = (["analyze", bell_file], ["sweep", "--model", "ku", "--param-range", "0:1:3"],
+                ["verify", "--level", "quick"])
+    for raw in ("not-a-number", "nan", "inf", "0", "-1e-9"):
+        monkeypatch.setenv("SYMSQ_TOL", raw)
+        outputs = []
+        for argv in commands:
+            assert main(argv) == EXIT_INVALID_STATE, (raw, argv)
+            outputs.append(capsys.readouterr())
+        assert outputs[0].out == "" and outputs[0].err.startswith("error: SYMSQ_TOL "), raw
+        assert outputs == [outputs[0]] * len(commands), raw
+
+
+def test_negative_seed_is_a_usage_error(capsys):
+    """--seed takes what np.random.default_rng takes; a negative seed exits 2
+    with a usage line, as a seed that is not an integer does."""
+    for seed in ("-1", "abc", "1.5"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--seed", seed])
+        assert exc.value.code == 2, seed
+        err = capsys.readouterr().err
+        assert err.startswith("usage: symsq verify") and "argument --seed" in err, seed
+    assert cli._seed("+7") == cli._seed(" 7") == 7
+
+
+def test_xi_sq_is_defined_where_the_mean_spin_is_above_tol(tmp_path, capsys):
+    """A KU point at N = 40, chi t = 0.794 has I3 = 9.2e-13, below SIGN_TOL
+    but with a nonzero mean spin: analyze, like sweep, leaves xi^2
+    undefined there: the classification takes its I3 <= tol branches."""
+    s, t, inv = models.ku_pair(40, 0.794)
+    assert 0.0 < inv.I3 < cli.SIGN_TOL
+    path = tmp_path / "ku.json"
+    path.write_text(json.dumps({"bloch": {"s": s.tolist(), "r": s.tolist(), "T": t.tolist()}}))
+    assert main(["analyze", str(path), "--N", "40", "--format", "json"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["collective"][0]["xi_sq"] is None
+    assert main(["sweep", "--model", "ku", "--N", "40",
+                 "--param-range", "0.794:0.794:1"]) == EXIT_OK
+    row = dict(zip(SWEEP_FIELDS, capsys.readouterr().out.splitlines()[1].split(",")))
+    assert row["xi_sq"] == "nan"
+
+
+def test_xi_sq_needs_an_axis_below_any_tol(monkeypatch, tmp_path, capsys):
+    """With SYMSQ_TOL below I3 = |s|^2 <= ZERO_SPIN_TOL^2, squeezing finds no
+    axis: analyze and sweep leave xi^2 undefined there and exit 0."""
+    monkeypatch.setenv("SYMSQ_TOL", "1e-100")
+    path = tmp_path / "tiny_spin.json"
+    path.write_text(json.dumps({"bloch": {"s": [0, 0, 1e-13], "r": [0, 0, 1e-13],
+                                          "T": [[0.5, 0, 0], [0, 0.5, 0], [0, 0, 0]]}}))
+    assert main(["analyze", str(path), "--format", "json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["collective"][0]["xi_sq"] is None
+    # chi t = 1.5 at N = 40: |s| = cos(1.5)^39, about 1e-45.
+    assert main(["sweep", "--model", "ku", "--N", "40", "--param-range", "1.5:1.5:1"]) == EXIT_OK
+    row = dict(zip(SWEEP_FIELDS, capsys.readouterr().out.splitlines()[1].split(",")))
+    assert 0.0 < float(row["I3"]) < 1e-24 and row["xi_sq"] == "nan"
+
+
+def test_analyze_reads_asymmetric_pair_data_as_a_plain_state(tmp_path, capsys):
+    """T - T^T = 2e-9 is past the symmetry rule's DEFAULT_TOL: analyze
+    reports a valid state with symmetric = false."""
+    state = random_symmetric_state(3, seed=5)
+    t = state.T + 1e-9 * np.array([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(_rho_obj(rho_from_bloch(state.s, state.s, t))))
+    assert main(["analyze", str(path), "--format", "json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["symmetric"] is False
+
+
+_EDGE_MULTIPLES = st.sampled_from([0.0, 0.5, 0.99, 1.0, 1.01, 2.0, 100.0])
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 3),
+       eps=st.lists(st.tuples(_EDGE_MULTIPLES, st.sampled_from([-1.0, 1.0])),
+                    min_size=4, max_size=4))
+def test_analyze_accepts_every_state_at_the_symmetry_edge(perturbed_triplet, tmp_path_factory,
+                                                          seed, rank, eps):
+    """analyze exits 0 on the file of every state the constructor accepts,
+    with r - s, T - T^T, Tr T - 1 and Tr rho - 1 moved by up to 1e-8, and
+    reports the state's own symmetric field."""
+    rho = perturbed_triplet(seed, rank, [k * sign * 1e-10 for k, sign in eps])
+    try:
+        symmetric = states.TwoQubitState(rho).symmetric
+    except symsq.errors.SymsqError:
+        return
+    path = tmp_path_factory.mktemp("edge") / "state.json"
+    path.write_text(json.dumps(_rho_obj(rho)))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["analyze", str(path), "--N", "2,10,100", "--format", "json"])
+    assert (code, err.getvalue()) == (EXIT_OK, "")
+    assert json.loads(out.getvalue())["symmetric"] is symmetric

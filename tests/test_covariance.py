@@ -47,6 +47,19 @@ def test_bell_is_c_negative(bell_state):
     assert entangled and min_eig < -0.9
 
 
+def test_c_an_ulp_less_symmetric_than_t_is_solved(perturbed_triplet):
+    """A symmetric state whose T - T^T sits at DEFAULT_TOL: C = T - s s^T
+    rounds past it, and every C consumer solves (C + C^T)/2, as
+    hermitian_eigh would, instead of raising NonHermitian."""
+    state = states.TwoQubitState(perturbed_triplet(9, 3, [0.0, numerics.DEFAULT_TOL, 0.0, 0.0]))
+    c = c_matrix(state)
+    assert state.symmetric and np.max(np.abs(c - c.T)) > numerics.DEFAULT_TOL
+    least = numerics.hermitian_eigenvalues((c + c.T) / 2)[0]
+    covariance._least_eigenvalue.cache_clear()
+    assert c_negativity_test(state)[0] == least
+    assert collective_criterion(state.s, state.T, 10).min_eig == 2.5 * (1.0 + 9 * least)
+
+
 def test_separable_states_are_c_nonnegative(rng):
     for _ in range(200):
         state = random_separable_symmetric(4, rng)

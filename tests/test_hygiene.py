@@ -9,6 +9,7 @@ import importlib
 import inspect
 import math
 import pkgutil
+import re
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +82,27 @@ def test_every_tol_parameter_is_a_sign_test():
     loose = {path.name: names for path in sorted((ROOT / "src" / "symsq").glob("*.py"))
              if (names := _loose_tolerances(ast.parse(path.read_text())))}
     assert loose == {}
+
+
+def _module_tolerances() -> dict:
+    """module.NAME -> value of every module-level *_TOL and *_GAP constant
+    that a module of src/symsq defines (not imports)."""
+    found = {}
+    for info in pkgutil.iter_modules(symsq.__path__):
+        module = importlib.import_module(f"symsq.{info.name}")
+        for node in ast.parse(inspect.getsource(module)).body:
+            names = [t.id for t in getattr(node, "targets", ()) if isinstance(t, ast.Name)]
+            for name in filter(re.compile(r"[A-Z0-9_]+_(TOL|GAP)").fullmatch, names):
+                found[f"{info.name}.{name}"] = getattr(module, name)
+    return found
+
+
+def test_readme_tolerance_table_lists_every_tolerance():
+    """The README's table of tolerances has one row per module constant,
+    with its value, and no row for a constant that does not exist."""
+    rows = re.findall(r"^\| `(\w+\.\w+)` \| ([-+.e0-9]+) \|",
+                      (ROOT / "README.md").read_text(), flags=re.M)
+    assert {name: float(value) for name, value in rows} == _module_tolerances()
 
 
 @pytest.mark.parametrize("call", [

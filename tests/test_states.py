@@ -9,16 +9,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from symsq import states
-from symsq.covariance import bar_invariants, c_matrix, c_negativity_test
+from symsq.collective import collective_forms, moments_from_pair, squeezing
+from symsq.covariance import (
+    bar_invariants,
+    c_matrix,
+    c_negativity_test,
+    collective_criterion,
+    ppt_equivalence_chain,
+)
 from symsq.errors import (
     DomainError,
     InvalidDensityMatrix,
     NonUnitary,
     NotPositive,
     NotSymmetricState,
+    TraceViolation,
 )
 from symsq.invariants import symmetric_six
-from symsq.numerics import hermitian_eigh
+from symsq.numerics import DEFAULT_TOL, SIGN_TOL, hermitian_eigh
 from symsq.states import (
     SpecialClassState,
     SymmetricTwoQubitState,
@@ -166,6 +174,51 @@ def test_symmetric_rejects_asymmetric_bloch(rng):
             SymmetricTwoQubitState(m)
 
 
+# Multiples of DEFAULT_TOL on both sides of the edge of the symmetry and
+# trace rules, up to 100 DEFAULT_TOL = 1e-8.
+_EDGE_MULTIPLES = st.sampled_from([0.0, 0.5, 0.9, 0.99, 1.0, 1.01, 2.0, 100.0])
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 3),
+       eps=st.lists(st.tuples(_EDGE_MULTIPLES, st.sampled_from([-1.0, 1.0])),
+                    min_size=4, max_size=4))
+def test_every_symmetric_state_passes_every_symmetric_consumer(perturbed_triplet,
+                                                               seed, rank, eps):
+    """A triplet state with r - s, T - T^T, Tr T - 1 and Tr rho - 1 moved
+    by up to 1e-8 each: it is symmetric when the first three are within
+    DEFAULT_TOL, and a symmetric state passes every function that takes
+    one.  The later checks of each rule (hermitian_eigh on C and T, Tr T in
+    moments_from_pair, ChainMismatch) are at DEFAULT_TOL too, and
+    moments_from_pair rejects Tr T exactly where the rule does."""
+    eps = [k * sign * DEFAULT_TOL for k, sign in eps]
+    try:
+        state = TwoQubitState(perturbed_triplet(seed, rank, eps))
+    except (InvalidDensityMatrix, NotPositive):
+        return
+    largest = max(map(abs, eps[:3]))
+    if largest <= 0.99 * DEFAULT_TOL:
+        assert state.symmetric
+    elif largest >= 1.01 * DEFAULT_TOL:
+        assert not state.symmetric
+    if abs(np.trace(state.T) - 1.0) > DEFAULT_TOL:
+        with pytest.raises(TraceViolation):
+            moments_from_pair(state.s, state.T, 2)
+    if not state.symmetric:
+        return
+    inv = symmetric_six(state)
+    c_matrix(state)
+    c_negativity_test(state)
+    bar_invariants(state)
+    ppt_equivalence_chain(state)
+    for n in (2, 10, 100):
+        collective_criterion(state.s, state.T, n)
+        moments_from_pair(state.s, state.T, n)
+        if inv.I3 > SIGN_TOL:
+            squeezing(state.s, state.T, n)
+            collective_forms(inv, state.s, state.T, n)
+
+
 def test_states_compare_and_hash_by_identity(rng):
     """Two states are equal only when they are one object, also when they
     hold the same rho, so states work as set members and dict keys."""
@@ -256,10 +309,64 @@ def test_special_class_matrix_and_bloch(bell_state):
 def test_special_class_validation():
     with pytest.raises(InvalidDensityMatrix):
         SpecialClassState(a=0.5, b=0.0, c=0.5, d=0.5)  # trace constraint
-    with pytest.raises(InvalidDensityMatrix):
+    with pytest.raises(NotPositive) as exc:
         SpecialClassState(a=-0.1, b=0.0, c=0.3, d=0.5)
+    assert exc.value.min_eig == -0.1
     with pytest.raises(NotPositive):
         SpecialClassState(a=0.1, b=0.2, c=0.35, d=0.2)  # b^2 > a d
+
+
+def test_special_class_rejections_at_the_old_tolerance():
+    """Parameters within 1e-9 of a rule but past the state's edge: the
+    normalization off by 5e-10, and a least eigenvalue of -1e-9 (1 + 5e-9)."""
+    with pytest.raises(InvalidDensityMatrix):
+        SpecialClassState(a=0.3, b=0.0, c=0.2, d=0.3 + 5e-10)
+    with pytest.raises(NotPositive) as exc:
+        SpecialClassState(a=0.25, b=0.25 + 1e-9, c=0.25, d=0.25)
+    assert exc.value.min_eig < -states.FROM_BLOCH_PSD_TOL
+    least = np.linalg.eigvalsh(_special_matrix(0.25, 0.25 + 1e-9, 0.25, 0.25))[0]
+    assert abs(exc.value.min_eig - least) <= 1e-15
+
+
+def _special_matrix(a, b, c, d) -> np.ndarray:
+    """SpecialClassState(a, b, c, d).matrix(), also for parameters it rejects."""
+    return np.array([[a, 0, 0, b], [0, c, c, 0], [0, c, c, 0], [b, 0, 0, d]], dtype=complex)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(seed=st.integers(0, 2**32 - 1),
+       block=st.sampled_from(["ad", "c", "inside"]),
+       delta=st.sampled_from([-1e-3, -1e-9, 0.0, 1e-9, 1e-3, -1.0, 2.0]),
+       norm=st.sampled_from([0.0, 0.5, 0.99, 1.0, 1.01, 10.0]),
+       sign=st.sampled_from([-1.0, 1.0]))
+def test_every_accepted_special_class_builds_a_state(seed, block, delta, norm, sign):
+    """Special-class parameters with a + 2c + d - 1 at `norm` DEFAULT_TOL
+    and, unless block is "inside", the least eigenvalue -FROM_BLOCH_PSD_TOL
+    (1 + delta) in the [[a, b], [b, d]] or the [[c, c], [c, c]] block.
+    SpecialClassState accepts exactly what SymmetricTwoQubitState accepts
+    of the matrix, and a NotPositive carries its least eigenvalue."""
+    rng = np.random.default_rng(seed)
+    lam = states.FROM_BLOCH_PSD_TOL * (1.0 + delta)
+    a, two_c, d = rng.dirichlet(np.ones(3))
+    b = rng.uniform(-1.0, 1.0) * math.sqrt(a * d)
+    if block == "ad":
+        b = math.copysign(math.sqrt((a + lam) * (d + lam)), b)
+    elif block == "c":
+        a, d = a + (two_c + lam) / 2, d + (two_c + lam) / 2
+        two_c = -lam
+    params = {"a": float(a), "b": float(b), "c": float((two_c + sign * norm * DEFAULT_TOL) / 2),
+              "d": float(d)}
+    rho = _special_matrix(**params)
+    try:
+        state = SymmetricTwoQubitState(rho)
+    except (InvalidDensityMatrix, NotPositive, NotSymmetricState) as exc:
+        with pytest.raises(type(exc)) as raised:
+            SpecialClassState(**params)
+        if isinstance(exc, NotPositive):
+            assert raised.value.min_eig == exc.min_eig
+            assert abs(exc.min_eig - np.linalg.eigvalsh(rho)[0]) <= 1e-15
+        return
+    assert np.array_equal(symmetric_from_special(SpecialClassState(**params)).rho, state.rho)
 
 
 def test_special_class_allows_b_above_c():
