@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from . import models, oracle
-from .collective import ZERO_SPIN_TOL, check_n, classify_invariants, pair_from_moments, squeezing
+from .collective import _xi_sq_defined, check_n, classify_invariants, pair_from_moments, squeezing
 from .covariance import bar_invariants, c_matrix, c_negativity_test, collective_criterion
 from .errors import SymsqError
 from .invariants import makhlin_all, separability_flags, symmetric_six, symmetric_six_from_bloch
@@ -157,7 +157,7 @@ def cmd_analyze(args) -> int:
         report["c_min_eigenvalue"] = c_min
         report["entangled"] = c_neg
         report["classification"] = cls.branch.value
-        spin = inv.I3 > args.tol and math.sqrt(inv.I3) > ZERO_SPIN_TOL
+        spin = _xi_sq_defined(inv.I3, args.tol)
         collective = []
         for n in n_values:
             crit = collective_criterion(state.s, state.T, n, args.tol)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidN, ParityViolation, TraceViolation, ZeroMeanSpin
 from .invariants import SymmetricInvariants
-from .numerics import (DEFAULT_TOL, SIGN_TOL, _scalar, check_finite, check_tol,
+from .numerics import (DEFAULT_TOL, SIGN_TOL, _check_int, _scalar, check_finite, check_tol,
                        hermitian_eigenvalues)
 
 # A mean spin |s| at or below this counts as zero (no squeezing axis).
@@ -69,20 +69,32 @@ class PairClassification:
 
 def check_n(n) -> int:
     """The number of qubits N as an int; raises InvalidN unless an integer >= 2."""
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise InvalidN("N must be an integer >= 2")
-    return int(n)
+    return _check_int(n, "N", 2, error=InvalidN)
+
+
+def _check_even_n(n) -> int:
+    """check_n(n) for the atomic steady state; raises ParityViolation on an odd N."""
+    n = check_n(n)
+    if n % 2:
+        raise ParityViolation("the steady state requires an even N")
+    return n
 
 
 def _check_m(n: int, M):
     """2M over the shape of M, as integer-valued floats; raises
     ParityViolation unless each M labels a state |J = n/2, M>: 2M an
-    integer within INTEGER_TOL, n + 2M even and |2M| <= n."""
+    integer within INTEGER_TOL, 2M of the parity of the int n and |2M| <= n."""
     m = check_finite(M)[()]  # a 0-d array as a NumPy scalar, whose arithmetic is cheaper
     twom = np.rint(2 * m)
-    if ((abs(2 * m - twom) > INTEGER_TOL) | ((n + twom) % 2 != 0) | (abs(twom) > n)).any():
+    if ((abs(2 * m - twom) > INTEGER_TOL) | (twom % 2 != n % 2) | (abs(twom) > n)).any():
         raise ParityViolation("M must be a (half-)integer with N + 2M even and |M| <= N/2")
     return twom
+
+
+def _xi_sq_defined(I3, tol):
+    """Where xi^2 is defined, over I3 = |s|^2's shape: a mean spin by
+    classify_invariants' rule, I3 > tol, that squeezing takes, |s| > ZERO_SPIN_TOL."""
+    return (I3 > tol) & (np.sqrt(I3) > ZERO_SPIN_TOL)
 
 
 def moments_from_pair(s, T, N: int) -> CollectiveMoments:

@@ -8,9 +8,9 @@ followed by a congruence that block-diagonalizes the partially transposed
 matrix into (1/2) diag(T - s s^T, 1).
 
 The collective witness of N such qubits is the same matrix seen through an
-affine map: V + S S^T / N = (N/4)(I + (N - 1) C).  So one eigensolve of C
-per pair serves c_negativity_test, korbicz_minimum and collective_criterion
-at every N; the last C's least eigenvalue is memoized.
+affine map: <JJ>_sym - (1 - 1/N) <J><J>^T = (N/4)(I + (N - 1) C).  So one
+eigensolve of C per pair serves c_negativity_test, korbicz_minimum and
+collective_criterion at every N; the last C's least eigenvalue is memoized.
 """
 
 from __future__ import annotations
@@ -20,23 +20,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .collective import check_n
+from .collective import moments_from_pair
 from .errors import ChainMismatch, NonUnitVector
 from .invariants import _triple
 from .numerics import SIGN_TOL, check_finite, check_tol, hermitian_eigenvalues
-from .states import TwoQubitState, _require_symmetric, partial_transpose, rho_from_bloch
+from .states import (TRIPLET_BASIS, TwoQubitState, _require_symmetric, partial_transpose,
+                     rho_from_bloch)
 
 # Product basis -> {|1,1>, |1,0>, |1,-1>, |0,0>}.
 _SQ2 = np.sqrt(2.0)
-U_ANGULAR = np.array(
-    [
-        [1, 0, 0, 0],
-        [0, 1 / _SQ2, 1 / _SQ2, 0],
-        [0, 0, 0, 1],
-        [0, 1 / _SQ2, -1 / _SQ2, 0],
-    ],
-    dtype=complex,
-)
+U_ANGULAR = np.vstack([TRIPLET_BASIS, [0, 1 / _SQ2, -1 / _SQ2, 0]])
 
 # Angular-momentum basis -> the real combinations {|X>, |Y>, |Z>, |0,0>}
 # in which the partially transposed symmetric state becomes the real
@@ -71,7 +64,7 @@ class BarInvariants:
 
 @dataclass(frozen=True)
 class CollectiveCriterion:
-    witness_matrix: np.ndarray  # Vn + S S^T / N: covariance Vn, mean spin S = <J>
+    witness_matrix: np.ndarray  # <JJ>_sym - (1 - 1/N) S S^T, mean spin S = <J>
     min_eig: float
     entangled: bool         # min_eig < N/4
 
@@ -162,18 +155,16 @@ def bar_invariants(state: TwoQubitState, tol: float = SIGN_TOL) -> BarInvariants
 def collective_criterion(s, T, N: int, tol: float = SIGN_TOL) -> CollectiveCriterion:
     """Pairwise-entanglement witness from collective first/second moments.
 
-    The witness matrix is built from the moments, V + S S^T / N.  It equals
+    The witness matrix V + S S^T / N = <JJ>_sym - (1 - 1/N) S S^T comes from
+    moments_from_pair, which raises TraceViolation unless Tr T = 1.  It equals
     (N/4)(I + (N - 1) C), and N - 1 > 0 keeps the eigenvalue order, so its
     least eigenvalue is (N/4)(1 + (N - 1) korbicz_minimum(s, T)): one solve
     of C serves every N.
     """
-    N = check_n(N)
     tol = check_tol(tol)
-    s = check_finite(s)
-    c = _c(s, T)
-    big_s = 0.5 * N * s
-    vn = 0.25 * N * (np.eye(3) - np.outer(s, s) + (N - 1) * c)
-    witness = vn + np.outer(big_s, big_s) / N
+    m = moments_from_pair(s, T, N)
+    N = m.N
+    witness = m.j_second - (1.0 - 1.0 / N) * np.outer(m.j_mean, m.j_mean)
     min_eig = 0.25 * N * (1.0 + (N - 1) * korbicz_minimum(s, T))
     return CollectiveCriterion(witness_matrix=witness, min_eig=min_eig,
                                entangled=min_eig < N / 4.0 - tol)

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collective import (INTEGER_TOL, ZERO_SPIN_TOL, _check_m, check_n, classify_invariants,
-                         squeezing)
-from .errors import DomainError, NormalizationFailure, ParityViolation
+from .collective import (INTEGER_TOL, _check_even_n, _check_m, _xi_sq_defined, check_n,
+                         classify_invariants, squeezing)
+from .errors import DomainError, NormalizationFailure
 from .invariants import (
     SymmetricInvariants,
     special_class_invariants,
@@ -130,9 +130,7 @@ def atomic_pair(N: int, x):
     space.  x may be an array: s, T and the invariant fields then carry
     its shape as leading axes.
     """
-    check_n(N)
-    if N % 2 != 0:
-        raise ParityViolation("the steady state requires an even N")
+    N = _check_even_n(N)
     x = check_finite(x)
     if not ((x > 0.0) & (x < 1.0)).all():
         raise DomainError("x must lie strictly between 0 and 1")
@@ -241,8 +239,7 @@ def sweep(model: str, params: Iterable[float], n_values: Iterable[int],
     for n in n_values:
         s, t, inv = _model_stack(model, n, params)
         xi_sq = np.full(params.shape, np.nan)
-        # xi^2 needs the classification's mean spin and squeezing's axis.
-        spin = (inv.I3 > tol) & (np.sqrt(inv.I3) > ZERO_SPIN_TOL)
+        spin = _xi_sq_defined(inv.I3, tol)
         if spin.any():
             xi_sq[spin] = squeezing(s[spin], t[spin], n).xi_sq
         columns["model"] += [model] * len(param_list)

@@ -9,8 +9,8 @@ Pauli basis that every rho <-> (s, r, T) conversion contracts.
 check_finite and check_tol are the two input gates: every public function
 that takes pair data, moments or model parameters passes them through the
 first, and every sign test passes its tol through the second.  _check_int
-is the gate on integer sizes: the samplers' rank and term count and the
-verify suites' sample count.
+is the gate on every integer: the samplers' rank and term count, the
+verify suites' sample count and every qubit count N.
 """
 
 from __future__ import annotations
@@ -61,13 +61,13 @@ def check_tol(tol, name: str = "tol") -> float:
     return tol
 
 
-def _check_int(value, name: str, lo: int, hi: float = math.inf) -> int:
-    """An integer parameter (a sample count, rank or term count) as an int;
-    raises DomainError unless an integer, not a bool, in lo..hi."""
+def _check_int(value, name: str, lo: int, hi: float = math.inf, error=DomainError) -> int:
+    """An integer parameter (a sample count, rank, term count or qubit
+    count) as an int; raises error unless an integer, not a bool, in lo..hi."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
             or not lo <= value <= hi:
         bounds = f">= {lo}" if hi == math.inf else f"in {lo}..{hi}"
-        raise DomainError(f"{name} must be an integer {bounds}")
+        raise error(f"{name} must be an integer {bounds}")
     return int(value)
 
 

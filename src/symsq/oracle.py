@@ -16,9 +16,9 @@ from math import comb
 
 import numpy as np
 
-from .collective import CollectiveMoments, _check_m, check_n, pair_from_moments
-from .errors import InvalidN, NormalizationFailure, ParityViolation
-from .numerics import check_finite
+from .collective import CollectiveMoments, _check_even_n, _check_m, check_n, pair_from_moments
+from .errors import InvalidN, NormalizationFailure
+from .numerics import _check_int, check_finite
 from .states import SymmetricTwoQubitState, rho_from_bloch
 
 
@@ -28,9 +28,11 @@ class CollectiveState:
     amplitudes: np.ndarray  # length N+1, index i <-> M = N/2 - i
 
     def __post_init__(self):
+        n = _check_int(self.N, "N", 1, error=InvalidN)  # any spin J = N/2 >= 1/2
         amp = np.asarray(self.amplitudes, dtype=complex)
-        if amp.shape != (self.N + 1,):
+        if amp.shape != (n + 1,):
             raise InvalidN("amplitude vector must have length N+1")
+        object.__setattr__(self, "N", n)
         object.__setattr__(self, "amplitudes", amp)
 
 
@@ -79,13 +81,11 @@ class JOperators:
 
 
 def build_j_operators(N: int) -> JOperators:
-    """Collective spin data in the |J, M> basis, M = N/2 ... -N/2.  Unlike
-    check_n's N >= 2, any spin J = N/2 >= 1/2 is allowed.  Cached per N:
-    N is checked and made an int first, so 4, N=4 and np.int64(4) share
-    one entry of the cache that cache_info and cache_clear report on."""
-    if not isinstance(N, (int, np.integer)) or N < 1:
-        raise InvalidN("N must be an integer >= 1")
-    return _build_j_operators(int(N))
+    """Collective spin data in the |J, M> basis, M = N/2 ... -N/2, for any
+    spin J = N/2 >= 1/2.  Cached per N: N is checked and made an int
+    first, so 4, N=4 and np.int64(4) share one entry of the cache that
+    cache_info and cache_clear report on."""
+    return _build_j_operators(_check_int(N, "N", 1, error=InvalidN))
 
 
 @lru_cache(maxsize=16)
@@ -125,9 +125,7 @@ def build_atomic_state(N: int, theta: float) -> CollectiveState:
     the rotation matrix element is evaluated spectrally, so this route
     shares nothing with the closed-sum coefficient formula it validates.
     """
-    N = check_n(N)
-    if N % 2 != 0:
-        raise ParityViolation("the steady state requires an even N")
+    N = _check_even_n(N)
     check_finite(theta)
     ops = build_j_operators(N)
     # Shift the exponent by its largest value, so exp never overflows.

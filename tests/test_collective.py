@@ -16,8 +16,9 @@ from symsq.collective import (
 )
 from symsq.covariance import c_negativity_test, collective_criterion
 from symsq.errors import InvalidN, TraceViolation, ZeroMeanSpin
-from symsq.invariants import special_class_invariants, symmetric_six
+from symsq.invariants import SymmetricInvariants, special_class_invariants, symmetric_six
 from symsq.models import atomic_pair, dicke_pair, ku_pair
+from symsq.numerics import SIGN_TOL
 from symsq.states import (
     SpecialClassState,
     random_special_class,
@@ -58,6 +59,10 @@ def test_moment_map_validation(rng):
         moments_from_pair(state.s, state.T, 1)
     with pytest.raises(TraceViolation):
         moments_from_pair(state.s, 2 * state.T, 4)
+    # Tr T = 2.7: the witness, built from the moments, gates the trace too.
+    for call in (moments_from_pair, collective_criterion):
+        with pytest.raises(TraceViolation):
+            call(np.zeros(3), 0.9 * np.eye(3), 4)
 
 
 def test_squeezing_coherent_state_is_unity(product_state):
@@ -113,6 +118,21 @@ def test_classification_branches(bell_state, product_state):
     from symsq.models import dicke_pair
     _, inv = dicke_pair(4, 1)
     assert classify_invariants(inv).branch is Branch.I4_POS_COMBO_NEGATIVE
+
+
+@pytest.mark.parametrize("i5, i4, branch", [
+    (-0.02, -0.01, Branch.I5_NEGATIVE),
+    (0.02, -0.01, Branch.I4_NEGATIVE),
+    (0.02, 0.01, Branch.I4_POS_COMBO_NEGATIVE),
+])
+def test_classification_takes_the_first_negative_test(i5, i4, branch):
+    """With a mean spin (I3 = 0.25) the tests run I5, I4, I4 - I3^2 in that
+    order, and the first negative one decides the branch and its margin."""
+    inv = SymmetricInvariants(I1=0.1, I2=0.1, I3=0.25, I4=i4, I5=i5, I6=0.1)
+    cls = classify_invariants(inv)
+    first = {Branch.I5_NEGATIVE: i5, Branch.I4_NEGATIVE: i4,
+             Branch.I4_POS_COMBO_NEGATIVE: inv.combo_I4_minus_I3sq}[branch]
+    assert cls.branch is branch and cls.margin == -first - SIGN_TOL
 
 
 def test_classification_complete_on_special_class(rng):

@@ -1,7 +1,8 @@
 """Hygiene of the package and its tests: every imported name is used, every
-tol parameter is a sign-test margin, a NaN or an infinity in any numeric
-parameter of any public function, or a non-finite entry anywhere in a stack,
-raises a SymsqError, and a qubit count takes any integer type."""
+tol parameter is a sign-test margin and every sign test is strict, a NaN or
+an infinity in any numeric parameter of any public function, or a
+non-finite entry anywhere in a stack, raises a SymsqError, a qubit count
+takes any integer type, and each rule has one home."""
 
 import ast
 import dataclasses
@@ -19,12 +20,13 @@ from hypothesis import given, settings, strategies as st
 import symsq
 from symsq import models, oracle
 from symsq.collective import (
+    Branch,
     CollectiveMoments,
     classify_invariants,
     moments_from_pair,
     squeezing,
 )
-from symsq.covariance import collective_criterion
+from symsq.covariance import bar_invariants, c_negativity_test, collective_criterion
 from symsq.errors import SymsqError
 from symsq.invariants import (
     SymmetricInvariants,
@@ -36,7 +38,8 @@ from symsq.numerics import SIGN_TOL, check_unitary_2x2, hermitian_eigh, su2_to_s
 from symsq.states import SpecialClassState, symmetric_from_special
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted([*(ROOT / "src" / "symsq").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "symsq").glob("*.py"))
+SOURCES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
 
 
 def _unused_imports(tree) -> list:
@@ -61,6 +64,26 @@ def test_every_imported_name_is_used():
     assert unused == {}
 
 
+def _modules_with(predicate) -> list:
+    """The package modules whose AST has a node for which predicate holds."""
+    return sorted(path.stem for path in PACKAGE
+                  if any(map(predicate, ast.walk(ast.parse(path.read_text())))))
+
+
+def test_each_rule_has_one_home():
+    """One integer gate: np.integer is named in numerics only.  One xi^2
+    rule: ZERO_SPIN_TOL is read in collective only.  One even-N gate: its
+    message is spelled once."""
+    assert _modules_with(lambda node: isinstance(node, ast.Attribute)
+                         and ast.unparse(node) == "np.integer") == ["numerics"]
+    assert _modules_with(lambda node: isinstance(node, ast.Name) and node.id == "ZERO_SPIN_TOL"
+                         or isinstance(node, ast.alias) and node.name == "ZERO_SPIN_TOL") \
+        == ["collective"]
+    texts = [node.value for path in PACKAGE for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    assert sum(text.count("the steady state requires an even N") for text in texts) == 1
+
+
 def _loose_tolerances(tree) -> list:
     """Functions whose parameter named tol defaults to anything but SIGN_TOL."""
     loose = []
@@ -79,9 +102,40 @@ def _loose_tolerances(tree) -> list:
 def test_every_tol_parameter_is_a_sign_test():
     """A tol parameter is either required or defaults to SIGN_TOL, the margin
     that SYMSQ_TOL overrides; every other tolerance is a module constant."""
-    loose = {path.name: names for path in sorted((ROOT / "src" / "symsq").glob("*.py"))
+    loose = {path.name: names for path in PACKAGE
              if (names := _loose_tolerances(ast.parse(path.read_text())))}
     assert loose == {}
+
+
+# Bell pair |1,0>: C = T = diag(1, 1, -1), so the C test, det C and
+# (Tr^2 C - Tr C^2)/2 sit at -1 and the witness minimum at N = 2 at 0.
+_BELL = symmetric_from_special(SpecialClassState(a=0.0, b=0.0, c=0.5, d=0.0))
+# No mean spin, and I1, I4, I5 and I4 - I3^2 all at -0.01.
+_AT_EDGE = SymmetricInvariants(I1=-0.01, I2=0.0, I3=0.0, I4=-0.01, I5=-0.01, I6=0.0)
+# Each sign test as (tol -> its verdict "entangled"), and the tol at which
+# its deciding value sits exactly at -tol.
+SIGN_TESTS = {
+    "c_negativity_test": (lambda tol: c_negativity_test(_BELL, tol)[1], 1.0),
+    "bar_invariants": (lambda tol: bar_invariants(_BELL, tol).entangled, 1.0),
+    "collective_criterion": (lambda tol: collective_criterion(_BELL.s, _BELL.T, 2, tol).entangled,
+                             0.5),
+    "classify_invariants": (lambda tol: classify_invariants(_AT_EDGE, tol).branch
+                            is not Branch.SEPARABLE_SIGNATURE, 0.01),
+    **{f"separability_flags.{flag}": (
+        lambda tol, flag=flag: getattr(separability_flags(_AT_EDGE, tol), flag), 0.01)
+       for flag in ("I4_negative", "I5_negative", "I4_minus_I3sq_negative",
+                    "I1_negative_with_I3_zero")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIGN_TESTS))
+def test_every_sign_test_is_strict(name):
+    """A sign test reads "entangled" only strictly below -tol: at the tol
+    where its deciding value is exactly -tol it reads separable, and one
+    ulp below that tol it reads entangled."""
+    entangled, edge = SIGN_TESTS[name]
+    assert not entangled(edge)
+    assert entangled(np.nextafter(edge, 0.0))
 
 
 def _module_tolerances() -> dict:

@@ -369,10 +369,11 @@ def _count_calls(monkeypatch):
 
 
 def test_one_lu_item_solves_one_eigenproblem_and_two_makhlin_sets(monkeypatch, rng):
-    """One lu_equivalence item by hand: the constructor solves one
-    eigenproblem, and its local-unitary image and concurrence none; each
-    state's 18 invariants are computed once, however many callers ask for
-    them."""
+    """One lu_equivalence item by hand: the constructor and its
+    local-unitary image solve no eigenproblem (positivity is a Cholesky
+    factorization), and concurrence solves the one, of the state's
+    spectrum; each state's 18 invariants are computed once, however many
+    callers ask for them."""
     counts = _count_calls(monkeypatch)
     state = TwoQubitState(_ginibre_rho(rng))
     rotated = apply_local_unitaries(state, haar_unitary_2x2(rng), haar_unitary_2x2(rng))

@@ -6,7 +6,7 @@ from collections.abc import Sequence
 import numpy as np
 import pytest
 
-from symsq.collective import classify_invariants, pair_from_moments, squeezing
+from symsq.collective import _check_m, classify_invariants, pair_from_moments, squeezing
 from symsq.covariance import bar_invariants
 from symsq.errors import DomainError, InvalidN, ParityViolation
 from symsq.invariants import makhlin_from_bloch, symmetric_six_from_bloch
@@ -190,6 +190,18 @@ def test_ku_matches_oracle():
             so, to = pair_from_moments(moments_of(evolve_ku(n, float(ct))))
             assert np.max(np.abs(s - so)) < 1e-11
             assert np.max(np.abs(t - to)) < 1e-11
+
+
+def test_spin_label_parity_is_exact_at_any_n():
+    """N + 2M's parity is decided on the int N: at N = 2^53 + 1 the float
+    N + 2M rounds to an even number, yet M = 0 labels no state.  Every call
+    here costs O(1); building a state at this N would allocate O(N)."""
+    n = 2**53 + 1
+    with pytest.raises(ParityViolation):
+        _check_m(n, 0)
+    with pytest.raises(ParityViolation):
+        dicke_pair(n, 0)
+    dicke_pair(n + 1, 0)
 
 
 def test_ku_squeezed_at_small_twist():

@@ -36,11 +36,19 @@ def test_j_operator_algebra():
 def test_j_operators_validation():
     with pytest.raises(InvalidN):
         build_j_operators(0)
+    with pytest.raises(InvalidN, match="N must be an integer >= 1"):  # not a bool
+        build_j_operators(True)
 
 
 def test_collective_state_shape_check():
+    """N is checked when the state is built, so a float N never reaches
+    moments_of; an integer N of any type is kept as an int."""
     with pytest.raises(InvalidN):
         CollectiveState(N=3, amplitudes=np.ones(3))
+    for bad_n, amp in ((-1, np.zeros(0)), (3.0, np.ones(4) / 2)):
+        with pytest.raises(InvalidN, match="N must be an integer >= 1"):
+            CollectiveState(N=bad_n, amplitudes=amp)
+    assert type(CollectiveState(N=np.int64(1), amplitudes=[1, 0]).N) is int
 
 
 def test_ku_mean_spin_closed_form():
