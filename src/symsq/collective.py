@@ -68,8 +68,10 @@ class PairClassification:
 
 
 def check_n(n) -> int:
-    """The number of qubits N as an int; raises InvalidN unless an integer >= 2."""
-    return _check_int(n, "N", 2, error=InvalidN)
+    """The number of qubits N as an int; raises InvalidN unless an integer
+    in 2..2^53, the range where every integer is exact as a float, so that
+    no closed form overflows or rounds N."""
+    return _check_int(n, "N", 2, 2**53, error=InvalidN)
 
 
 def _check_even_n(n) -> int:

@@ -2,10 +2,13 @@
 
 All matrices here are tiny (usually 3x3 or 4x4), so the one eigensolver
 is cyclic Jacobi sweeps: simple, robust and accurate to machine precision
-for Hermitian input.  The 3x3 SVD (LAPACK's, with fixed sign and rotation
-conventions) and the SU(2) -> SO(3) covering map are the geometric
-workhorses for correlation-matrix manipulations; PAULI_PAIRS is the one
-Pauli basis that every rho <-> (s, r, T) conversion contracts.
+for Hermitian input.  hermitian_eigh and hermitian_eigenvalues share its
+gate; the second solves for the eigenvalues alone and builds no
+eigenvector matrix, with the same eigenvalues bit for bit.  The 3x3 SVD
+(LAPACK's, with fixed sign and rotation conventions) and the SU(2) ->
+SO(3) covering map are the geometric workhorses for correlation-matrix
+manipulations; PAULI_PAIRS is the one Pauli basis that every
+rho <-> (s, r, T) conversion contracts.
 check_finite and check_tol are the two input gates: every public function
 that takes pair data, moments or model parameters passes them through the
 first, and every sign test passes its tol through the second.  _check_int
@@ -66,7 +69,7 @@ def _check_int(value, name: str, lo: int, hi: float = math.inf, error=DomainErro
     count) as an int; raises error unless an integer, not a bool, in lo..hi."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
             or not lo <= value <= hi:
-        bounds = f">= {lo}" if hi == math.inf else f"in {lo}..{hi}"
+        bounds = f">= {lo}" if hi == math.inf else f">= {lo} and <= {hi}"
         raise error(f"{name} must be an integer {bounds}")
     return int(value)
 
@@ -87,83 +90,87 @@ def _as_square(m) -> np.ndarray:
     return a
 
 
-def _max_off_diagonal(a: np.ndarray) -> float:
-    return float(np.abs(np.triu(a, 1)).max())
-
-
-def _jacobi_hermitian(a: np.ndarray):
+def _jacobi_hermitian(a: np.ndarray, vectors: bool):
     """Diagonalize a Hermitian matrix by cyclic complex Jacobi rotations.
 
-    Returns (eigenvalues ascending, unitary V) with  V^dag a V = diag.
+    Returns w, the eigenvalues ascending, or (w, V) when vectors is true,
+    with V unitary and V^dag a V = diag(w); a value-only solve builds no V.
     Raises NoConvergence if the off-diagonal part is still above target
     after the last allowed sweep.
     """
     n = a.shape[0]
-    a = a.astype(complex).copy()
-    v = np.eye(n, dtype=complex)
+    a = a.astype(complex)
+    v = np.eye(n, dtype=complex) if vectors else None
+    upper = np.triu_indices(n, 1)
     for _ in range(_JACOBI_MAX_SWEEPS):
-        if _max_off_diagonal(a) < _JACOBI_OFF_TARGET:
+        if np.abs(a[upper]).max(initial=0.0) < _JACOBI_OFF_TARGET:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = a[p, q]
+                apq = a.item(p, q)
                 m = abs(apq)
                 if m < 1e-300:
                     continue
                 # Phase rotation makes the 2x2 block real, then a standard
-                # real Jacobi rotation annihilates it.
-                phase = apq / m
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * m)
+                # real Jacobi rotation annihilates it.  The phase apq / m
+                # is spelled as NumPy's complex division by (m, 0) rounds
+                # it, signed zeros included.
+                scl = 1.0 / m
+                phase = complex((apq.real + apq.imag * 0.0) * scl,
+                                (apq.imag - apq.real * 0.0) * scl)
+                tau = (a.item(q, q).real - a.item(p, p).real) / (2.0 * m)
                 if abs(tau) > 1e150:
                     # Limit of both branches below; tau * tau would overflow.
                     t = 0.5 / tau
                 elif tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
+                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
                 else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
+                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
-                # 2x2 unitary W = [[c, s], [-s/phase, c/phase]]
-                pc = np.conj(phase)
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * pc * col_q
-                a[:, q] = s * col_p + c * pc * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * phase * row_q
-                a[q, :] = s * row_p + c * phase * row_q
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * pc * vq
-                v[:, q] = s * vp + c * pc * vq
+                # 2x2 unitary W = [[c, s], [-s/phase, c/phase]]; each pair of
+                # new columns (rows) is computed from views before either
+                # is written.
+                pc = phase.conjugate()
+                col_p, col_q = a[:, p], a[:, q]
+                a[:, p], a[:, q] = c * col_p - s * pc * col_q, s * col_p + c * pc * col_q
+                row_p, row_q = a[p, :], a[q, :]
+                a[p, :], a[q, :] = c * row_p - s * phase * row_q, s * row_p + c * phase * row_q
+                if vectors:
+                    vp, vq = v[:, p], v[:, q]
+                    v[:, p], v[:, q] = c * vp - s * pc * vq, s * vp + c * pc * vq
                 a[p, q] = 0.0
                 a[q, p] = 0.0
     else:
-        off = _max_off_diagonal(a)
+        off = np.abs(a[upper]).max(initial=0.0)
         if off >= _JACOBI_OFF_TARGET:
             raise NoConvergence(
                 f"Jacobi left off-diagonal {off:.3e} after {_JACOBI_MAX_SWEEPS} sweeps")
     w = np.real(np.diag(a))
     order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
+    return (w[order], v[:, order]) if vectors else w[order]
 
 
-def hermitian_eigh(m):
-    """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix."""
+def _hermitian_part(m) -> np.ndarray:
+    """(m + m^dag)/2 of a square matrix; raises DomainError on a non-finite
+    entry and NonHermitian if m deviates from Hermiticity beyond DEFAULT_TOL."""
     a = _as_square(m)
     if not np.all(np.isfinite(a)):
         raise DomainError("matrix has a non-finite entry")
     if np.max(np.abs(a - a.conj().T)) > DEFAULT_TOL:
         raise NonHermitian("matrix deviates from Hermiticity beyond DEFAULT_TOL")
-    h = (a + a.conj().T) / 2.0
-    return _jacobi_hermitian(h)
+    return (a + a.conj().T) / 2.0
+
+
+def hermitian_eigh(m):
+    """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix."""
+    return _jacobi_hermitian(_hermitian_part(m), True)
 
 
 def hermitian_eigenvalues(m) -> np.ndarray:
-    """Ascending real eigenvalues of a Hermitian matrix."""
-    w, _ = hermitian_eigh(m)
-    return w
+    """Ascending real eigenvalues of a Hermitian matrix; no eigenvectors
+    are built."""
+    return _jacobi_hermitian(_hermitian_part(m), False)
 
 
 def svd3(t):

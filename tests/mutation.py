@@ -52,6 +52,7 @@ class Mutant:
 
 
 _STRICT = "tests/test_hygiene.py::test_every_sign_test_is_strict"
+_VALUES = "tests/test_numerics.py::test_value_only_solve_is_the_full_solve_without_vectors"
 
 MUTANTS = (
     # One integer gate, one home for each qubit-count rule.
@@ -60,8 +61,8 @@ MUTANTS = (
            "if not isinstance(value, (int, np.integer))",
            ("tests/test_oracle.py::test_j_operators_validation",)),
     Mutant("check-n-from-one", "collective.py",
-           'return _check_int(n, "N", 2, error=InvalidN)',
-           'return _check_int(n, "N", 1, error=InvalidN)',
+           'return _check_int(n, "N", 2, 2**53, error=InvalidN)',
+           'return _check_int(n, "N", 1, 2**53, error=InvalidN)',
            ("tests/test_collective.py::test_every_n_entry_shares_one_check",)),
     Mutant("collective-state-unchecked-n", "oracle.py",
            'n = _check_int(self.N, "N", 1, error=InvalidN)',
@@ -159,6 +160,41 @@ MUTANTS = (
            "FROM_BLOCH_PSD_TOL = 1e-9",
            "FROM_BLOCH_PSD_TOL = 1e-7",
            ("tests/test_states.py::test_special_class_rejections_at_the_old_tolerance",)),
+    Mutant("n-gate-unbounded", "collective.py",
+           'return _check_int(n, "N", 2, 2**53, error=InvalidN)',
+           'return _check_int(n, "N", 2, error=InvalidN)',
+           ("tests/test_collective.py::test_check_n_takes_n_up_to_2_53",
+            "tests/test_collective.py::test_every_n_entry_shares_one_check",
+            "tests/test_cli.py::test_n_past_the_float_range_exits_bad_range")),
+    # The eigensolver and the faster paths around it.
+    Mutant("jacobi-first-superdiagonal", "numerics.py",
+           "upper = np.triu_indices(n, 1)",
+           "upper = (np.arange(n - 1), np.arange(1, n))",
+           (_VALUES,)),
+    Mutant("values-unsorted", "numerics.py",
+           "return (w[order], v[:, order]) if vectors else w[order]",
+           "return (w[order], v[:, order]) if vectors else w",
+           (_VALUES,)),
+    Mutant("jacobi-cap-no-raise", "numerics.py",
+           "if off >= _JACOBI_OFF_TARGET:",
+           "if False:",
+           ("tests/test_numerics.py::test_jacobi_raises_when_sweeps_run_out",)),
+    Mutant("concurrence-no-clip", "states.py",
+           "x = v * np.sqrt(np.clip(w, 0.0, None))",
+           "x = v * np.sqrt(w)",
+           ("tests/test_invariants.py::test_concurrence_is_invariant_under_local_unitaries",)),
+    Mutant("c-memo-keyed-on-s", "covariance.py",
+           "    return _least_eigenvalue(c.shape, c.tobytes())\n",
+           "    key = np.asarray(s, dtype=float).tobytes()\n"
+           "    if getattr(korbicz_minimum, 'key', None) != key:\n"
+           "        korbicz_minimum.key = key\n"
+           "        korbicz_minimum.least = float(hermitian_eigenvalues(c)[0])\n"
+           "    return korbicz_minimum.least\n",
+           ("tests/test_covariance.py::test_c_memo_follows_s_and_t",)),
+    Mutant("psd-shift-unguarded", "states.py",
+           "_PSD_SHIFT = FROM_BLOCH_PSD_TOL - _EDGE_GUARD",
+           "_PSD_SHIFT = FROM_BLOCH_PSD_TOL",
+           ("tests/test_states.py::test_positivity_gate_decides_by_the_least_eigenvalue",)),
 )
 
 

@@ -294,6 +294,21 @@ def test_analyze_bad_n_exit_code(bell_file, bad_n, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("command", [
+    ["analyze"],
+    ["sweep", "--model", "ku", "--param-range", "0:1:3"],
+    ["sweep", "--model", "atomic", "--param-range", "0.2:0.8:3"],
+    ["sweep", "--model", "dicke"],
+], ids=["analyze", "sweep_ku", "sweep_atomic", "sweep_dicke"])
+def test_n_past_the_float_range_exits_bad_range(command, bell_file, capsys):
+    """An N that no float holds exits 4, as a rejected N = 1 does, with the
+    N gate's message and no traceback."""
+    argv = command + [bell_file] if command == ["analyze"] else command
+    assert main(argv + ["--N", str(10**400)]) == EXIT_BAD_RANGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: N must be an integer >= 2 and <= ")
+
+
 def _in_process(argv):
     """(exit code, stdout, stderr) of main(argv) in this process."""
     out, err = io.StringIO(), io.StringIO()

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from symsq.collective import (
     Branch,
+    check_n,
     classify_invariants,
     collective_forms,
     moments_from_pair,
@@ -202,8 +203,19 @@ _N_ENTRIES = {
 
 @pytest.mark.parametrize("entry", sorted(_N_ENTRIES))
 def test_every_n_entry_shares_one_check(entry):
+    """N = 10^400 is past 2^53 and the float range: without the gate's
+    upper bound it would fail at its first conversion to a float or a C
+    integer, so each call is O(1) either way."""
     call = _N_ENTRIES[entry]
-    for bad in (1, 0, 4.0):
+    for bad in (1, 0, 4.0, 10**400):
         with pytest.raises(InvalidN):
             call(bad)
     call(np.int64(4))
+
+
+def test_check_n_takes_n_up_to_2_53():
+    """Every integer up to 2^53 is exact as a float, the first one past it
+    is not."""
+    assert check_n(2**53) == 2**53
+    with pytest.raises(InvalidN, match="N must be an integer >= 2 and <= 9007199254740992"):
+        check_n(2**53 + 1)

@@ -210,21 +210,21 @@ def test_one_pair_solves_c_once_for_every_n(monkeypatch, rng):
 def test_one_pair_item_makes_two_eigensolves(monkeypatch, rng):
     """One pair-verdicts item by hand (construct, 18 and 6 invariants, PPT,
     C test, bar invariants, branch, squeezing, witness at three N) solves
-    its partial transpose and C: two eigenproblems.  The constructor's
-    positivity gate is a Cholesky factorization and nothing reads the
-    state's spectrum, so rho itself is never solved."""
+    its partial transpose and C: two eigenproblems, each for its values
+    alone.  The constructor's positivity gate is a Cholesky factorization
+    and nothing reads the state's spectrum, so rho itself is never solved."""
     rho = random_symmetric_state(3, rng).rho
     covariance._least_eigenvalue.cache_clear()
-    solved = []
-    eigh = numerics.hermitian_eigh
+    solved, vectors = [], []
+    solve = numerics._jacobi_hermitian
 
-    def counted(m):
-        solved.append(np.shape(m))
-        return eigh(m)
+    def counted(a, with_vectors):
+        solved.append(np.shape(a))
+        vectors.append(with_vectors)
+        return solve(a, with_vectors)
 
-    # hermitian_eigenvalues reaches the solver through numerics' own name.
-    monkeypatch.setattr(numerics, "hermitian_eigh", counted)
-    monkeypatch.setattr(states, "hermitian_eigh", counted)
+    # Every solve, with or without eigenvectors, reaches the one solver.
+    monkeypatch.setattr(numerics, "_jacobi_hermitian", counted)
     state = SymmetricTwoQubitState(rho)
     makhlin_all(state)
     inv = symmetric_six(state)
@@ -236,6 +236,7 @@ def test_one_pair_item_makes_two_eigensolves(monkeypatch, rng):
     for n in (2, 10, 100):
         collective_criterion(state.s, state.T, n)
     assert solved == [(4, 4), (3, 3)]
+    assert vectors == [False, False]
 
 
 def _spin_flip_mix(state, p):

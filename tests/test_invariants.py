@@ -349,22 +349,25 @@ def test_makhlin_from_bloch_direct():
 
 
 def _count_calls(monkeypatch):
-    """A Counter of hermitian_eigh ("eigh") and makhlin_from_bloch
-    ("makhlin") calls, filled while the test runs."""
+    """A Counter of eigensolves ("eigh"; "vectors" for those that build
+    eigenvectors) and makhlin_from_bloch ("makhlin") calls, filled while
+    the test runs."""
     counts = Counter()
+    solve = numerics._jacobi_hermitian
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def counted_solve(a, vectors):
+        counts["eigh"] += 1
+        counts["vectors"] += vectors
+        return solve(a, vectors)
 
-    # hermitian_eigenvalues reaches the solver through numerics' own name.
-    eigh = counted("eigh", numerics.hermitian_eigh)
-    monkeypatch.setattr(numerics, "hermitian_eigh", eigh)
-    monkeypatch.setattr(states, "hermitian_eigh", eigh)
-    monkeypatch.setattr(invariants, "makhlin_from_bloch",
-                        counted("makhlin", invariants.makhlin_from_bloch))
+    def counted_makhlin(*args):
+        counts["makhlin"] += 1
+        return makhlin(*args)
+
+    # Every solve, with or without eigenvectors, reaches the one solver.
+    makhlin = invariants.makhlin_from_bloch
+    monkeypatch.setattr(numerics, "_jacobi_hermitian", counted_solve)
+    monkeypatch.setattr(invariants, "makhlin_from_bloch", counted_makhlin)
     return counts
 
 
@@ -372,8 +375,8 @@ def test_one_lu_item_solves_one_eigenproblem_and_two_makhlin_sets(monkeypatch, r
     """One lu_equivalence item by hand: the constructor and its
     local-unitary image solve no eigenproblem (positivity is a Cholesky
     factorization), and concurrence solves the one, of the state's
-    spectrum; each state's 18 invariants are computed once, however many
-    callers ask for them."""
+    spectrum, the item's only solve that builds eigenvectors; each state's
+    18 invariants are computed once, however many callers ask for them."""
     counts = _count_calls(monkeypatch)
     state = TwoQubitState(_ginibre_rho(rng))
     rotated = apply_local_unitaries(state, haar_unitary_2x2(rng), haar_unitary_2x2(rng))
@@ -381,8 +384,9 @@ def test_one_lu_item_solves_one_eigenproblem_and_two_makhlin_sets(monkeypatch, r
     makhlin_all(rotated)
     canonical_form(rotated)
     assert locally_equivalent(state, rotated)
+    assert counts["eigh"] == 0
     concurrence(state)
-    assert counts == {"eigh": 1, "makhlin": 2}
+    assert counts == {"eigh": 1, "vectors": 1, "makhlin": 2}
 
 
 def test_apply_local_unitaries_solves_no_eigenproblem(monkeypatch, rng):

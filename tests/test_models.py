@@ -194,14 +194,16 @@ def test_ku_matches_oracle():
 
 def test_spin_label_parity_is_exact_at_any_n():
     """N + 2M's parity is decided on the int N: at N = 2^53 + 1 the float
-    N + 2M rounds to an even number, yet M = 0 labels no state.  Every call
-    here costs O(1); building a state at this N would allocate O(N)."""
+    N + 2M rounds to an even number, yet M = 0 labels no state.  dicke_pair
+    takes no N past 2^53, so it stops at its N gate.  Every call here costs
+    O(1); building a state at this N would allocate O(N)."""
     n = 2**53 + 1
     with pytest.raises(ParityViolation):
         _check_m(n, 0)
-    with pytest.raises(ParityViolation):
+    with pytest.raises(InvalidN):
         dicke_pair(n, 0)
-    dicke_pair(n + 1, 0)
+    with pytest.raises(InvalidN):
+        dicke_pair(n + 1, 0)
 
 
 def test_ku_squeezed_at_small_twist():

@@ -151,7 +151,44 @@ def test_su2_to_so3_homomorphism(rng):
     assert np.max(np.abs(su2_to_so3(u @ v) - su2_to_so3(u) @ su2_to_so3(v))) < 1e-12
 
 
-def test_jacobi_raises_when_sweeps_run_out(rng, monkeypatch):
+@pytest.mark.parametrize("solve", [hermitian_eigh, hermitian_eigenvalues],
+                         ids=["hermitian_eigh", "hermitian_eigenvalues"])
+def test_jacobi_raises_when_sweeps_run_out(solve, rng, monkeypatch):
     monkeypatch.setattr(numerics, "_JACOBI_MAX_SWEEPS", 1)
     with pytest.raises(NoConvergence):
-        hermitian_eigh(_random_hermitian(rng, 4))
+        solve(_random_hermitian(rng, 4))
+
+
+def _drawn_hermitian(kind, n, seed):
+    """An n x n Hermitian matrix of the given kind, drawn from seed."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    if kind == "complex":
+        return (z + z.conj().T) / 2
+    if kind == "real":
+        return (z.real + z.real.T) / 2
+    if kind == "diagonal":  # already diagonal: the solver runs no sweep
+        return np.diag(z.real[0])
+    if kind == "skip_superdiagonal":  # |a_pq| > 0 only for p - q even
+        h = (z + z.conj().T) / 2
+        return np.where(np.add.outer(np.arange(n), np.arange(n)) % 2, 0.0, h)
+    u = np.linalg.qr(z)[0]
+    if kind == "degenerate":  # a unitary conjugate of a repeated diagonal
+        w = np.repeat(z.real[0, :2], [n - 1, 1])
+    else:  # rank-deficient: the least eigenvalue is zero
+        w = np.concatenate([[0.0], np.abs(z.real[0, 1:])])
+    return (u * w) @ u.conj().T
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(kind=st.sampled_from(["complex", "real", "diagonal", "skip_superdiagonal",
+                             "degenerate", "rank_deficient"]),
+       n=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+def test_value_only_solve_is_the_full_solve_without_vectors(kind, n, seed):
+    """hermitian_eigenvalues(h) is hermitian_eigh(h)[0] byte for byte, and
+    both lie within 1e-12 max(1, |w|) of LAPACK's eigvalsh."""
+    h = _drawn_hermitian(kind, n, seed)
+    w = hermitian_eigenvalues(h)
+    assert w.tobytes() == hermitian_eigh(h)[0].tobytes()
+    w_ref = np.linalg.eigvalsh(h)
+    assert np.max(np.abs(w - w_ref)) <= 1e-12 * max(1.0, np.max(np.abs(w_ref)))
