@@ -305,8 +305,9 @@ def suite_invariance(rng, count, tol):
 
 def suite_ppt_c(rng, count, tol):
     """PPT (LAPACK eigvalsh of the partial transpose) vs C < 0 on count
-    states of rank 1..3, and the witness minimum vs eigvalsh(C).
-    Returns (disagreements, witness deviation, ok)."""
+    states of rank 1..3, and the witness minimum vs eigvalsh(C), which is
+    the library's own C route too.  Returns (disagreements, witness
+    deviation, ok)."""
     count, tol = _check_int(count, "count", 1), check_tol(tol)
     disagreements = 0
     witness_dev = 0.0

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InvalidN, ParityViolation, TraceViolation, ZeroMeanSpin
 from .invariants import SymmetricInvariants
 from .numerics import (DEFAULT_TOL, SIGN_TOL, _check_int, _scalar, check_finite, check_tol,
-                       hermitian_eigenvalues)
+                       symmetric_eigenvalues)
 
 # A mean spin |s| at or below this counts as zero (no squeezing axis).
 ZERO_SPIN_TOL = 1e-12
@@ -231,7 +231,7 @@ def collective_forms(inv: SymmetricInvariants, s, T, N: int) -> CollectiveFormsR
         rep.max_variance_ratio - 1.0
     )
     # Product of principal second moments for det T.
-    t_eigs = hermitian_eigenvalues(t)
+    t_eigs = symmetric_eigenvalues(t)
     ji_sq = 0.25 * n * (1.0 + (n - 1) * t_eigs)
     i1_coll = (4.0 / (n * (n - 1))) ** 3 * float(np.prod(ji_sq - n / 4.0))
 

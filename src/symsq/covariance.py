@@ -23,7 +23,8 @@ import numpy as np
 from .collective import moments_from_pair
 from .errors import ChainMismatch, NonUnitVector
 from .invariants import _triple
-from .numerics import SIGN_TOL, check_finite, check_tol, hermitian_eigenvalues
+from .numerics import (SIGN_TOL, check_finite, check_tol, hermitian_eigenvalues,
+                       symmetric_eigenvalues)
 from .states import (TRIPLET_BASIS, TwoQubitState, _require_symmetric, partial_transpose,
                      rho_from_bloch)
 
@@ -127,7 +128,7 @@ def ppt_equivalence_chain(state: TwoQubitState) -> ChainDiagnostics:
     # Congruence preserves inertia, not the spectrum: compare counts of
     # negative eigenvalues on the two ends of the chain.
     w_pt = hermitian_eigenvalues(pt)
-    w_block = hermitian_eigenvalues(block + 0j)
+    w_block = symmetric_eigenvalues(block)
     neg_pt = int(np.sum(w_pt < -CHAIN_INERTIA_TOL))
     neg_block = int(np.sum(w_block < -CHAIN_INERTIA_TOL))
     return ChainDiagnostics(
@@ -185,9 +186,10 @@ def korbicz_witness(s, T, k_hat) -> float:
 
 def korbicz_minimum(s, T) -> float:
     """Exact minimization of korbicz_witness over unit directions: the least
-    eigenvalue of C, memoized on C's bytes for the last C asked about.
-    It solves (C + C^T)/2, as hermitian_eigh would: C can be an ulp less
-    symmetric than T, whose asymmetry the symmetry rule bounds."""
+    eigenvalue of C by LAPACK (symmetric_eigenvalues), memoized on C's bytes
+    for the last C asked about.  It passes (C + C^T)/2 to the solver's
+    symmetry gate: C can be an ulp less symmetric than T, whose asymmetry
+    the symmetry rule bounds."""
     c = _c(s, T)
     c = (c + c.T) / 2.0
     return _least_eigenvalue(c.shape, c.tobytes())
@@ -195,4 +197,4 @@ def korbicz_minimum(s, T) -> float:
 
 @lru_cache(maxsize=1)
 def _least_eigenvalue(shape, data: bytes) -> float:
-    return float(hermitian_eigenvalues(np.frombuffer(data).reshape(shape))[0])
+    return float(symmetric_eigenvalues(np.frombuffer(data).reshape(shape))[0])

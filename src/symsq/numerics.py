@@ -1,19 +1,24 @@
 """Small dense linear algebra used throughout the package.
 
-All matrices here are tiny (usually 3x3 or 4x4), so the one eigensolver
-is cyclic Jacobi sweeps: simple, robust and accurate to machine precision
-for Hermitian input.  hermitian_eigh and hermitian_eigenvalues share its
-gate; the second solves for the eigenvalues alone and builds no
-eigenvector matrix, with the same eigenvalues bit for bit.  The 3x3 SVD
-(LAPACK's, with fixed sign and rotation conventions) and the SU(2) ->
-SO(3) covering map are the geometric workhorses for correlation-matrix
-manipulations; PAULI_PAIRS is the one Pauli basis that every
-rho <-> (s, r, T) conversion contracts.
+All matrices here are tiny (3x3 or 4x4), and the eigensolves split by
+kind.  symmetric_eigenvalues solves the real symmetric Bloch-data
+matrices (C = T - s s^T, T and the ppt_equivalence_chain block) with
+LAPACK's eigvalsh.  hermitian_eigh and hermitian_eigenvalues solve the
+complex density matrices (rho^Gamma, a state's spectrum, a rho that the
+Cholesky gate rejects) by cyclic complex Jacobi sweeps: simple, robust and
+accurate to machine precision; the second solves for the eigenvalues alone
+and builds no eigenvector matrix, with the same eigenvalues bit for bit.
+All three share one gate (finiteness, Hermiticity, symmetrization).  The
+3x3 SVD (LAPACK's, with fixed sign and rotation conventions) and the
+SU(2) -> SO(3) covering map are the geometric workhorses for
+correlation-matrix manipulations; PAULI_PAIRS is the one Pauli basis that
+every rho <-> (s, r, T) conversion contracts.
 check_finite and check_tol are the two input gates: every public function
 that takes pair data, moments or model parameters passes them through the
-first, and every sign test passes its tol through the second.  _check_int
-is the gate on every integer: the samplers' rank and term count, the
-verify suites' sample count and every qubit count N.
+first, and every sign test passes its tol through the second; a Python int
+past the float range fails either with DomainError, never OverflowError.
+_check_int is the gate on every integer: the samplers' rank and term
+count, the verify suites' sample count and every qubit count N.
 """
 
 from __future__ import annotations
@@ -40,10 +45,19 @@ _JACOBI_OFF_TARGET = 1e-14
 _JACOBI_MAX_SWEEPS = 50
 
 
+def _as_array(a, dtype, error=DomainError) -> np.ndarray:
+    """a as an array of dtype; raises error, not OverflowError, on a Python
+    int past the float range."""
+    try:
+        return np.asarray(a, dtype=dtype)
+    except OverflowError:
+        raise error("input has a number past the float range; it must be finite") from None
+
+
 def check_finite(*arrays):
     """The real arrays as float arrays, one array or a tuple of them;
-    raises DomainError if any entry is NaN or infinite."""
-    out = [np.asarray(a, dtype=float) for a in arrays]
+    raises DomainError if any entry is NaN, infinite or past the float range."""
+    out = [_as_array(a, float) for a in arrays]
     for a in out:
         # On a pair's few entries a Python loop costs a third of a ufunc
         # and a reduction; stacks take the ufunc.
@@ -58,9 +72,13 @@ def check_finite(*arrays):
 
 def check_tol(tol, name: str = "tol") -> float:
     """A sign-test margin as a float; raises DomainError unless 0 < tol < inf."""
-    tol = float(tol)
+    message = f"{name} must be a positive finite number"
+    try:
+        tol = float(tol)
+    except OverflowError:
+        raise DomainError(message) from None
     if not 0.0 < tol < math.inf:
-        raise DomainError(f"{name} must be a positive finite number")
+        raise DomainError(message)
     return tol
 
 
@@ -155,6 +173,9 @@ def _hermitian_part(m) -> np.ndarray:
     """(m + m^dag)/2 of a square matrix; raises DomainError on a non-finite
     entry and NonHermitian if m deviates from Hermiticity beyond DEFAULT_TOL."""
     a = _as_square(m)
+    if a.dtype == object:
+        # A Python int past int64, in a list, makes an object array.
+        a = _as_array(a, complex)
     if not np.all(np.isfinite(a)):
         raise DomainError("matrix has a non-finite entry")
     if np.max(np.abs(a - a.conj().T)) > DEFAULT_TOL:
@@ -171,6 +192,15 @@ def hermitian_eigenvalues(m) -> np.ndarray:
     """Ascending real eigenvalues of a Hermitian matrix; no eigenvectors
     are built."""
     return _jacobi_hermitian(_hermitian_part(m), False)
+
+
+def symmetric_eigenvalues(m) -> np.ndarray:
+    """Ascending eigenvalues of a real symmetric matrix: LAPACK's eigvalsh
+    of (m + m^T)/2, behind the gate of hermitian_eigenvalues.  Raises
+    DomainError on complex input."""
+    if np.iscomplexobj(m):
+        raise DomainError("expected a real matrix, got a complex one")
+    return np.linalg.eigvalsh(_hermitian_part(_as_array(m, float)))
 
 
 def svd3(t):
@@ -216,7 +246,7 @@ PAULI_PAIRS = np.array([[np.kron(a, b) for b in _PAULI] for a in _PAULI])
 
 def check_unitary_2x2(u) -> np.ndarray:
     """u as a complex array; raises NonUnitary unless a finite 2x2 unitary within DEFAULT_TOL."""
-    a = np.asarray(u, dtype=complex)
+    a = _as_array(u, complex, NonUnitary)
     # Finiteness first: an infinite entry would make a^dag a warn on inf * 0.
     if a.shape != (2, 2) or not np.isfinite(a).all() \
             or not np.max(np.abs(a.conj().T @ a - np.eye(2))) <= DEFAULT_TOL:

@@ -7,8 +7,8 @@ Each row of MUTANTS is one fault: a file of src/symsq, one exact snippet
 of it, the snippet's replacement and the test node ids expected to fail
 once it is applied.  The script refuses the table, before it runs
 anything, if a snippet is not found exactly once.  For each mutant it
-copies src/, tests/ and pyproject.toml into a temporary directory,
-applies the mutant there and runs
+copies src/, tests/, pyproject.toml and README.md into a temporary
+directory, applies the mutant there and runs
 
     python -m pytest -q -x -p no:cacheprovider <the row's tests>
 
@@ -53,6 +53,8 @@ class Mutant:
 
 _STRICT = "tests/test_hygiene.py::test_every_sign_test_is_strict"
 _VALUES = "tests/test_numerics.py::test_value_only_solve_is_the_full_solve_without_vectors"
+_LAPACK = "tests/test_covariance.py::test_symmetric_eigenvalues_agree_with_jacobi"
+_WALK = "tests/test_hygiene.py::test_nan_in_a_numeric_parameter_raises"
 
 MUTANTS = (
     # One integer gate, one home for each qubit-count rule.
@@ -188,13 +190,58 @@ MUTANTS = (
            "    key = np.asarray(s, dtype=float).tobytes()\n"
            "    if getattr(korbicz_minimum, 'key', None) != key:\n"
            "        korbicz_minimum.key = key\n"
-           "        korbicz_minimum.least = float(hermitian_eigenvalues(c)[0])\n"
+           "        korbicz_minimum.least = float(symmetric_eigenvalues(c)[0])\n"
            "    return korbicz_minimum.least\n",
            ("tests/test_covariance.py::test_c_memo_follows_s_and_t",)),
     Mutant("psd-shift-unguarded", "states.py",
            "_PSD_SHIFT = FROM_BLOCH_PSD_TOL - _EDGE_GUARD",
            "_PSD_SHIFT = FROM_BLOCH_PSD_TOL",
            ("tests/test_states.py::test_positivity_gate_decides_by_the_least_eigenvalue",)),
+    # LAPACK for the real symmetric solves.
+    Mutant("symmetric-values-descending", "numerics.py",
+           "return np.linalg.eigvalsh(_hermitian_part(_as_array(m, float)))",
+           "return np.linalg.eigvalsh(_hermitian_part(_as_array(m, float)))[::-1]",
+           (_LAPACK,)),
+    Mutant("symmetric-gate-dropped", "numerics.py",
+           "return np.linalg.eigvalsh(_hermitian_part(_as_array(m, float)))",
+           "a = check_finite(m)\n    return np.linalg.eigvalsh((a + a.T) / 2.0)",
+           (_LAPACK,)),
+    Mutant("korbicz-c-unsymmetrized", "covariance.py",
+           "    c = (c + c.T) / 2.0\n",
+           "",
+           ("tests/test_covariance.py::test_c_an_ulp_less_symmetric_than_t_is_solved",)),
+    # Huge numbers fail at the gates.
+    Mutant("check-finite-overflows", "numerics.py",
+           "out = [_as_array(a, float) for a in arrays]",
+           "out = [np.asarray(a, dtype=float) for a in arrays]",
+           (f"{_WALK}[models.dicke_pair:M]",)),
+    Mutant("object-matrix-unconverted", "numerics.py",
+           "    if a.dtype == object:\n",
+           "    if False:\n",
+           (f"{_WALK}[numerics.hermitian_eigh:m]",)),
+    Mutant("unitary-gate-overflows", "numerics.py",
+           "a = _as_array(u, complex, NonUnitary)",
+           "a = np.asarray(u, dtype=complex)",
+           (f"{_WALK}[numerics.check_unitary_2x2:u]",)),
+    Mutant("check-tol-overflows", "numerics.py",
+           "    except OverflowError:\n        raise DomainError(message) from None\n",
+           "    except ZeroDivisionError:\n        raise DomainError(message) from None\n",
+           (f"{_WALK}[numerics.check_tol:tol]",)),
+    # The 18 Makhlin formulas: T T^T and T^T T mixed, or an operand swapped.
+    *(Mutant(f"makhlin-{name}", "invariants.py", snippet, replacement,
+             ("tests/test_invariants.py::test_local_unitary_invariance",))
+      for name, snippet, replacement in (
+          ("I12", "        s @ tr,  ", "        s @ (t.T @ r),  "),
+          ("I13", "s @ (tt @ tr),", "s @ (ttt @ tr),"),
+          ("I14", '"ijk,lmn,i,l,jm,kn->"', '"ijk,lmn,i,l,mj,kn->"'),
+          ("I16", "_triple(ts_left, r, tttr),", "_triple(ts_left, r, tt @ r),"),
+          ("I17", "_triple(ts_left, ttt @ ts_left, r),", "_triple(ts_left, tt @ ts_left, r),"),
+          ("I18", "_triple(s, tr, tt @ tr),", "_triple(s, tr, ttt @ tr),"))),
+    # A tolerance moved without its README row.
+    Mutant("readme-tol-stale", "numerics.py",
+           "SVD_NULL_TOL = 1e-13",
+           "SVD_NULL_TOL = 1e-12",
+           ("tests/test_hygiene.py::test_readme_tolerance_table_lists_every_tolerance",)),
 )
 
 
@@ -210,7 +257,9 @@ def _copy_tree(dest: Path) -> None:
     ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
     for name in ("src", "tests"):
         shutil.copytree(ROOT / name, dest / name, ignore=ignore)
-    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+    # README.md: test_readme_tolerance_table_lists_every_tolerance reads it.
+    for name in ("pyproject.toml", "README.md"):
+        shutil.copy2(ROOT / name, dest / name)
 
 
 def _pytest(tree: Path, tests) -> subprocess.CompletedProcess:

@@ -226,13 +226,13 @@ def test_analyze_solves_c_once_for_every_n(tmp_path, monkeypatch, capsys):
     path = tmp_path / "state.json"
     path.write_text(json.dumps(_rho_obj(_SYMMETRIC.rho)))
     solved = []
-    solve = covariance.hermitian_eigenvalues
+    solve = covariance.symmetric_eigenvalues
 
     def counted(m):
         solved.append(np.shape(m))
         return solve(m)
 
-    monkeypatch.setattr(covariance, "hermitian_eigenvalues", counted)
+    monkeypatch.setattr(covariance, "symmetric_eigenvalues", counted)
     covariance._least_eigenvalue.cache_clear()
     assert main(["analyze", str(path), "--N", "2,3,10,100", "--format", "json"]) == EXIT_OK
     assert solved == [(3, 3)]

@@ -18,8 +18,10 @@ from symsq.covariance import (
     korbicz_witness,
     ppt_equivalence_chain,
 )
-from symsq.errors import InvalidN, NonUnitVector, NotSymmetricState
+from symsq.errors import (DomainError, InvalidN, NonHermitian, NonUnitVector,
+                          NotSymmetricState)
 from symsq.invariants import makhlin_all, symmetric_six
+from symsq.numerics import SIGN_TOL
 from symsq.states import (
     SpecialClassState,
     SymmetricTwoQubitState,
@@ -49,12 +51,14 @@ def test_bell_is_c_negative(bell_state):
 
 def test_c_an_ulp_less_symmetric_than_t_is_solved(perturbed_triplet):
     """A symmetric state whose T - T^T sits at DEFAULT_TOL: C = T - s s^T
-    rounds past it, and every C consumer solves (C + C^T)/2, as
-    hermitian_eigh would, instead of raising NonHermitian."""
+    rounds past it, and every C consumer solves (C + C^T)/2 instead of
+    raising NonHermitian at the solver's symmetry gate."""
     state = states.TwoQubitState(perturbed_triplet(9, 3, [0.0, numerics.DEFAULT_TOL, 0.0, 0.0]))
     c = c_matrix(state)
     assert state.symmetric and np.max(np.abs(c - c.T)) > numerics.DEFAULT_TOL
-    least = numerics.hermitian_eigenvalues((c + c.T) / 2)[0]
+    with pytest.raises(NonHermitian):
+        numerics.symmetric_eigenvalues(c)
+    least = numerics.symmetric_eigenvalues((c + c.T) / 2)[0]
     covariance._least_eigenvalue.cache_clear()
     assert c_negativity_test(state)[0] == least
     assert collective_criterion(state.s, state.T, 10).min_eig == 2.5 * (1.0 + 9 * least)
@@ -180,16 +184,16 @@ def test_special_class_ppt_matches_closed_eigenvalues(rng):
 
 
 def _count_c_solves(monkeypatch):
-    """The shapes of the matrices covariance hands to its eigensolver, with
-    the memo of the last C emptied first."""
+    """The shapes of the matrices covariance hands to its symmetric
+    eigensolver, with the memo of the last C emptied first."""
     solved = []
-    solve = covariance.hermitian_eigenvalues
+    solve = covariance.symmetric_eigenvalues
 
     def counted(m):
         solved.append(np.shape(m))
         return solve(m)
 
-    monkeypatch.setattr(covariance, "hermitian_eigenvalues", counted)
+    monkeypatch.setattr(covariance, "symmetric_eigenvalues", counted)
     covariance._least_eigenvalue.cache_clear()
     return solved
 
@@ -210,21 +214,28 @@ def test_one_pair_solves_c_once_for_every_n(monkeypatch, rng):
 def test_one_pair_item_makes_two_eigensolves(monkeypatch, rng):
     """One pair-verdicts item by hand (construct, 18 and 6 invariants, PPT,
     C test, bar invariants, branch, squeezing, witness at three N) solves
-    its partial transpose and C: two eigenproblems, each for its values
-    alone.  The constructor's positivity gate is a Cholesky factorization
-    and nothing reads the state's spectrum, so rho itself is never solved."""
+    two eigenproblems, each for its values alone: its partial transpose by
+    Jacobi and C by LAPACK.  The constructor's positivity gate is a
+    Cholesky factorization and nothing reads the state's spectrum, so rho
+    itself is never solved."""
     rho = random_symmetric_state(3, rng).rho
     covariance._least_eigenvalue.cache_clear()
     solved, vectors = [], []
-    solve = numerics._jacobi_hermitian
+    jacobi, lapack = numerics._jacobi_hermitian, np.linalg.eigvalsh
 
-    def counted(a, with_vectors):
-        solved.append(np.shape(a))
+    def counted_jacobi(a, with_vectors):
+        solved.append(("jacobi", np.shape(a)))
         vectors.append(with_vectors)
-        return solve(a, with_vectors)
+        return jacobi(a, with_vectors)
 
-    # Every solve, with or without eigenvectors, reaches the one solver.
-    monkeypatch.setattr(numerics, "_jacobi_hermitian", counted)
+    def counted_lapack(a):
+        solved.append(("lapack", np.shape(a)))
+        return lapack(a)
+
+    # Every complex solve, with or without eigenvectors, reaches the one
+    # Jacobi solver, and every real symmetric solve LAPACK's eigvalsh.
+    monkeypatch.setattr(numerics, "_jacobi_hermitian", counted_jacobi)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_lapack)
     state = SymmetricTwoQubitState(rho)
     makhlin_all(state)
     inv = symmetric_six(state)
@@ -235,8 +246,8 @@ def test_one_pair_item_makes_two_eigensolves(monkeypatch, rng):
     squeezing(state.s, state.T, 2)
     for n in (2, 10, 100):
         collective_criterion(state.s, state.T, n)
-    assert solved == [(4, 4), (3, 3)]
-    assert vectors == [False, False]
+    assert solved == [("jacobi", (4, 4)), ("lapack", (3, 3))]
+    assert vectors == [False]
 
 
 def _spin_flip_mix(state, p):
@@ -305,3 +316,54 @@ def test_c_carries_the_partial_transpose_sign(kind, seed):
     det_pt = float(np.real(np.linalg.det(partial_transpose(state))))
     assert abs(det_pt - np.linalg.det(c) / 16.0) <= 1e-15
     assert np.sum(np.linalg.eigvalsh(c) < -1e-12) <= 1
+
+
+def _drawn_symmetric(kind, n, seed):
+    """An n x n real symmetric matrix of the given kind drawn from seed, or
+    for a sampler kind the (C + C^T)/2 of a sampled state (n unused)."""
+    if kind in ("triplet", "separable", "special"):
+        c = c_matrix(_sampled_state(kind, seed))
+        return (c + c.T) / 2
+    z = np.random.default_rng(seed).normal(size=(n, n))
+    if kind == "dense":
+        return (z + z.T) / 2
+    if kind == "diagonal":
+        return np.diag(z[0])
+    o = np.linalg.qr(z)[0]
+    if kind == "degenerate":  # an orthogonal conjugate of a repeated diagonal
+        w = np.full(n, z[0, 0])
+        if n > 2:
+            w[-1] = z[-1, -1]
+    else:  # rank-deficient: the least eigenvalue is zero
+        w = np.concatenate([[0.0], np.abs(z[0, 1:])])
+    return (o * w) @ o.T
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(kind=st.sampled_from(["dense", "diagonal", "degenerate", "rank_deficient",
+                             "triplet", "separable", "special"]),
+       n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_symmetric_eigenvalues_agree_with_jacobi(kind, n, seed):
+    """LAPACK's symmetric_eigenvalues against the Jacobi solver as the
+    independent route: the eigenvalues agree within 1e-14 max(1, ||m||), the
+    C < 0 verdict agrees outside |lambda_min| <= 10 SIGN_TOL (for a sampled
+    state, c_negativity_test's own), and complex input or an asymmetry
+    above DEFAULT_TOL raises."""
+    m = _drawn_symmetric(kind, n, seed)
+    w = numerics.symmetric_eigenvalues(m)
+    w_jacobi = numerics.hermitian_eigenvalues(m)
+    assert np.max(np.abs(w - w_jacobi)) <= 1e-14 * max(1.0, np.linalg.norm(m, 2))
+    least = w[0]
+    if kind in ("triplet", "separable", "special"):
+        covariance._least_eigenvalue.cache_clear()
+        least, entangled = c_negativity_test(_sampled_state(kind, seed))
+        assert entangled == (least < -SIGN_TOL)
+    if abs(w_jacobi[0]) > 10 * SIGN_TOL:
+        assert (least < -SIGN_TOL) == (w_jacobi[0] < -SIGN_TOL)
+    with pytest.raises(DomainError):
+        numerics.symmetric_eigenvalues(m + 0j)
+    if len(m) > 1:
+        asymmetric = m.copy()
+        asymmetric[0, -1] += 2 * numerics.DEFAULT_TOL
+        with pytest.raises(NonHermitian):
+            numerics.symmetric_eigenvalues(asymmetric)

@@ -73,7 +73,10 @@ def _modules_with(predicate) -> list:
 def test_each_rule_has_one_home():
     """One integer gate: np.integer is named in numerics only.  One xi^2
     rule: ZERO_SPIN_TOL is read in collective only.  One even-N gate: its
-    message is spelled once."""
+    message is spelled once.  One home for each LAPACK eigen routine:
+    np.linalg.eigvalsh is named in numerics (symmetric_eigenvalues) and cli
+    (the suites' independent reference) only, np.linalg.eigh in oracle (the
+    dense simulator) only."""
     assert _modules_with(lambda node: isinstance(node, ast.Attribute)
                          and ast.unparse(node) == "np.integer") == ["numerics"]
     assert _modules_with(lambda node: isinstance(node, ast.Name) and node.id == "ZERO_SPIN_TOL"
@@ -82,6 +85,10 @@ def test_each_rule_has_one_home():
     texts = [node.value for path in PACKAGE for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Constant) and isinstance(node.value, str)]
     assert sum(text.count("the steady state requires an even N") for text in texts) == 1
+    for routine, homes in (("eigvalsh", ["cli", "numerics"]), ("eigh", ["oracle"])):
+        assert _modules_with(lambda node: isinstance(node, ast.Attribute)
+                             and ast.unparse(node) == f"np.linalg.{routine}"
+                             or isinstance(node, ast.alias) and node.name == routine) == homes
 
 
 def _loose_tolerances(tree) -> list:
@@ -252,15 +259,24 @@ VALID_IN = {
 }
 
 
-def _with_bad(value, bad: float):
-    """value with its last number, or its last field's last number, set to bad."""
+def _with_bad(value, bad):
+    """value with its last number, or its last field's last number, set to
+    bad: in a float array for a float bad, in nested lists for an int bad
+    (a float array cannot hold an int past the float range)."""
     if dataclasses.is_dataclass(value):
         last = dataclasses.fields(value)[-1].name
         return dataclasses.replace(value, **{last: _with_bad(getattr(value, last), bad)})
     if np.ndim(value) == 0:
         return bad
     out = np.array(value, dtype=float)
-    out.flat[-1] = bad
+    if isinstance(bad, float):
+        out.flat[-1] = bad
+        return out
+    out = out.tolist()
+    row = out
+    while isinstance(row[-1], list):
+        row = row[-1]
+    row[-1] = bad
     return out
 
 
@@ -282,6 +298,14 @@ def _values(qual: str, name: str) -> dict:
 NAN_CASES = [(qual, name) for qual, fn in PUBLIC.items()
              for name in inspect.signature(fn).parameters if name not in EXEMPT]
 
+# An int past the float range: float() and NumPy raise OverflowError on it.
+HUGE = 10**400
+# N, n and the counts get no HUGE: test_every_n_entry_shares_one_check and
+# test_n_past_the_float_range_exits_bad_range feed it to every N, and a
+# sample or term count has no upper bound yet, so HUGE would loop instead
+# of raising (ROADMAP item 11).  rank, bounded by 3, takes it here.
+COUNTS = {"N", "n", "count", "n_terms"}
+
 
 def test_every_parameter_has_a_value_or_is_exempt():
     """Every parameter name has a valid value or an exemption, and every
@@ -294,11 +318,13 @@ def test_every_parameter_has_a_value_or_is_exempt():
 @pytest.mark.parametrize("qual, name", NAN_CASES, ids=[f"{q}:{n}" for q, n in NAN_CASES])
 def test_nan_in_a_numeric_parameter_raises(qual, name):
     """Each public function runs on valid values, and raises a SymsqError
-    once one numeric parameter, tol included, holds a NaN, +inf or -inf."""
+    once one numeric parameter, tol included, holds a NaN, +inf or -inf,
+    or, but for N, n and a count, an int past the float range (as a scalar
+    or as the last entry of a list)."""
     fn = PUBLIC[qual]
     values = _values(qual, name)
     _call(fn, dict(values))
-    for bad in (math.nan, math.inf, -math.inf):
+    for bad in (math.nan, math.inf, -math.inf, *([] if name in COUNTS else [HUGE])):
         with pytest.raises(SymsqError):
             _call(fn, {**values, name: _with_bad(values[name], bad)})
 

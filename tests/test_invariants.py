@@ -353,20 +353,26 @@ def _count_calls(monkeypatch):
     eigenvectors) and makhlin_from_bloch ("makhlin") calls, filled while
     the test runs."""
     counts = Counter()
-    solve = numerics._jacobi_hermitian
+    solve, lapack = numerics._jacobi_hermitian, np.linalg.eigvalsh
 
     def counted_solve(a, vectors):
         counts["eigh"] += 1
         counts["vectors"] += vectors
         return solve(a, vectors)
 
+    def counted_lapack(a):
+        counts["eigh"] += 1
+        return lapack(a)
+
     def counted_makhlin(*args):
         counts["makhlin"] += 1
         return makhlin(*args)
 
-    # Every solve, with or without eigenvectors, reaches the one solver.
+    # Every complex solve, with or without eigenvectors, reaches the one
+    # Jacobi solver, and every real symmetric solve LAPACK's eigvalsh.
     makhlin = invariants.makhlin_from_bloch
     monkeypatch.setattr(numerics, "_jacobi_hermitian", counted_solve)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_lapack)
     monkeypatch.setattr(invariants, "makhlin_from_bloch", counted_makhlin)
     return counts
 
