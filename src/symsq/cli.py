@@ -24,7 +24,7 @@ from .collective import _xi_sq_defined, check_n, classify_invariants, pair_from_
 from .covariance import bar_invariants, c_matrix, c_negativity_test, collective_criterion
 from .errors import SymsqError
 from .invariants import makhlin_all, separability_flags, symmetric_six, symmetric_six_from_bloch
-from .numerics import SIGN_TOL, _check_int, check_tol, hermitian_eigenvalues
+from .numerics import SIGN_TOL, _below, _check_int, check_tol, hermitian_eigenvalues
 from .states import (
     apply_local_unitaries,
     haar_unitary_2x2,
@@ -315,7 +315,7 @@ def suite_ppt_c(rng, count, tol):
         state = random_symmetric_state(int(rng.integers(1, 4)), rng)
         w = np.linalg.eigvalsh(partial_transpose(state))
         min_eig, c_neg = c_negativity_test(state, tol)
-        if (w[0] < -tol) != c_neg:
+        if _below(w[0], tol)[0] != c_neg:
             disagreements += 1
         witness_dev = max(witness_dev,
                           abs(np.linalg.eigvalsh(c_matrix(state))[0] - min_eig))
@@ -344,11 +344,11 @@ def suite_xi_i5(rng, count, tol):
 
     disagreements = compared = skipped = 0
     for s, t, n, inv in samples():
-        if abs(inv.I5) <= tol:
-            skipped += 1
-        else:
+        if _below(inv.I5, tol)[0] or _below(-inv.I5, tol)[0]:
             compared += 1
             disagreements += (squeezing(s, t, n).xi_sq < 1.0) != (inv.I5 < 0.0)
+        else:
+            skipped += 1
     return disagreements, compared, skipped, disagreements == 0
 
 

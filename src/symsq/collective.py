@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import InvalidN, ParityViolation, TraceViolation, ZeroMeanSpin
 from .invariants import SymmetricInvariants
-from .numerics import (DEFAULT_TOL, SIGN_TOL, _check_int, _scalar, check_finite, check_tol,
-                       symmetric_eigenvalues)
+from .numerics import (DEFAULT_TOL, SIGN_TOL, _below, _check_int, _scalar, check_finite,
+                       check_tol, symmetric_eigenvalues)
 
 # A mean spin |s| at or below this counts as zero (no squeezing axis).
 ZERO_SPIN_TOL = 1e-12
@@ -96,7 +96,7 @@ def _check_m(n: int, M):
 def _xi_sq_defined(I3, tol):
     """Where xi^2 is defined, over I3 = |s|^2's shape: a mean spin by
     classify_invariants' rule, I3 > tol, that squeezing takes, |s| > ZERO_SPIN_TOL."""
-    return (I3 > tol) & (np.sqrt(I3) > ZERO_SPIN_TOL)
+    return _below(-I3, tol)[0] & (np.sqrt(I3) > ZERO_SPIN_TOL)
 
 
 def moments_from_pair(s, T, N: int) -> CollectiveMoments:
@@ -171,9 +171,10 @@ _BRANCH_TABLE = np.array(list(Branch), dtype=object)
 
 def classify_invariants(inv: SymmetricInvariants, tol: float = SIGN_TOL) -> PairClassification:
     """The first negative sign test decides the branch: with a mean spin
-    (I3 > tol) I5, then I4, then I4 - I3^2; without one, I1.  The margin
-    is the deciding value's distance past -tol, or for the separable
-    signature the smallest tested value's distance above it.
+    (I3 > tol, the rule on -I3) I5, then I4, then I4 - I3^2; without one,
+    I1.  The margin is the deciding test's, or for the separable signature
+    minus the largest tested margin: the smallest tested value's distance
+    above -tol.
 
     Works over leading axes: invariants whose fields are arrays of shape
     (...) give a branch and margin of that shape (the branch an object
@@ -181,14 +182,15 @@ def classify_invariants(inv: SymmetricInvariants, tol: float = SIGN_TOL) -> Pair
     """
     tol = check_tol(tol)
     inv.require_finite()
-    spin = inv.I3 > tol
+    spin = _below(-inv.I3, tol)[0]
     # The four tests in Branch order; a test on the other side of
     # I3 = tol reads +inf, so it neither decides nor sets the margin.
-    tested = np.where(np.array([spin, spin, spin, inv.I3 <= tol]),
+    tested = np.where(np.array([spin, spin, spin, np.logical_not(spin)]),
                       np.array([inv.I5, inv.I4, inv.combo_I4_minus_I3sq, inv.I1]), np.inf)
+    below, margins = _below(tested, tol)
     # Row j holds where branch _BRANCH_TABLE[j] applies; the last row always does.
-    holds = np.concatenate([tested < -tol, np.ones((1,) + tested.shape[1:], dtype=bool)])
-    margins = np.concatenate([-tested - tol, tested.min(axis=0, keepdims=True) + tol])
+    holds = np.concatenate([below, np.ones((1,) + tested.shape[1:], dtype=bool)])
+    margins = np.concatenate([margins, -margins.max(axis=0, keepdims=True)])
     k = holds.argmax(axis=0)
     margin = np.take_along_axis(margins, k[None], axis=0)[0]
     return PairClassification(branch=_BRANCH_TABLE[k], margin=_scalar(margin))

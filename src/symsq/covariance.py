@@ -23,7 +23,7 @@ import numpy as np
 from .collective import moments_from_pair
 from .errors import ChainMismatch, NonUnitVector
 from .invariants import _triple
-from .numerics import (SIGN_TOL, check_finite, check_tol, hermitian_eigenvalues,
+from .numerics import (SIGN_TOL, _below, check_finite, check_tol, hermitian_eigenvalues,
                        symmetric_eigenvalues)
 from .states import (TRIPLET_BASIS, TwoQubitState, _require_symmetric, partial_transpose,
                      rho_from_bloch)
@@ -95,7 +95,7 @@ def c_negativity_test(state: TwoQubitState, tol: float = SIGN_TOL):
     _require_symmetric(state)
     tol = check_tol(tol)
     min_eig = korbicz_minimum(state.s, state.T)
-    return min_eig, min_eig < -tol
+    return min_eig, _below(min_eig, tol)[0]
 
 
 def ppt_equivalence_chain(state: TwoQubitState) -> ChainDiagnostics:
@@ -149,7 +149,7 @@ def bar_invariants(state: TwoQubitState, tol: float = SIGN_TOL) -> BarInvariants
     bar4 = 0.5 * (bar2 * bar2 - bar3)
     return BarInvariants(
         bar1=bar1, bar2=bar2, bar3=bar3, bar4=bar4,
-        entangled=bar1 < -tol or bar4 < -tol,
+        entangled=_below(bar1, tol)[0] or _below(bar4, tol)[0],
     )
 
 
@@ -168,7 +168,7 @@ def collective_criterion(s, T, N: int, tol: float = SIGN_TOL) -> CollectiveCrite
     witness = m.j_second - (1.0 - 1.0 / N) * np.outer(m.j_mean, m.j_mean)
     min_eig = 0.25 * N * (1.0 + (N - 1) * korbicz_minimum(s, T))
     return CollectiveCriterion(witness_matrix=witness, min_eig=min_eig,
-                               entangled=min_eig < N / 4.0 - tol)
+                               entangled=_below(min_eig, tol, N / 4.0)[0])
 
 
 def korbicz_witness(s, T, k_hat) -> float:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import SIGN_TOL, _scalar, check_finite, check_tol, svd3
+from .numerics import SIGN_TOL, _below, _scalar, check_finite, check_tol, svd3
 from .states import SpecialClassState, TwoQubitState, _require_symmetric
 
 # Levi-Civita tensor for the explicit epsilon contractions.
@@ -152,11 +152,6 @@ def special_class_six(a, b, c, d) -> SymmetricInvariants:
     fields of that shape, and floats give floats.
     """
     check_finite(a, b, c, d)
-    return _special_class_six(a, b, c, d)
-
-
-def _special_class_six(a, b, c, d) -> SymmetricInvariants:
-    """special_class_six without its gate, for a validated SpecialClassState."""
     b = abs(b)
     sz2 = (a - d) ** 2
     return SymmetricInvariants(
@@ -171,7 +166,7 @@ def _special_class_six(a, b, c, d) -> SymmetricInvariants:
 
 def special_class_invariants(p: SpecialClassState) -> SymmetricInvariants:
     """Closed forms of a special-class state (special_class_six of its parameters)."""
-    return _special_class_six(p.a, p.b, p.c, p.d)
+    return special_class_six(p.a, p.b, p.c, p.d)
 
 
 @dataclass(frozen=True)
@@ -181,25 +176,17 @@ class SeparabilityFlags:
     I4_minus_I3sq_negative: bool
     I1_negative_with_I3_zero: bool
 
-    @property
-    def any_entangled(self) -> bool:
-        return (
-            self.I4_negative
-            or self.I5_negative
-            or self.I4_minus_I3sq_negative
-            or self.I1_negative_with_I3_zero
-        )
-
 
 def separability_flags(inv: SymmetricInvariants, tol: float = SIGN_TOL) -> SeparabilityFlags:
     """Strict sign tests; each true flag is sufficient for entanglement."""
     tol = check_tol(tol)
     inv.require_finite()
+    spin = _below(-inv.I3, tol)[0]  # I3 > tol
     return SeparabilityFlags(
-        I4_negative=inv.I4 < -tol,
-        I5_negative=inv.I5 < -tol,
-        I4_minus_I3sq_negative=inv.combo_I4_minus_I3sq < -tol,
-        I1_negative_with_I3_zero=inv.I3 <= tol and inv.I1 < -tol,
+        I4_negative=_below(inv.I4, tol)[0],
+        I5_negative=_below(inv.I5, tol)[0],
+        I4_minus_I3sq_negative=_below(inv.combo_I4_minus_I3sq, tol)[0],
+        I1_negative_with_I3_zero=not spin and _below(inv.I1, tol)[0],
     )
 
 

@@ -17,6 +17,8 @@ check_finite and check_tol are the two input gates: every public function
 that takes pair data, moments or model parameters passes them through the
 first, and every sign test passes its tol through the second; a Python int
 past the float range fails either with DomainError, never OverflowError.
+_below is the one sign-test rule, x < edge - tol with its margin: every
+comparison against tol but check_tol's goes through it.
 _check_int is the gate on every integer: the samplers' rank and term
 count, the verify suites' sample count and every qubit count N.
 """
@@ -80,6 +82,15 @@ def check_tol(tol, name: str = "tol") -> float:
     if not 0.0 < tol < math.inf:
         raise DomainError(message)
     return tol
+
+
+def _below(x, tol: float, edge: float = 0.0):
+    """(verdict, margin) of the sign test x < edge - tol, elementwise:
+    margin = (edge - tol) - x and verdict = margin > 0, which is exactly
+    x < edge - tol in IEEE arithmetic.  A Python float x gives a Python
+    bool and float."""
+    margin = (edge - tol) - x
+    return margin > 0.0, margin
 
 
 def _check_int(value, name: str, lo: int, hi: float = math.inf, error=DomainError) -> int:

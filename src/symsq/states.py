@@ -206,18 +206,13 @@ class SpecialClassState:
         )
 
     def bloch(self):
-        return _special_class_bloch(self.a, self.b, self.c, self.d)
+        return special_class_bloch(self.a, self.b, self.c, self.d)
 
 
 def special_class_bloch(a, b, c, d):
     """(s, T) of the special class; over leading axes when a and d are
     arrays of one shape (b and c broadcast against them)."""
     check_finite(a, b, c, d)
-    return _special_class_bloch(a, b, c, d)
-
-
-def _special_class_bloch(a, b, c, d):
-    """special_class_bloch without its gate, for a validated SpecialClassState."""
     sz = np.asarray(a - d)
     s = np.zeros(sz.shape + (3,))
     s[..., 2] = sz

@@ -52,6 +52,11 @@ class Mutant:
 
 
 _STRICT = "tests/test_hygiene.py::test_every_sign_test_is_strict"
+_STRICT_CASES = ("bar_invariants", "c_negativity_test", "classify_invariants",
+                 "collective_criterion",
+                 *(f"separability_flags.{flag}" for flag in (
+                     "I1_negative_with_I3_zero", "I4_minus_I3sq_negative", "I4_negative",
+                     "I5_negative")))
 _VALUES = "tests/test_numerics.py::test_value_only_solve_is_the_full_solve_without_vectors"
 _LAPACK = "tests/test_covariance.py::test_symmetric_eigenvalues_agree_with_jacobi"
 _WALK = "tests/test_hygiene.py::test_nan_in_a_numeric_parameter_raises"
@@ -80,8 +85,8 @@ MUTANTS = (
            ("tests/test_models.py::test_atomic_validation",
             "tests/test_oracle.py::test_atomic_state_parity")),
     Mutant("xi-sq-without-zero-spin", "collective.py",
-           "return (I3 > tol) & (np.sqrt(I3) > ZERO_SPIN_TOL)",
-           "return I3 > tol",
+           "return _below(-I3, tol)[0] & (np.sqrt(I3) > ZERO_SPIN_TOL)",
+           "return _below(-I3, tol)[0]",
            ("tests/test_cli.py::test_xi_sq_needs_an_axis_below_any_tol",)),
     # One moment map, one triplet basis.
     Mutant("moment-map-factor", "collective.py",
@@ -105,39 +110,33 @@ MUTANTS = (
            "[0, 1 / _SQ2, -1 / _SQ2, 0]",
            "[0, 1 / _SQ2, 1 / _SQ2, 0]",
            ("tests/test_covariance.py::test_basis_change_matrices_are_unitary",)),
-    # Sign tests and gates.
-    Mutant("c-test-plus-tol", "covariance.py",
-           "return min_eig, min_eig < -tol",
-           "return min_eig, min_eig < tol",
-           (f"{_STRICT}[c_negativity_test]",)),
-    Mutant("c-test-le", "covariance.py",
-           "return min_eig, min_eig < -tol",
-           "return min_eig, min_eig <= -tol",
-           (f"{_STRICT}[c_negativity_test]",)),
-    Mutant("bar1-le", "covariance.py",
-           "entangled=bar1 < -tol or",
-           "entangled=bar1 <= -tol or",
-           (f"{_STRICT}[bar_invariants]",)),
-    Mutant("bar4-le", "covariance.py",
-           "or bar4 < -tol,",
-           "or bar4 <= -tol,",
-           (f"{_STRICT}[bar_invariants]",)),
-    Mutant("witness-le", "covariance.py",
-           "entangled=min_eig < N / 4.0 - tol)",
-           "entangled=min_eig <= N / 4.0 - tol)",
+    # One sign-test rule, and each sign test's call into it.
+    Mutant("sign-rule-not-strict", "numerics.py",
+           "return margin > 0.0, margin",
+           "return margin >= 0.0, margin",
+           (*(f"{_STRICT}[{case}]" for case in _STRICT_CASES),
+            "tests/test_numerics.py::test_sign_rule_is_strict_below_edge_minus_tol")),
+    # Each site passes -tol for tol, and its own strict case fails.
+    *(Mutant(f"{name}-minus-tol", path, snippet, snippet.replace(", tol)", ", -tol)"),
+             (f"{_STRICT}[{case}]",))
+      for name, case, path, snippet in (
+          ("c-test", "c_negativity_test", "covariance.py", "min_eig, _below(min_eig, tol)"),
+          ("bar1", "bar_invariants", "covariance.py", "_below(bar1, tol)"),
+          ("bar4", "bar_invariants", "covariance.py", "_below(bar4, tol)"),
+          ("classify", "classify_invariants", "collective.py", "_below(tested, tol)"),
+          *((f"flag-{flag}", f"separability_flags.{flag}", "invariants.py",
+             f"_below({value}, tol)")
+            for flag, value in (("I4_negative", "inv.I4"), ("I5_negative", "inv.I5"),
+                                ("I4_minus_I3sq_negative", "inv.combo_I4_minus_I3sq"),
+                                ("I1_negative_with_I3_zero", "inv.I1"))))),
+    Mutant("witness-edge-dropped", "covariance.py",
+           "_below(min_eig, tol, N / 4.0)",
+           "_below(min_eig, tol)",
            (f"{_STRICT}[collective_criterion]",)),
-    Mutant("classify-le", "collective.py",
-           "holds = np.concatenate([tested < -tol,",
-           "holds = np.concatenate([tested <= -tol,",
-           (f"{_STRICT}[classify_invariants]",)),
-    *(Mutant(f"flag-{flag}-le", "invariants.py", f"{flag}={value} < -tol", f"{flag}={value} <= -tol",
-             (f"{_STRICT}[separability_flags.{flag}]",))
-      for flag, value in (("I4_negative", "inv.I4"), ("I5_negative", "inv.I5"),
-                          ("I4_minus_I3sq_negative", "inv.combo_I4_minus_I3sq"))),
-    Mutant("flag-I1_negative_with_I3_zero-le", "invariants.py",
-           "and inv.I1 < -tol,",
-           "and inv.I1 <= -tol,",
-           (f"{_STRICT}[separability_flags.I1_negative_with_I3_zero]",)),
+    Mutant("spin-complement-as-int", "collective.py",
+           "np.logical_not(spin)",
+           "~spin",
+           ("tests/test_collective.py::test_mean_spin_skips_the_i1_test",)),
     Mutant("flips-entry-dropped", "invariants.py",
            "    np.array([-1.0, -1.0, 1.0]),\n)",
            ")",

@@ -136,6 +136,17 @@ def test_classification_takes_the_first_negative_test(i5, i4, branch):
     assert cls.branch is branch and cls.margin == -first - SIGN_TOL
 
 
+def test_mean_spin_skips_the_i1_test():
+    """With a mean spin (I3 > tol) I1 is not tested: I5, I4 and I4 - I3^2
+    all nonnegative and I1 < -tol read the separable signature, whose
+    margin is the smallest tested value's distance above -tol."""
+    inv = SymmetricInvariants(I1=-0.5, I2=0.1, I3=0.25, I4=0.1, I5=0.02, I6=0.1)
+    cls = classify_invariants(inv)
+    assert cls.branch is Branch.SEPARABLE_SIGNATURE
+    assert type(cls.margin) is float
+    assert cls.margin == min(inv.I5, inv.I4, inv.combo_I4_minus_I3sq) + SIGN_TOL
+
+
 def test_classification_complete_on_special_class(rng):
     """On the special class the four sign tests exactly decide
     entanglement (PPT verdict)."""

@@ -70,13 +70,36 @@ def _modules_with(predicate) -> list:
                   if any(map(predicate, ast.walk(ast.parse(path.read_text())))))
 
 
+def _reads_tol(node) -> bool:
+    """Whether an operand is a name tol or an expression of it; a call's
+    arguments are the callee's, so the walk stops at calls."""
+    if isinstance(node, ast.Call):
+        return False
+    if isinstance(node, ast.Name):
+        return node.id == "tol"
+    return any(map(_reads_tol, ast.iter_child_nodes(node)))
+
+
+def _functions_using_tol() -> list:
+    """module.function for every function of the package that compares,
+    negates or does arithmetic with a name tol."""
+    return sorted({f"{path.stem}.{fn.name}" for path in PACKAGE
+                   for fn in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(fn, ast.FunctionDef)
+                   for node in ast.walk(fn)
+                   if isinstance(node, (ast.Compare, ast.BinOp, ast.UnaryOp))
+                   and _reads_tol(node)})
+
+
 def test_each_rule_has_one_home():
     """One integer gate: np.integer is named in numerics only.  One xi^2
     rule: ZERO_SPIN_TOL is read in collective only.  One even-N gate: its
     message is spelled once.  One home for each LAPACK eigen routine:
     np.linalg.eigvalsh is named in numerics (symmetric_eigenvalues) and cli
     (the suites' independent reference) only, np.linalg.eigh in oracle (the
-    dense simulator) only."""
+    dense simulator) only.  One sign-test rule: only numerics._below, and
+    check_tol's range check, compare or compute with tol."""
+    assert _functions_using_tol() == ["numerics._below", "numerics.check_tol"]
     assert _modules_with(lambda node: isinstance(node, ast.Attribute)
                          and ast.unparse(node) == "np.integer") == ["numerics"]
     assert _modules_with(lambda node: isinstance(node, ast.Name) and node.id == "ZERO_SPIN_TOL"

@@ -1,4 +1,7 @@
-"""Hand-rolled eigensolver kernels checked against the LAPACK oracle."""
+"""Hand-rolled eigensolver kernels checked against the LAPACK oracle, and
+the one sign-test rule."""
+
+import math
 
 import numpy as np
 import pytest
@@ -192,3 +195,37 @@ def test_value_only_solve_is_the_full_solve_without_vectors(kind, n, seed):
     assert w.tobytes() == hermitian_eigh(h)[0].tobytes()
     w_ref = np.linalg.eigvalsh(h)
     assert np.max(np.abs(w - w_ref)) <= 1e-12 * max(1.0, np.max(np.abs(w_ref)))
+
+
+_SMALLEST_NORMAL = float(np.finfo(float).tiny)
+_EDGES = st.one_of(st.just(0.0), st.integers(2, 2**53).map(lambda n: n / 4.0))
+
+
+def _near(v: float, steps: int) -> float:
+    """v moved steps ulps up (steps > 0) or down."""
+    for _ in range(abs(steps)):
+        v = np.nextafter(v, math.copysign(math.inf, steps))
+    return float(v)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(tol=st.floats(0.0, 1e3, exclude_min=True), edge=_EDGES, data=st.data())
+def test_sign_rule_is_strict_below_edge_minus_tol(tol, edge, data):
+    """_below(x, tol, edge) reads x < edge - tol and its margin is positive
+    exactly then, on x at and next to edge - tol, at +-0.0, subnormal or
+    anywhere; a Python float gives a Python bool and float, and an array
+    gives the same verdicts and margins elementwise."""
+    x = data.draw(st.one_of(
+        st.integers(-3, 3).map(lambda k: _near(edge - tol, k)),
+        st.sampled_from([0.0, -0.0]),
+        st.floats(-_SMALLEST_NORMAL, _SMALLEST_NORMAL),
+        st.floats(allow_nan=False, allow_infinity=False)))
+    verdict, margin = numerics._below(x, tol, edge)
+    assert type(verdict) is bool and type(margin) is float
+    assert verdict == (x < edge - tol)
+    assert (margin > 0.0) == verdict
+    xs = np.array([x, _near(edge - tol, -1), edge - tol, _near(edge - tol, 1)])
+    verdicts, margins = numerics._below(xs, tol, edge)
+    expected = [numerics._below(float(v), tol, edge) for v in xs]
+    assert verdicts.tolist() == [v for v, _ in expected]
+    assert margins.tolist() == [m for _, m in expected]
