@@ -171,6 +171,8 @@ def special_class_invariants(p: SpecialClassState) -> SymmetricInvariants:
 
 @dataclass(frozen=True)
 class SeparabilityFlags:
+    """Bools for one pair; bool arrays over the leading axes of stacked input."""
+
     I4_negative: bool
     I5_negative: bool
     I4_minus_I3sq_negative: bool
@@ -186,7 +188,7 @@ def separability_flags(inv: SymmetricInvariants, tol: float = SIGN_TOL) -> Separ
         I4_negative=_below(inv.I4, tol)[0],
         I5_negative=_below(inv.I5, tol)[0],
         I4_minus_I3sq_negative=_below(inv.combo_I4_minus_I3sq, tol)[0],
-        I1_negative_with_I3_zero=not spin and _below(inv.I1, tol)[0],
+        I1_negative_with_I3_zero=_scalar(np.logical_not(spin) & _below(inv.I1, tol)[0]),
     )
 
 

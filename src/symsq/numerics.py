@@ -4,7 +4,7 @@ All matrices here are tiny (3x3 or 4x4), and the eigensolves split by
 kind.  symmetric_eigenvalues solves the real symmetric Bloch-data
 matrices (C = T - s s^T, T and the ppt_equivalence_chain block) with
 LAPACK's eigvalsh.  hermitian_eigh and hermitian_eigenvalues solve the
-complex density matrices (rho^Gamma, a state's spectrum, a rho that the
+complex density matrices (rho^Gamma, concurrence's rho, a rho that the
 Cholesky gate rejects) by cyclic complex Jacobi sweeps: simple, robust and
 accurate to machine precision; the second solves for the eigenvalues alone
 and builds no eigenvector matrix, with the same eigenvalues bit for bit.

@@ -21,6 +21,17 @@ from .errors import InvalidN, NormalizationFailure
 from .numerics import _check_int, check_finite
 from .states import SymmetricTwoQubitState, rho_from_bloch
 
+# Largest N the simulator takes.  Its eigensolves hold about six dense
+# complex (N + 1) x (N + 1) matrices of 16 (N + 1)^2 bytes at once: at
+# N = 1000, build_atomic_state and evolve_ku peak about 84 MB above the
+# interpreter and take under a second, and memory grows as N^2, time as N^3.
+_MAX_N = 1000
+
+
+def _check_oracle_n(n, lo: int = 1) -> int:
+    """N as an int; raises InvalidN unless an integer in lo.._MAX_N."""
+    return _check_int(n, "N", lo, _MAX_N, error=InvalidN)
+
 
 @dataclass(frozen=True)
 class CollectiveState:
@@ -28,7 +39,7 @@ class CollectiveState:
     amplitudes: np.ndarray  # length N+1, index i <-> M = N/2 - i
 
     def __post_init__(self):
-        n = _check_int(self.N, "N", 1, error=InvalidN)  # any spin J = N/2 >= 1/2
+        n = _check_oracle_n(self.N)  # any spin J = N/2 >= 1/2
         amp = np.asarray(self.amplitudes, dtype=complex)
         if amp.shape != (n + 1,):
             raise InvalidN("amplitude vector must have length N+1")
@@ -82,10 +93,10 @@ class JOperators:
 
 def build_j_operators(N: int) -> JOperators:
     """Collective spin data in the |J, M> basis, M = N/2 ... -N/2, for any
-    spin J = N/2 >= 1/2.  Cached per N: N is checked and made an int
-    first, so 4, N=4 and np.int64(4) share one entry of the cache that
-    cache_info and cache_clear report on."""
-    return _build_j_operators(_check_int(N, "N", 1, error=InvalidN))
+    spin J = N/2 >= 1/2 up to N = _MAX_N.  Cached per N: N is checked and
+    made an int first, so 4, N=4 and np.int64(4) share one entry of the
+    cache that cache_info and cache_clear report on."""
+    return _build_j_operators(_check_oracle_n(N))
 
 
 @lru_cache(maxsize=16)
@@ -138,8 +149,8 @@ def build_atomic_state(N: int, theta: float) -> CollectiveState:
 
 
 def build_dicke_state(N: int, M) -> CollectiveState:
-    """The basis state |J = N/2, M>."""
-    N = check_n(N)
+    """The basis state |J = N/2, M>, N in 2.._MAX_N."""
+    N = _check_oracle_n(N, 2)
     amp = np.zeros(N + 1, dtype=complex)
     amp[(N - int(_check_m(N, M))) // 2] = 1.0
     return CollectiveState(N=N, amplitudes=amp)

@@ -21,6 +21,7 @@ from .numerics import (
     _check_int,
     check_finite,
     check_unitary_2x2,
+    hermitian_eigenvalues,
     hermitian_eigh,
 )
 
@@ -57,12 +58,10 @@ class TwoQubitState:
     gate is one Cholesky factorization of h + _PSD_SHIFT I, with
     h = (rho + rho^dag)/2: up to rounding, it succeeds exactly when the
     least eigenvalue of h is above -_PSD_SHIFT (Higham, Accuracy and
-    Stability of Numerical Algorithms, ch. 10).  Only a
-    failed factorization solves hermitian_eigh(rho), whose least
-    eigenvalue then decides, so the verdict is always hermitian_eigh's and
-    NotPositive carries its least eigenvalue.
-    `spectrum` is the (w, V) of hermitian_eigh(rho), solved on first read
-    and at most once per state.  All of these arrays are read-only, so
+    Stability of Numerical Algorithms, ch. 10).  Only a failed
+    factorization solves hermitian_eigenvalues(rho), whose least eigenvalue
+    then decides, so the verdict is always the eigensolver's and NotPositive
+    carries its least eigenvalue.  All of these arrays are read-only, so
     nothing derived from them can go stale.
     `symmetric` says whether the state is exchange-symmetric: r = s,
     T = T^T and Tr T = 1, each within DEFAULT_TOL, as every later check of
@@ -77,7 +76,6 @@ class TwoQubitState:
     r: np.ndarray = field(init=False)
     T: np.ndarray = field(init=False)
     symmetric: bool = field(init=False, repr=False)
-    _spectrum: tuple | None = field(init=False, repr=False)
     _memo: dict = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -85,19 +83,11 @@ class TwoQubitState:
         try:
             np.linalg.cholesky((rho + rho.conj().T) / 2.0 + _PSD_SHIFT_4)
         except np.linalg.LinAlgError:
-            least = hermitian_eigh(rho)[0][0]
+            least = hermitian_eigenvalues(rho)[0]
             if least < -FROM_BLOCH_PSD_TOL:
                 raise NotPositive("density matrix has a negative eigenvalue",
                                   min_eig=float(least)) from None
         _fill(self, rho)
-
-    @property
-    def spectrum(self) -> tuple:
-        """(w, V) of hermitian_eigh(rho), ascending and read-only; solved on
-        first read, at most once per state."""
-        if self._spectrum is None:
-            object.__setattr__(self, "_spectrum", _read_only(*hermitian_eigh(self.rho)))
-        return self._spectrum
 
     def bloch(self):
         return self.s, self.r, self.T
@@ -127,7 +117,7 @@ def _read_only(*arrays) -> tuple:
 
 def _fill(state: TwoQubitState, rho: np.ndarray) -> None:
     """Set the fields of a state whose rho passed every gate: its Bloch
-    data and the symmetry rule on them; its spectrum is solved on first read."""
+    data and the symmetry rule on them."""
     bloch = np.real(np.sum(rho * _PAULI_PAIRS_T, axis=(-2, -1)))
     # Contiguous copies: matmul rounds differently on strided views.
     s, r, t = _read_only(bloch[1:, 0].copy(), bloch[0, 1:].copy(), bloch[1:, 1:].copy())
@@ -135,7 +125,7 @@ def _fill(state: TwoQubitState, rho: np.ndarray) -> None:
                      and np.max(np.abs(t - t.T)) <= DEFAULT_TOL
                      and abs(np.trace(t) - 1.0) <= DEFAULT_TOL)
     fields = {"rho": _read_only(rho)[0], "s": s, "r": r, "T": t, "symmetric": symmetric,
-              "_spectrum": None, "_memo": {}}
+              "_memo": {}}
     for name, value in fields.items():
         object.__setattr__(state, name, value)
 
@@ -239,11 +229,10 @@ def concurrence(state: TwoQubitState) -> float:
     The lambda_i, in descending order, are the square roots of the
     eigenvalues of rho (sy x sy) rho* (sy x sy).  For any factor
     rho = X X^dag they are the singular values of the complex symmetric
-    tau = X^T (sy x sy) X (Wootters, PRL 80, 2245 (1998)).  X = V sqrt(w)
-    comes from the state's spectrum, which is solved on its first read;
-    a later call solves no eigenproblem.
+    tau = X^T (sy x sy) X (Wootters, PRL 80, 2245 (1998)), here
+    X = V sqrt(w) from hermitian_eigh(rho).
     """
-    w, v = state.spectrum
+    w, v = hermitian_eigh(state.rho)
     x = v * np.sqrt(np.clip(w, 0.0, None))
     lam = np.linalg.svd(x.T @ PAULI_PAIRS[2, 2] @ x, compute_uv=False)
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
@@ -256,7 +245,6 @@ def apply_local_unitaries(state: TwoQubitState, u1, u2) -> TwoQubitState:
     trace gates and its symmetry rule, but skips the positivity gate: u1
     and u2 are unitary within DEFAULT_TOL, so its eigenvalues are the
     parent's within 2 DEFAULT_TOL and it inherits the parent's positivity.
-    Like every state, it solves its spectrum on first read.
     """
     big = np.kron(check_unitary_2x2(u1), check_unitary_2x2(u2))
     image = object.__new__(TwoQubitState)

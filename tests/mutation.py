@@ -72,7 +72,7 @@ MUTANTS = (
            'return _check_int(n, "N", 1, 2**53, error=InvalidN)',
            ("tests/test_collective.py::test_every_n_entry_shares_one_check",)),
     Mutant("collective-state-unchecked-n", "oracle.py",
-           'n = _check_int(self.N, "N", 1, error=InvalidN)',
+           "n = _check_oracle_n(self.N)",
            "n = self.N",
            ("tests/test_oracle.py::test_collective_state_shape_check",)),
     Mutant("parity-in-floats", "collective.py",
@@ -236,6 +236,59 @@ MUTANTS = (
           ("I16", "_triple(ts_left, r, tttr),", "_triple(ts_left, r, tt @ r),"),
           ("I17", "_triple(ts_left, ttt @ ts_left, r),", "_triple(ts_left, tt @ ts_left, r),"),
           ("I18", "_triple(s, tr, tt @ tr),", "_triple(s, tr, ttt @ tr),"))),
+    # The spin-label rule, the samplers' rank, the local-unitary image and
+    # the simulator's cache key.
+    Mutant("m-parity-dropped", "collective.py",
+           "(abs(2 * m - twom) > INTEGER_TOL) | (twom % 2 != n % 2) | (abs(twom) > n)",
+           "(abs(2 * m - twom) > INTEGER_TOL) | (abs(twom) > n)",
+           ("tests/test_models.py::test_dicke_parity_validation",)),
+    Mutant("m-integer-exact", "collective.py",
+           "(abs(2 * m - twom) > INTEGER_TOL)",
+           "(2 * m != twom)",
+           ("tests/test_models.py::test_dicke_parity_validation",)),
+    Mutant("image-through-the-constructor", "states.py",
+           "    image = object.__new__(TwoQubitState)\n"
+           "    _fill(image, _checked_rho(big @ state.rho @ big.conj().T))\n"
+           "    return image\n",
+           "    return TwoQubitState(big @ state.rho @ big.conj().T)\n",
+           ("tests/test_invariants.py::test_apply_local_unitaries_solves_no_eigenproblem",)),
+    Mutant("image-copies-the-parents-memo", "states.py",
+           "    return image\n",
+           "    object.__setattr__(image, '_memo', state._memo)\n    return image\n",
+           ("tests/test_invariants.py::test_apply_local_unitaries_solves_no_eigenproblem",)),
+    Mutant("j-ops-key-unnormalized", "oracle.py",
+           "    return _build_j_operators(_check_oracle_n(N))\n",
+           "    _check_oracle_n(N)\n    return _build_j_operators(N)\n",
+           ("tests/test_oracle.py::test_j_operator_cache_keeps_one_entry_per_n",)),
+    Mutant("rank-gate-unbounded", "states.py",
+           'rank = _check_int(rank, "rank", 1, 3)',
+           'rank = _check_int(rank, "rank", 1)',
+           ("tests/test_states.py::test_sampler_validation",)),
+    # Each solve returns only what its caller reads.
+    Mutant("rejected-rho-solves-vectors", "states.py",
+           "least = hermitian_eigenvalues(rho)[0]",
+           "least = hermitian_eigh(rho)[0][0]",
+           ("tests/test_cli.py::test_analyze_solves_a_rejected_rho_once",)),
+    # The I1 flag over stacks, one pair's flags as Python bools.
+    Mutant("flag-i1-scalar-and", "invariants.py",
+           "_scalar(np.logical_not(spin) & _below(inv.I1, tol)[0])",
+           "not spin and _below(inv.I1, tol)[0]",
+           ("tests/test_invariants.py::test_separability_flags_over_a_stack",)),
+    Mutant("flag-i1-numpy-bool", "invariants.py",
+           "_scalar(np.logical_not(spin) & _below(inv.I1, tol)[0])",
+           "np.logical_not(spin) & _below(inv.I1, tol)[0]",
+           ("tests/test_invariants.py::test_separability_flags_over_a_stack",)),
+    # The simulator's one capped N gate, and each entry's call into it.
+    *(Mutant(name, "oracle.py", snippet, replacement,
+             ("tests/test_oracle.py::test_simulator_n_is_capped",))
+      for name, snippet, replacement in (
+          ("oracle-cap-dropped", 'return _check_int(n, "N", lo, _MAX_N, error=InvalidN)',
+           'return _check_int(n, "N", lo, error=InvalidN)'),
+          ("j-ops-uncapped", "return _build_j_operators(_check_oracle_n(N))",
+           'return _build_j_operators(_check_int(N, "N", 1, error=InvalidN))'),
+          ("collective-state-uncapped", "n = _check_oracle_n(self.N)",
+           'n = _check_int(self.N, "N", 1, error=InvalidN)'),
+          ("dicke-state-uncapped", "N = _check_oracle_n(N, 2)", "N = check_n(N)"))),
     # A tolerance moved without its README row.
     Mutant("readme-tol-stale", "numerics.py",
            "SVD_NULL_TOL = 1e-13",

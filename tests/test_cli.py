@@ -175,15 +175,18 @@ _STATE_FILES = {
 
 
 def _count_rho_solves(monkeypatch):
-    """The matrices that states.hermitian_eigh solves while the test runs."""
+    """(name, matrix) of each solve that states makes through
+    hermitian_eigh or hermitian_eigenvalues while the test runs."""
     solved = []
 
-    def counted(m):
-        solved.append(np.array(m))
-        return eigh(m)
+    def counted(name, solve):
+        def call(m):
+            solved.append((name, np.array(m)))
+            return solve(m)
+        return call
 
-    eigh = states.hermitian_eigh
-    monkeypatch.setattr(states, "hermitian_eigh", counted)
+    for name in ("hermitian_eigh", "hermitian_eigenvalues"):
+        monkeypatch.setattr(states, name, counted(name, getattr(states, name)))
     return solved
 
 
@@ -191,14 +194,14 @@ def _count_rho_solves(monkeypatch):
 def test_analyze_solves_each_rho_once(kind, tmp_path, monkeypatch, capsys):
     """analyze decides symmetry on the state it loaded, and a valid file's
     rho goes through no eigen solve: the positivity gate is a Cholesky
-    factorization and no output reads the spectrum.  |01><01| reports
+    factorization and no output needs concurrence.  |01><01| reports
     symmetric = false and no invariants."""
     obj, rho = _STATE_FILES[kind]
     path = tmp_path / "state.json"
     path.write_text(json.dumps(obj))
     solved = _count_rho_solves(monkeypatch)
     assert main(["analyze", str(path), "--format", "json"]) == EXIT_OK
-    assert not any(np.array_equal(m, rho) for m in solved)
+    assert not any(np.array_equal(m, rho) for _, m in solved)
     report = json.loads(capsys.readouterr().out)
     assert report["symmetric"] is (kind != "rho_01")
     assert ("invariants" in report) is report["symmetric"]
@@ -207,14 +210,14 @@ def test_analyze_solves_each_rho_once(kind, tmp_path, monkeypatch, capsys):
 def test_analyze_solves_a_rejected_rho_once(tmp_path, monkeypatch, capsys):
     """A Werner matrix p |psi-><psi-| + (1 - p) I/4 with p = 1.01 has the
     triple eigenvalue -0.0025: its failed factorization sends it to one
-    eigen solve, whose least eigenvalue rejects it."""
+    value-only eigen solve, whose least eigenvalue rejects it."""
     singlet = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
     rho = (1.01 * np.outer(singlet, singlet) - 0.01 * np.eye(4) / 4.0).astype(complex)
     path = tmp_path / "state.json"
     path.write_text(json.dumps(_rho_obj(rho)))
     solved = _count_rho_solves(monkeypatch)
     assert main(["analyze", str(path), "--format", "json"]) == EXIT_INVALID_STATE
-    assert sum(np.array_equal(m, rho) for m in solved) == 1
+    assert [name for name, m in solved if np.array_equal(m, rho)] == ["hermitian_eigenvalues"]
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: invalid state: density matrix has a negative eigenvalue\n"

@@ -216,8 +216,8 @@ def test_one_pair_item_makes_two_eigensolves(monkeypatch, rng):
     C test, bar invariants, branch, squeezing, witness at three N) solves
     two eigenproblems, each for its values alone: its partial transpose by
     Jacobi and C by LAPACK.  The constructor's positivity gate is a
-    Cholesky factorization and nothing reads the state's spectrum, so rho
-    itself is never solved."""
+    Cholesky factorization and no verdict needs concurrence, so rho itself
+    is never solved."""
     rho = random_symmetric_state(3, rng).rho
     covariance._least_eigenvalue.cache_clear()
     solved, vectors = [], []
@@ -316,6 +316,41 @@ def test_c_carries_the_partial_transpose_sign(kind, seed):
     det_pt = float(np.real(np.linalg.det(partial_transpose(state))))
     assert abs(det_pt - np.linalg.det(c) / 16.0) <= 1e-15
     assert np.sum(np.linalg.eigvalsh(c) < -1e-12) <= 1
+
+
+def _congruence_floor(s_norm):
+    """f(|s|) = (1 + |s|^2/2 - |s| sqrt(1 + |s|^2/4))/2 = sigma_min(L)^2/2
+    for L = [[1, s^T], [0, I]]; at least (3 - sqrt(5))/4 for |s| <= 1."""
+    return (1.0 + s_norm**2 / 2.0 - s_norm * np.sqrt(1.0 + s_norm**2 / 4.0)) / 2.0
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(rank=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_partial_transpose_over_c_lies_in_the_band(rank, seed):
+    """rho^Gamma is congruent to (1/2) L^T diag(1, C) L, so by Ostrowski's
+    theorem lambda_min(rho^Gamma)/lambda_min(C) lies in [f(|s|), 1/2]
+    wherever lambda_min(C) < -1e-6, up to 1e-14 of rounding in either
+    eigenvalue.  So the PPT and C < 0 verdicts at one tol can disagree only
+    for lambda_min(C) in [-tol/f(|s|), -tol), as the README states."""
+    state = random_symmetric_state(rank, seed)
+    c_min = korbicz_minimum(state.s, state.T)
+    if c_min < -1e-6:
+        pt_min = numerics.hermitian_eigenvalues(partial_transpose(state))[0]
+        floor = _congruence_floor(np.linalg.norm(state.s))
+        assert floor >= (3.0 - np.sqrt(5.0)) / 4.0
+        assert c_min / 2.0 - 1e-14 <= pt_min <= floor * c_min + 1e-14
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(rank=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_i5_factors_through_the_transverse_eigenvalues(rank, seed):
+    """I5 = 2 |s|^2 t_- t_+ with t_-, t_+ the transverse eigenvalues of T
+    that squeezing returns, so sign(xi^2 - 1) = sign(I5) and verify's
+    |I5| <= tol band is |xi^2 - 1| <= (N - 1) tol / (2 |s|^2 t_+)."""
+    state = random_symmetric_state(rank, seed)
+    sq = squeezing(state.s, state.T, 2)
+    product = 2.0 * (state.s @ state.s) * sq.t_perp_minus * sq.t_perp_plus
+    assert abs(symmetric_six(state).I5 - product) <= 1e-11
 
 
 def _drawn_symmetric(kind, n, seed):

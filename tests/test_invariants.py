@@ -12,6 +12,7 @@ from symsq import invariants, numerics, states
 from symsq.errors import NotSymmetricState
 from symsq.invariants import (
     MAKHLIN_NAMES,
+    SymmetricInvariants,
     canonical_form,
     locally_equivalent,
     makhlin_all,
@@ -21,6 +22,7 @@ from symsq.invariants import (
     symmetric_six,
     symmetric_six_from_bloch,
 )
+from symsq.models import dicke_pair, ku_pair
 from symsq.numerics import PAULI_PAIRS, hermitian_eigh
 from symsq.states import (
     SpecialClassState,
@@ -173,6 +175,26 @@ def test_flags_false_on_product(product_state):
     assert not any(dataclasses.astuple(flags))
 
 
+def test_separability_flags_over_a_stack(rng):
+    """Flags of stacked invariants are the per-pair flags entry by entry,
+    and one pair's flags are Python bools, which the CLI prints as
+    true/false.  The stack sets each flag somewhere and clears it
+    somewhere; the models' own stacks take the same call."""
+    pairs = [dicke_pair(4, 0)[1], dicke_pair(6, 1)[1], dicke_pair(4, 2)[1],
+             ku_pair(4, 0.1)[2],
+             *(symmetric_six(random_symmetric_state(r, rng)) for r in (1, 2, 3, 3))]
+    stacked = SymmetricInvariants(*(np.array([getattr(one, f"I{k}") for one in pairs])
+                                    for k in range(1, 7)))
+    flags = dataclasses.asdict(separability_flags(stacked))
+    for k, one in enumerate(pairs):
+        for name, value in dataclasses.asdict(separability_flags(one)).items():
+            assert type(value) is bool and flags[name][k] == value
+    assert all(column.any() and not column.all() for column in flags.values())
+    ku_flags = separability_flags(ku_pair(4, np.array([0.1, 0.5]))[2])
+    assert ku_flags.I5_negative.tolist() == [True, True]
+    assert ku_flags.I1_negative_with_I3_zero.tolist() == [False, False]
+
+
 def test_i5_negative_implies_i1_negative(rng):
     """One-sided implication that does hold on the special class."""
     for _ in range(1000):
@@ -264,8 +286,7 @@ def _fresh_factor_concurrence(rho):
 @given(seed=st.integers(0, 2**32 - 1))
 def test_locally_equivalent_generic_states(seed):
     """A generic (Ginibre) state and its copy under a Haar u1 (x) u2 agree
-    on all 18 invariants within LOCAL_EQUIVALENCE_TOL.  Reusing each
-    state's decomposition and Makhlin set changes no result: concurrence
+    on all 18 invariants within LOCAL_EQUIVALENCE_TOL.  concurrence
     equals its formula on a fresh hermitian_eigh bit for bit, and
     makhlin_all returns the one object it computed for the state.  The
     singular values of tau = X^T (sy x sy) X give the concurrence that the
@@ -283,9 +304,9 @@ def test_locally_equivalent_generic_states(seed):
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(kind=st.sampled_from(["ginibre", "pure", "triplet"]), seed=st.integers(0, 2**32 - 1))
 def test_concurrence_is_invariant_under_local_unitaries(kind, seed):
-    """An image under a Haar u1 (x) u2, whose spectrum is solved on first
-    read, has its parent's concurrence, also for states of rank 1..3; a
-    pure state's is the closed form C(psi) = |psi^T (sy x sy) psi|."""
+    """An image under a Haar u1 (x) u2 has its parent's concurrence, also
+    for states of rank 1..3; a pure state's is the closed form
+    C(psi) = |psi^T (sy x sy) psi|."""
     rng = np.random.default_rng(seed)
     if kind == "ginibre":
         state = TwoQubitState(_ginibre_rho(rng))
@@ -372,9 +393,10 @@ def _count_calls(monkeypatch):
 def test_one_lu_item_solves_one_eigenproblem_and_two_makhlin_sets(monkeypatch, rng):
     """One lu_equivalence item by hand: the constructor and its
     local-unitary image solve no eigenproblem (positivity is a Cholesky
-    factorization), and concurrence solves the one, of the state's
-    spectrum, the item's only solve that builds eigenvectors; each state's
-    18 invariants are computed once, however many callers ask for them."""
+    factorization), and concurrence solves the one, hermitian_eigh(rho),
+    the item's only solve that builds eigenvectors; each state's 18
+    invariants are computed once, however many callers ask for them.  A
+    second concurrence call solves its own factor again: nothing is kept."""
     counts = _count_calls(monkeypatch)
     state = TwoQubitState(_ginibre_rho(rng))
     rotated = apply_local_unitaries(state, haar_unitary_2x2(rng), haar_unitary_2x2(rng))
@@ -385,42 +407,24 @@ def test_one_lu_item_solves_one_eigenproblem_and_two_makhlin_sets(monkeypatch, r
     assert counts["eigh"] == 0
     concurrence(state)
     assert counts == {"eigh": 1, "vectors": 1, "makhlin": 2}
+    concurrence(state)
+    assert counts == {"eigh": 2, "vectors": 2, "makhlin": 2}
 
 
 def test_apply_local_unitaries_solves_no_eigenproblem(monkeypatch, rng):
     """The image inherits positivity from its parent, also an image's image,
-    but not its Makhlin set: that comes from the image's own Bloch data."""
+    so it runs no positivity gate, neither a solve nor a factorization.  It
+    does not inherit the Makhlin set: that comes from its own Bloch data."""
     state = TwoQubitState(_ginibre_rho(rng))
     parent = makhlin_all(state)
     counts = _count_calls(monkeypatch)
+    factored, cholesky = [], np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.append(a) or cholesky(a))
     rotated = apply_local_unitaries(state, haar_unitary_2x2(rng), haar_unitary_2x2(rng))
     apply_local_unitaries(rotated, haar_unitary_2x2(rng), haar_unitary_2x2(rng))
-    assert counts["eigh"] == 0
+    assert counts["eigh"] == 0 and factored == []
     assert makhlin_all(rotated) is not parent
     assert makhlin_all(rotated).values == makhlin_from_bloch(*rotated.bloch()).values
-
-
-def test_image_spectrum_is_solved_once_on_first_read(monkeypatch, rng):
-    """The spectrum of a local-unitary image and of a freshly constructed
-    state is solved on first read, never at construction, and once however
-    often it is read; it is hermitian_eigh(rho) bit for bit, read-only."""
-    rho = _ginibre_rho(rng)
-    u1, u2 = haar_unitary_2x2(rng), haar_unitary_2x2(rng)
-    counts = _count_calls(monkeypatch)
-    image = apply_local_unitaries(TwoQubitState(rho), u1, u2)
-    fresh = TwoQubitState(rho)
-    assert counts["eigh"] == 0
-    for state in (image, fresh):
-        expected_w, expected_v = hermitian_eigh(state.rho)
-        counts.clear()
-        w, v = state.spectrum
-        assert state.spectrum[0] is w and counts["eigh"] == 1
-        assert np.array_equal(w, expected_w) and np.array_equal(v, expected_v)
-        for arr in (w, v):
-            with pytest.raises(ValueError):
-                arr[0] = 0.0
-        with pytest.raises(AttributeError):
-            state.spectrum = (w, v)
 
 
 def _rank_one_triplet_rho(rng):
@@ -444,7 +448,7 @@ def test_image_inherits_the_parents_positivity_verdict(kind, seed):
     else:
         state = states.random_separable_symmetric(int(rng.integers(1, 6)), rng)
     rotated = apply_local_unitaries(state, haar_unitary_2x2(rng), haar_unitary_2x2(rng))
-    w_parent, w_image = state.spectrum[0][0], hermitian_eigh(rotated.rho)[0][0]
+    w_parent, w_image = hermitian_eigh(state.rho)[0][0], hermitian_eigh(rotated.rho)[0][0]
     assert abs(w_image - w_parent) < 1e-12
     assert w_image >= -states.FROM_BLOCH_PSD_TOL
 
@@ -458,8 +462,7 @@ def test_state_arrays_are_read_only(rng):
     state = TwoQubitState(rho)
     conc, inv = concurrence(state), makhlin_all(state)
     rho[0, 0] += 1.0
-    w, v = state.spectrum
-    for arr in (state.rho, state.s, state.r, state.T, w, v):
+    for arr in (state.rho, state.s, state.r, state.T):
         with pytest.raises(ValueError):
             arr[0] = 0.0
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from symsq import oracle
 from symsq.collective import pair_from_moments
 from symsq.errors import InvalidN, ParityViolation
 from symsq.models import atomic_pair
@@ -49,6 +50,22 @@ def test_collective_state_shape_check():
         with pytest.raises(InvalidN, match="N must be an integer >= 1"):
             CollectiveState(N=bad_n, amplitudes=amp)
     assert type(CollectiveState(N=np.int64(1), amplitudes=[1, 0]).N) is int
+
+
+def test_simulator_n_is_capped():
+    """The simulator takes N up to oracle._MAX_N, checked before anything
+    is allocated: each entry's own gate raises, with its own lower bound.
+    The gate alone runs at the cap; the entries run at cap + 1, where a
+    missing gate would cost O(N) memory or one dense solve, never a huge
+    allocation."""
+    cap = oracle._MAX_N
+    assert oracle._check_oracle_n(cap) == cap == oracle._check_oracle_n(np.int64(cap), 2)
+    for lo, call in ((1, oracle._check_oracle_n), (1, build_j_operators),
+                     (1, lambda n: CollectiveState(N=n, amplitudes=np.eye(n + 1)[0])),
+                     (2, lambda n: build_dicke_state(n, 0.5)), (1, lambda n: evolve_ku(n, 0.3)),
+                     (1, lambda n: build_atomic_state(n + 1, 0.3))):
+        with pytest.raises(InvalidN, match=f"N must be an integer >= {lo} and <= {cap}$"):
+            call(cap + 1)
 
 
 def test_ku_mean_spin_closed_form():
@@ -224,10 +241,11 @@ def test_j_operator_cache_is_bounded_and_refills():
 
 
 def test_j_operator_cache_keeps_one_entry_per_n():
-    """However N is spelled, one N is one cache entry."""
+    """However N is spelled, one N is one cache entry, keyed and kept as an int."""
     build_j_operators.cache_clear()
-    ops = build_j_operators(4)
-    assert build_j_operators(N=4) is ops and build_j_operators(np.int64(4)) is ops
+    ops = build_j_operators(np.int64(4))
+    assert type(ops.N) is int
+    assert build_j_operators(N=4) is ops and build_j_operators(4) is ops
     assert build_j_operators.cache_info().currsize == 1
     with pytest.raises(InvalidN):
         build_j_operators(N=4.0)

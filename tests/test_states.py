@@ -131,7 +131,9 @@ def test_positivity_gate_accepts_every_sampler_without_a_solve(kind, seed):
     rho = _SAMPLERS[kind](np.random.default_rng(seed))
     solved = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(states, "hermitian_eigh", lambda m: solved.append(m) or hermitian_eigh(m))
+        for name in ("hermitian_eigh", "hermitian_eigenvalues"):
+            solve = getattr(states, name)
+            mp.setattr(states, name, lambda m, solve=solve: solved.append(m) or solve(m))
         TwoQubitState(rho)
     assert solved == []
 
