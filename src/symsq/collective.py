@@ -22,9 +22,6 @@ from .numerics import (DEFAULT_TOL, SIGN_TOL, _below, _check_int, _scalar, check
 
 # A mean spin |s| at or below this counts as zero (no squeezing axis).
 ZERO_SPIN_TOL = 1e-12
-# A unit mean-spin direction within this of +e3 or -e3 is rotated onto e3
-# by the identity or by the pi rotation about e1.
-AXIS_GUARD_TOL = 1e-14
 # Rounding slack of the integer checks on 2J and 2M.
 INTEGER_TOL = 1e-12
 
@@ -118,24 +115,6 @@ def pair_from_moments(m: CollectiveMoments):
 
 
 _EYE3 = np.eye(3)
-_PI_ABOUT_E1 = np.diag([1.0, -1.0, -1.0])
-
-
-def _rotation_to_axis3(direction: np.ndarray) -> np.ndarray:
-    """Proper rotations R with R @ direction = e3, over leading axes
-    (direction of shape (..., 3), unit vectors)."""
-    c = direction[..., 2]
-    south = c < -1.0 + AXIS_GUARD_TOL
-    # The cross-product matrix of v = direction x e3 = (d_y, -d_x, 0).
-    vx = np.zeros(direction.shape + (3,))
-    vx[..., 2, :2] = direction[..., :2]
-    vx[..., :2, 2] = -direction[..., :2]
-    # Near the south pole 1 + c vanishes, so 1 is added there; the pi
-    # rotation replaces that result.
-    rot = _EYE3 + vx + vx @ vx / (1.0 + c + south)[..., None, None]
-    rot[c > 1.0 - AXIS_GUARD_TOL] = _EYE3
-    rot[south] = _PI_ABOUT_E1
-    return rot
 
 
 def squeezing(s, T, N: int) -> SqueezingReport:
@@ -152,8 +131,14 @@ def squeezing(s, T, N: int) -> SqueezingReport:
     if (s0 <= ZERO_SPIN_TOL).any():
         raise ZeroMeanSpin("mean spin vanishes; use the I3 = 0 classification branch")
     n0 = s / s0[..., None]
-    rot = _rotation_to_axis3(n0)
-    tp = rot @ t @ rot.swapaxes(-1, -2)
+    # The Householder reflection h = I - 2 v v^T / (v . v) maps n0 to
+    # -sign(n0_3) e3 and the transverse plane onto the first two axes.
+    # v . v = 2 (1 + |n0_3|) >= 2, so nothing cancels; n0 = +-e3 gives
+    # h = diag(1, 1, -1), which reads T's 2x2 block exactly.
+    v = n0 + np.copysign(1.0, n0[..., 2:]) * _EYE3[2]
+    scaled = v * (2.0 / np.einsum("...i,...i->...", v, v))[..., None]
+    h = _EYE3 - np.einsum("...i,...j->...ij", v, scaled)
+    tp = h @ t @ h
     a, b, c = tp[..., 0, 0], tp[..., 1, 1], tp[..., 0, 1]
     disc = np.sqrt((a - b) ** 2 + 4 * c * c)
     t_minus = 0.5 * (a + b - disc)

@@ -18,6 +18,7 @@ from .errors import InvalidDensityMatrix, NotPositive, NotSymmetricState
 from .numerics import (
     DEFAULT_TOL,
     PAULI_PAIRS,
+    _as_array,
     _check_int,
     check_finite,
     check_unitary_2x2,
@@ -326,7 +327,7 @@ def state_from_json(obj: dict) -> TwoQubitState:
         raise ValueError("state object must contain exactly one of 'rho', 'bloch', 'special'")
     key = keys.pop()
     if key == "rho":
-        arr = np.asarray(obj["rho"], dtype=float)
+        arr = _as_array(obj["rho"], float)
         if arr.shape != (4, 4, 2):
             raise ValueError("'rho' must be a 4x4 array of [re, im] pairs")
         return TwoQubitState(arr[..., 0] + 1j * arr[..., 1])
@@ -334,9 +335,10 @@ def state_from_json(obj: dict) -> TwoQubitState:
         b = obj["bloch"]
         return from_bloch(b["s"], b["r"], b["T"])
     sp = obj["special"]
-    return symmetric_from_special(
-        SpecialClassState(a=float(sp["a"]), b=float(sp["b"]), c=float(sp["c"]), d=float(sp["d"]))
-    )
+    params = _as_array([sp["a"], sp["b"], sp["c"], sp["d"]], float)
+    if params.shape != (4,):
+        raise ValueError("'special' parameters a, b, c, d must be numbers")
+    return symmetric_from_special(SpecialClassState(*params.tolist()))
 
 
 def load_state_file(path) -> TwoQubitState:

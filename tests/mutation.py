@@ -13,14 +13,20 @@ directory, applies the mutant there and runs
     python -m pytest -q -x -p no:cacheprovider <the row's tests>
 
 against the copy, one pytest process at a time; it never writes to the
-working tree.  A mutant is killed when pytest fails and survives when the
-named tests pass.  Before the mutants, the union of all named tests runs
-once on an unmutated copy: a test that fails there kills nothing.
+working tree.  A mutant is killed when pytest fails.  A mutant that
+passes its named tests runs once more on the same mutated copy under the
+whole Tier-1 suite (`python -m pytest -q --continue-on-collection-errors`,
+with -x): it is `killed (Tier-1)` when that fails, which means its row
+names the wrong tests, and survives when that passes too.  Before the
+mutants, the union of all named tests runs once on an unmutated copy, and
+so does Tier-1 the first time it kills a mutant: a test that fails there
+kills nothing.
 
 A survivor is a missing test, or an equivalent mutant: a row that cannot
 be killed says why in its `equivalent` field.  Exit status 0 when every
-mutant is killed or noted as equivalent, 1 when one survives, 2 when the
-table or the unmutated run is refused.
+mutant is killed (by its named tests or by Tier-1) or noted as
+equivalent, 1 when one survives, 2 when the table or an unmutated run is
+refused.
 
 Stdlib only.  Pytest does not collect this file: it collects test_*.py.
 This is mutation testing in the sense of DeMillo, Lipton and Sayward,
@@ -60,6 +66,11 @@ _STRICT_CASES = ("bar_invariants", "c_negativity_test", "classify_invariants",
 _VALUES = "tests/test_numerics.py::test_value_only_solve_is_the_full_solve_without_vectors"
 _LAPACK = "tests/test_covariance.py::test_symmetric_eigenvalues_agree_with_jacobi"
 _WALK = "tests/test_hygiene.py::test_nan_in_a_numeric_parameter_raises"
+_POLES = "tests/test_collective.py::test_squeezing_is_exact_near_the_poles"
+_HUGE = "tests/test_cli.py::test_analyze_number_past_the_float_range_exit_code"
+_HOUSEHOLDER = "v = n0 + np.copysign(1.0, n0[..., 2:]) * _EYE3[2]"
+# The Tier-1 command, as pytest arguments; testpaths names tests/.
+_TIER1 = ("--continue-on-collection-errors",)
 
 MUTANTS = (
     # One integer gate, one home for each qubit-count rule.
@@ -226,6 +237,26 @@ MUTANTS = (
            "    except OverflowError:\n        raise DomainError(message) from None\n",
            "    except ZeroDivisionError:\n        raise DomainError(message) from None\n",
            (f"{_WALK}[numerics.check_tol:tol]",)),
+    Mutant("special-overflows", "states.py",
+           'params = _as_array([sp["a"], sp["b"], sp["c"], sp["d"]], float)',
+           'params = np.array([float(sp["a"]), float(sp["b"]), float(sp["c"]), float(sp["d"])])',
+           (f"{_HUGE}[special]",)),
+    Mutant("rho-overflows", "states.py",
+           'arr = _as_array(obj["rho"], float)',
+           'arr = np.asarray(obj["rho"], dtype=float)',
+           (f"{_HUGE}[rho]",)),
+    # One reflection onto the axis, with no branch on the spin direction.
+    Mutant("householder-unsigned", "collective.py",
+           _HOUSEHOLDER,
+           "v = n0 + 1.0 * _EYE3[2]",
+           (f"{_POLES}[0.0--e3]",
+            "tests/test_collective.py::test_squeezing_along_e3_reads_the_2x2_block_exactly[-e3]")),
+    Mutant("householder-pole-snap", "collective.py",
+           _HOUSEHOLDER,
+           "pole = abs(n0[..., 2:]) > 1.0 - 1e-14\n"
+           "    v = np.where(pole, np.copysign(_EYE3[2], n0[..., 2:]), n0)\n"
+           "    " + _HOUSEHOLDER.replace("n0 +", "v +"),
+           (f"{_POLES}[1e-09-+e3]", f"{_POLES}[1e-09--e3]")),
     # The 18 Makhlin formulas: T T^T and T^T T mixed, or an operand swapped.
     *(Mutant(f"makhlin-{name}", "invariants.py", snippet, replacement,
              ("tests/test_invariants.py::test_local_unitary_invariance",))
@@ -324,9 +355,11 @@ def _pytest(tree: Path, tests) -> subprocess.CompletedProcess:
         cwd=tree, env=env, capture_output=True, text=True, timeout=900)
 
 
-def _run(mutant: Mutant | None, tests) -> tuple:
-    """(pytest's return code, its last output line, seconds) for the tests
-    on a fresh copy of the tree with mutant applied (None: unmutated)."""
+def _run(mutant: Mutant | None, *stages) -> tuple:
+    """Pytest over each stage's tests in turn, on one fresh copy of the tree
+    with mutant applied (None: unmutated), up to the first stage that
+    fails: (its return code, its last output line, seconds in all, the
+    index of the last stage run)."""
     with tempfile.TemporaryDirectory(prefix="symsq-mutant-") as tmp:
         tree = Path(tmp)
         _copy_tree(tree)
@@ -334,9 +367,12 @@ def _run(mutant: Mutant | None, tests) -> tuple:
             path = tree / "src" / "symsq" / mutant.path
             path.write_text(path.read_text().replace(mutant.snippet, mutant.replacement))
         t0 = time.perf_counter()
-        done = _pytest(tree, tests)
+        for stage, tests in enumerate(stages):
+            done = _pytest(tree, tests)
+            if done.returncode:
+                break
         lines = (done.stdout.strip() or done.stderr.strip() or "(no output)").splitlines()
-        return done.returncode, lines[-1], time.perf_counter() - t0
+        return done.returncode, lines[-1], time.perf_counter() - t0, stage
 
 
 def main(argv) -> int:
@@ -347,20 +383,31 @@ def main(argv) -> int:
         print("refused:", *errors, sep="\n  ")
         return 2
     union = list(dict.fromkeys(t for m in chosen for t in m.tests))
-    code, last, secs = _run(None, union)
+    code, last, secs, _ = _run(None, union)
     if code != 0:
         print(f"refused: the named tests fail without a mutant ({secs:.1f} s): {last}")
         return 2
     print(f"unmutated: {len(union)} named tests pass ({secs:.1f} s)")
     survivors = []
+    tier1_passes = False
     for m in chosen:
-        code, last, secs = _run(m, m.tests)
-        verdict = "killed" if code else ("equivalent" if m.equivalent else "SURVIVED")
-        print(f"{verdict:10} {m.id:32} {secs:6.1f} s  {last}")
+        code, last, secs, stage = _run(m, m.tests, _TIER1)
+        if code and stage and not tier1_passes:
+            base, base_last, base_secs, _ = _run(None, _TIER1)
+            if base:
+                print(f"refused: Tier-1 fails without a mutant ({base_secs:.1f} s): {base_last}")
+                return 2
+            print(f"unmutated: Tier-1 passes ({base_secs:.1f} s)")
+            tier1_passes = True
+        if code:
+            verdict = "killed (Tier-1)" if stage else "killed"
+        else:
+            verdict = "equivalent" if m.equivalent else "SURVIVED"
+        print(f"{verdict:15} {m.id:32} {secs:6.1f} s  {last}")
         if not code:
             survivors.append(m)
             if m.equivalent:
-                print(f"{'':10} {m.equivalent}")
+                print(f"{'':15} {m.equivalent}")
     print(f"killed {len(chosen) - len(survivors)} of {len(chosen)} mutants")
     return 1 if any(not m.equivalent for m in survivors) else 0
 

@@ -279,6 +279,27 @@ def test_analyze_non_finite_state_exit_code(tmp_path, capsys, state):
     assert "finite" in capsys.readouterr().err
 
 
+_HUGE_RHO = [[[0, 0]] * 4 for _ in range(4)]
+_HUGE_RHO[0][0] = [10**400, 0]
+
+
+@pytest.mark.parametrize("state", [
+    {"special": {"a": 10**400, "b": 0, "c": 0.25, "d": 0.5}},
+    {"bloch": {"s": [0, 0, 10**400], "r": [0, 0, 0], "T": _ZERO_T}},
+    {"rho": _HUGE_RHO},
+], ids=["special", "bloch", "rho"])
+def test_analyze_number_past_the_float_range_exit_code(tmp_path, capsys, state):
+    """A JSON integer no float holds exits 2 under every state key, with
+    one error line and no traceback."""
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(state))  # a 401-digit integer, which json.load reads back
+    assert main(["analyze", str(path)]) == EXIT_INVALID_STATE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        "error: invalid state: input has a number past the float range; it must be finite"]
+
+
 @pytest.mark.parametrize("bloch", [
     {"s": [0, 0], "r": [0, 0, 0], "T": _ZERO_T},
     {"s": [0, 0, 0, 5], "r": [0, 0, 0], "T": _ZERO_T},

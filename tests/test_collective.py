@@ -99,6 +99,82 @@ def test_squeezing_transverse_eigenvalues(rng):
         assert abs(rep.xi_sq - (1 + 4 * rep.t_perp_minus)) < 1e-12
 
 
+def _transverse_reference(s, T):
+    """Ascending eigenvalues of T on the plane normal to s, in an
+    orthonormal basis from a complete QR of s: no rotation to an axis."""
+    q = np.linalg.qr(np.reshape(s, (3, 1)), mode="complete")[0][:, 1:]
+    return np.linalg.eigvalsh(q.T @ T @ q)
+
+
+def _pole_direction(sign, angle, phi):
+    """The unit vector at `angle` rad from sign * e3, at azimuth phi."""
+    return np.array([np.sin(angle) * np.cos(phi), np.sin(angle) * np.sin(phi),
+                     sign * np.cos(angle)])
+
+
+def _assert_matches_reference(s, T):
+    """squeezing(s, T, 2) over a stack (K, 3), (K, 3, 3) and for each pair
+    alone: t-/+ and xi^2 = 1 + t- within 1e-14 max(1, |T|) of the reference."""
+    stacked = squeezing(s, T, 2)
+    for k in range(len(s)):
+        tol = 1e-14 * max(1.0, np.linalg.norm(T[k], 2))
+        w = _transverse_reference(s[k], T[k])
+        alone = squeezing(s[k], T[k], 2)
+        for minus, plus, xi_sq in ((alone.t_perp_minus, alone.t_perp_plus, alone.xi_sq),
+                                   (stacked.t_perp_minus[k], stacked.t_perp_plus[k],
+                                    stacked.xi_sq[k])):
+            assert abs(minus - w[0]) <= tol
+            assert abs(plus - w[1]) <= tol
+            assert abs(xi_sq - (1.0 + w[0])) <= tol
+
+
+_POLE_ANGLES = (0.0, 1e-9, 1e-7, 3e-7, 1e-6, 1e-4, 1e-2)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["+e3", "-e3"])
+@pytest.mark.parametrize("angle", _POLE_ANGLES)
+def test_squeezing_is_exact_near_the_poles(sign, angle):
+    """Near +-e3 the transverse eigenvalues keep full precision, in the
+    band where a rotation built from 1 + n0_3, or a snap onto the axis,
+    loses up to 4e-3 of them."""
+    T = np.stack([random_symmetric_state(3, seed).T for seed in (11, 12, 13)])
+    s = 0.6 * np.stack([_pole_direction(sign, angle, phi) for phi in (0.0, 0.7, 2.5)])
+    _assert_matches_reference(s, T)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1), directions=st.lists(st.one_of(
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 1e-3),
+    st.builds(_pole_direction, st.sampled_from([1.0, -1.0]), st.floats(0.0, 1e-2),
+              st.floats(0.0, 2 * np.pi))), min_size=1, max_size=4))
+def test_squeezing_matches_the_reference_on_drawn_directions(seed, directions):
+    s = np.array(directions, dtype=float)
+    T = np.stack([random_symmetric_state(1 + k % 3, seed + k).T for k in range(len(s))])
+    _assert_matches_reference(s, T)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["+e3", "-e3"])
+def test_squeezing_along_e3_reads_the_2x2_block_exactly(sign):
+    """A spin exactly along +-e3 gives t-/+ of T[:2, :2] by the closed 2x2
+    formula bit for bit, for one pair and over a stack (the ku model's
+    spins lie along -e3)."""
+    T = np.stack([random_symmetric_state(3, seed).T for seed in (11, 12, 13)])
+    pairs = [(np.array([0.0, 0.0, sign * 0.6]), T)]
+    if sign < 0:
+        s_ku, T_ku = ku_pair(10, np.linspace(0.01, 0.99, 7))[:2]
+        pairs.append((s_ku, T_ku))
+    for s, t in pairs:
+        a, b, c = t[..., 0, 0], t[..., 1, 1], t[..., 0, 1]
+        disc = np.sqrt((a - b) ** 2 + 4 * c * c)
+        rep = squeezing(np.broadcast_to(s, t.shape[:-1]), t, 2)
+        assert np.array_equal(rep.t_perp_minus, 0.5 * (a + b - disc))
+        assert np.array_equal(rep.t_perp_plus, 0.5 * (a + b + disc))
+        for k in range(len(t)):
+            one = squeezing(np.broadcast_to(s, t.shape[:-1])[k], t[k], 2)
+            assert one.t_perp_minus == 0.5 * (a[k] + b[k] - disc[k])
+            assert one.t_perp_plus == 0.5 * (a[k] + b[k] + disc[k])
+
+
 def test_squeezed_iff_i5_negative(rng):
     mismatches = 0
     for _ in range(500):
