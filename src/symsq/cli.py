@@ -182,7 +182,21 @@ def cmd_analyze(args) -> int:
 # ----------------------------------------------------------------------
 # sweep
 
-def _parse_range(raw: str):
+# Most rows one sweep call builds.  A row peaks at about 1.4 KB of RSS in
+# JSON (its columns, its model stack and its text; 1.1 KB in CSV), so 2^17
+# rows take about 185 MB and under 2 s (2-vCPU Xeon).
+_MAX_SWEEP_ROWS = 2**17
+
+
+def _check_rows(rows: int) -> None:
+    """Raise SymsqError, before a row is built, past _MAX_SWEEP_ROWS rows."""
+    if rows > _MAX_SWEEP_ROWS:
+        raise SymsqError(f"a sweep builds at most {_MAX_SWEEP_ROWS} rows, not {rows}")
+
+
+def _parse_range(raw: str, n_count: int = 1):
+    """lo:hi:steps as the list of steps parameter values, refused before it
+    is built when steps rows at each of n_count N pass the row cap."""
     parts = raw.split(":")
     if len(parts) != 3:
         raise SymsqError("range must be lo:hi:steps")
@@ -192,6 +206,7 @@ def _parse_range(raw: str):
         raise SymsqError(f"invalid range {raw!r}") from exc
     if steps < 1 or not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
         raise SymsqError("range requires finite lo <= hi and steps >= 1")
+    _check_rows(steps * n_count)
     if steps == 1:
         return [lo]
     return list(np.linspace(lo, hi, steps))
@@ -200,6 +215,7 @@ def _parse_range(raw: str):
 def _sweep_columns(args) -> dict:
     n_values = _parse_n_list(args.N)
     if args.model == "dicke" and args.param_range is None:
+        _check_rows(sum(n + 1 for n in n_values))
         tables = [models.sweep("dicke", [m / 2.0 for m in range(-n, n + 1, 2)], [n], args.tol)
                   for n in n_values]
         columns = tables[0].columns
@@ -209,7 +225,7 @@ def _sweep_columns(args) -> dict:
         return columns
     if args.param_range is None:
         raise SymsqError("--param-range is required for this model")
-    params = _parse_range(args.param_range)
+    params = _parse_range(args.param_range, len(n_values))
     return models.sweep(args.model, params, n_values, args.tol).columns
 
 

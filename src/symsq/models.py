@@ -29,7 +29,7 @@ import numpy as np
 
 from .collective import (INTEGER_TOL, _check_even_n, _check_m, _xi_sq_defined, check_n,
                          classify_invariants, squeezing)
-from .errors import DomainError, NormalizationFailure
+from .errors import DomainError, InvalidN, NormalizationFailure
 from .invariants import (
     SymmetricInvariants,
     special_class_invariants,
@@ -40,13 +40,30 @@ from .numerics import SIGN_TOL, check_finite, check_tol
 from .states import SpecialClassState, special_class_bloch
 
 
+# Most weights one atomic table holds: N/2 + 1 for each parameter point.
+# atomic_pair keeps three float arrays of that shape at once, beside the
+# N + 1 log-factorials: at the cap the table peaks at 42 MB traced and takes
+# 0.35 s at N = 2^21 - 2 and one point, 25 MB at N = 2046 and 1024 points
+# (2-vCPU Xeon).  A cap on N alone would let a long parameter list multiply
+# it; the per-point s, T and invariants, as in ku_pair, come on top.
+_MAX_ATOMIC_WEIGHTS = 2**20
+
+
+def _check_atomic_size(n: int, points: int) -> None:
+    """Raise InvalidN, before the table is built, when N/2 + 1 weights for
+    each of points parameter values exceed _MAX_ATOMIC_WEIGHTS."""
+    if points * (n // 2 + 1) > _MAX_ATOMIC_WEIGHTS:
+        raise InvalidN(f"the atomic table holds N/2 + 1 weights per point, at most "
+                       f"{_MAX_ATOMIC_WEIGHTS} in all: N = {n} at {points} points")
+
+
 def _log_d_pi2_sq_table(n: int) -> np.ndarray:
     """log [d^J_{M0}(pi/2)]^2 at J = n/2 (n even) for J + M = 0, 2, ..., n.
 
     Built from log k! = lgamma(k + 1), k = 0..n, in the closed sum's own
     operation order, so each entry is what the scalar formula gives.
     """
-    log_fact = np.array([math.lgamma(k + 1) for k in range(n + 1)])
+    log_fact = np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)
     h = n // 2
     # log (J+M)!, log (J-M)!, log ((J+M)/2)!, log ((J-M)/2)! for each M.
     return (log_fact[::2] + log_fact[::-2] - n * math.log(2.0)
@@ -58,7 +75,7 @@ def wigner_d_pi2(J, M) -> float:
 
     Nonzero only when J + M is even, in which case
 
-        d^J_{M0}(pi/2) = (-1)^((J-M)/2) sqrt((J+M)! (J-M)!)
+        d^J_{M0}(pi/2) = (-1)^((J+M)/2) sqrt((J+M)! (J-M)!)
                          / (2^J ((J+M)/2)! ((J-M)/2)!),
 
     evaluated with log-factorials so large J stays finite.
@@ -71,7 +88,8 @@ def wigner_d_pi2(J, M) -> float:
     if n % 2 or jp % 2:
         # half-integer J (no M' = 0 level to project onto), or J + M odd
         return 0.0
-    return (-1.0) ** ((n - jp) // 2) * math.exp(0.5 * _log_d_pi2_sq_table(n)[jp // 2])
+    _check_atomic_size(n, 1)
+    return (-1.0) ** (jp // 2) * math.exp(0.5 * _log_d_pi2_sq_table(n)[jp // 2])
 
 
 # ----------------------------------------------------------------------
@@ -134,6 +152,7 @@ def atomic_pair(N: int, x):
     x = check_finite(x)
     if not ((x > 0.0) & (x < 1.0)).all():
         raise DomainError("x must lie strictly between 0 and 1")
+    _check_atomic_size(N, x.size)
     m = np.arange(-N // 2, N // 2 + 1, 2)  # J + M even <-> M same parity as J
     log_w = _log_d_pi2_sq_table(N) + m * np.log(x)[..., None]
     w = np.exp(log_w - log_w.max(axis=-1, keepdims=True))
@@ -235,6 +254,10 @@ def sweep(model: str, params: Iterable[float], n_values: Iterable[int],
     tol = check_tol(tol)
     params = check_finite(list(params))
     param_list = params.tolist()
+    n_values = list(n_values)
+    if model == "atomic":  # every N before the first table
+        for n in n_values:
+            _check_atomic_size(_check_even_n(n), params.size)
     columns = {k: [] for k in SWEEP_FIELDS + ("I6",)}
     for n in n_values:
         s, t, inv = _model_stack(model, n, params)

@@ -36,6 +36,10 @@ FROM_BLOCH_PSD_TOL = 1e-9
 _EDGE_GUARD = 1e-12
 _PSD_SHIFT = FROM_BLOCH_PSD_TOL - _EDGE_GUARD
 _PSD_SHIFT_4 = _PSD_SHIFT * np.eye(4)
+# Every entry of a state's rho lies in the unit disc and every Bloch entry
+# in [-1, 1].  The gates refuse a finite entry of modulus above 2, which no
+# rounding of a state reaches, so no sum or product after them overflows.
+_ENTRY_BOUND = 2.0
 
 # PAULI_PAIRS transposed on its last two axes: the sum of rho times entry
 # (mu, nu) is Tr(rho sigma_mu (x) sigma_nu).
@@ -100,13 +104,21 @@ def _checked_rho(rho) -> np.ndarray:
     rho = np.array(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise InvalidDensityMatrix(f"expected 4x4, got {rho.shape}")
-    if not np.all(np.isfinite(rho)):
-        raise InvalidDensityMatrix("density matrix has a non-finite entry")
+    _check_bounded(rho, "density matrix")
     if np.max(np.abs(rho - rho.conj().T)) > DEFAULT_TOL:
         raise InvalidDensityMatrix("density matrix is not Hermitian")
     if abs(np.trace(rho).real - 1.0) > DEFAULT_TOL:
         raise InvalidDensityMatrix("trace differs from 1")
     return rho
+
+
+def _check_bounded(a: np.ndarray, what: str) -> None:
+    """Raises InvalidDensityMatrix unless every entry of a is finite and at
+    most _ENTRY_BOUND in modulus (one comparison when all are)."""
+    if not (np.abs(a) <= _ENTRY_BOUND).all():
+        kind = f"an entry of modulus above {_ENTRY_BOUND:g}" if np.isfinite(a).all() \
+            else "a non-finite entry"
+        raise InvalidDensityMatrix(f"{what} has {kind}")
 
 
 def _read_only(*arrays) -> tuple:
@@ -146,19 +158,26 @@ def _require_symmetric(state: TwoQubitState) -> None:
         raise NotSymmetricState("state violates r = s, T = T^T or Tr T = 1")
 
 
-def rho_from_bloch(s, r, T) -> np.ndarray:
-    """Assemble the 4x4 matrix of the Bloch parametrization (shapes and finiteness checked)."""
+def _bloch_matrix(s, r, T) -> np.ndarray:
+    """The 4x4 real matrix [[1, r^T], [s, T]] (shapes and finiteness checked)."""
     s, r, t = check_finite(s, r, T)
     if s.shape != (3,) or r.shape != (3,) or t.shape != (3, 3):
         raise ValueError(f"Bloch data need s, r of shape (3,) and T of shape (3, 3), "
                          f"got {s.shape}, {r.shape}, {t.shape}")
-    bloch = np.block([[np.ones((1, 1)), r[None]], [s[:, None], t]])
-    return np.tensordot(bloch, PAULI_PAIRS, axes=2) / 4.0
+    return np.block([[np.ones((1, 1)), r[None]], [s[:, None], t]])
+
+
+def rho_from_bloch(s, r, T) -> np.ndarray:
+    """Assemble the 4x4 matrix of the Bloch parametrization (shapes and finiteness checked)."""
+    return np.tensordot(_bloch_matrix(s, r, T), PAULI_PAIRS, axes=2) / 4.0
 
 
 def from_bloch(s, r, T) -> TwoQubitState:
-    """Build a validated state from Bloch data; rejects non-PSD input."""
-    return TwoQubitState(rho_from_bloch(s, r, T))
+    """Build a validated state from Bloch data; rejects non-PSD input, and
+    an entry of modulus above _ENTRY_BOUND before the Pauli sum."""
+    bloch = _bloch_matrix(s, r, T)
+    _check_bounded(bloch, "Bloch data")
+    return TwoQubitState(np.tensordot(bloch, PAULI_PAIRS, axes=2) / 4.0)
 
 
 @dataclass(frozen=True)
@@ -330,7 +349,9 @@ def state_from_json(obj: dict) -> TwoQubitState:
         arr = _as_array(obj["rho"], float)
         if arr.shape != (4, 4, 2):
             raise ValueError("'rho' must be a 4x4 array of [re, im] pairs")
-        return TwoQubitState(arr[..., 0] + 1j * arr[..., 1])
+        rho = np.empty((4, 4), dtype=complex)
+        rho.real, rho.imag = arr[..., 0], arr[..., 1]  # copied, so an infinite part stays as read
+        return TwoQubitState(rho)
     if key == "bloch":
         b = obj["bloch"]
         return from_bloch(b["s"], b["r"], b["T"])

@@ -69,6 +69,7 @@ _WALK = "tests/test_hygiene.py::test_nan_in_a_numeric_parameter_raises"
 _POLES = "tests/test_collective.py::test_squeezing_is_exact_near_the_poles"
 _HUGE = "tests/test_cli.py::test_analyze_number_past_the_float_range_exit_code"
 _HOUSEHOLDER = "v = n0 + np.copysign(1.0, n0[..., 2:]) * _EYE3[2]"
+_BIG = "tests/test_cli.py::test_analyze_huge_finite_entry_exit_code"
 # The Tier-1 command, as pytest arguments; testpaths names tests/.
 _TIER1 = ("--continue-on-collection-errors",)
 
@@ -320,6 +321,63 @@ MUTANTS = (
           ("collective-state-uncapped", "n = _check_oracle_n(self.N)",
            'n = _check_int(self.N, "N", 1, error=InvalidN)'),
           ("dicke-state-uncapped", "N = _check_oracle_n(N, 2)", "N = check_n(N)"))),
+    # One eigensolve of J1 per N: one-axis twisting and the atomic column.
+    Mutant("d-column-off-by-one", "oracle.py",
+           "np.real(self.j1_spectrum[1][:, self.N // 2])",
+           "np.real(self.j1_spectrum[1][:, self.N // 2 - 1])",
+           ("tests/test_models.py::test_wigner_d_matches_rotation_oracle",
+            "tests/test_oracle.py::test_d_column_is_a_unit_vector")),
+    Mutant("ku-phase-linear-in-w", "oracle.py",
+           "np.exp(-1j * chi_t * (w * w))",
+           "np.exp(-1j * chi_t * w)",
+           ("tests/test_oracle.py::test_ku_mean_spin_closed_form",
+            "tests/test_oracle.py::test_ku_matches_the_closed_forms_at_large_n")),
+    Mutant("d-column-unsigned", "oracle.py",
+           "return col * (np.sign(col[0]) * (-1) ** (self.N // 2))",
+           "return col",
+           ("tests/test_oracle.py::test_d_column_is_a_unit_vector",
+            "tests/test_oracle.py::test_cached_spectra_match_a_fresh_eigh[10]")),
+    Mutant("wigner-sign-j-minus-m", "models.py",
+           "(-1.0) ** (jp // 2)",
+           "(-1.0) ** ((n - jp) // 2)",
+           ("tests/test_models.py::test_wigner_d_small_values",
+            "tests/test_models.py::test_wigner_d_matches_rotation_oracle")),
+    # What one sweep call builds: its rows, and each atomic table.
+    *(Mutant(name, path, snippet, replacement, tests)
+      for name, path, snippet, replacement, tests in (
+          ("rows-cap-dropped", "cli.py", "if rows > _MAX_SWEEP_ROWS:", "if False:",
+           ("tests/test_cli.py::test_sweep_row_cap_gate",)),
+          ("rows-cap-per-n", "cli.py", "_check_rows(steps * n_count)", "_check_rows(steps)",
+           ("tests/test_cli.py::test_sweep_past_the_row_cap_exits_bad_range",)),
+          ("dicke-grid-uncapped", "cli.py", "        _check_rows(sum(n + 1 for n in n_values))\n",
+           "", ("tests/test_cli.py::test_sweep_past_the_row_cap_exits_bad_range",)),
+          ("atomic-cap-dropped", "models.py",
+           "if points * (n // 2 + 1) > _MAX_ATOMIC_WEIGHTS:", "if False:",
+           ("tests/test_models.py::test_atomic_table_cap_gate",)),
+          ("atomic-cap-on-n-alone", "models.py",
+           "if points * (n // 2 + 1) > _MAX_ATOMIC_WEIGHTS:",
+           "if n // 2 + 1 > _MAX_ATOMIC_WEIGHTS:",
+           ("tests/test_models.py::test_atomic_table_cap_gate",)),
+          ("atomic-pair-ungated", "models.py", "    _check_atomic_size(N, x.size)\n", "",
+           ("tests/test_models.py::test_atomic_table_cap_is_checked_before_any_table",)),
+          ("wigner-d-ungated", "models.py", "    _check_atomic_size(n, 1)\n", "",
+           ("tests/test_models.py::test_atomic_table_cap_is_checked_before_any_table",)),
+          ("atomic-sweep-checks-late", "models.py",
+           "        for n in n_values:\n            _check_atomic_size(_check_even_n(n), params.size)\n",
+           "        pass\n",
+           ("tests/test_models.py::test_atomic_table_cap_is_checked_before_any_table",)))),
+    # A finite entry far outside any state fails at its gate.
+    Mutant("rho-entry-unbounded", "states.py",
+           "(np.abs(a) <= _ENTRY_BOUND).all()", "np.isfinite(a).all()",
+           (f"{_BIG}[special]", f"{_BIG}[rho]")),
+    Mutant("bloch-entry-unbounded", "states.py",
+           '    _check_bounded(bloch, "Bloch data")\n', "",
+           (f"{_BIG}[bloch]",)),
+    Mutant("rho-json-by-arithmetic", "states.py",
+           "        rho = np.empty((4, 4), dtype=complex)\n"
+           "        rho.real, rho.imag = arr[..., 0], arr[..., 1]",
+           "        rho = arr[..., 0] + 1j * arr[..., 1]",
+           (f"{_BIG}[rho_infinite_imaginary_part]",)),
     # A tolerance moved without its README row.
     Mutant("readme-tol-stale", "numerics.py",
            "SVD_NULL_TOL = 1e-13",

@@ -300,6 +300,32 @@ def test_analyze_number_past_the_float_range_exit_code(tmp_path, capsys, state):
         "error: invalid state: input has a number past the float range; it must be finite"]
 
 
+_BIG_RHO = [[[0.0, 0.0]] * 4, [[0.0, 0.0], [0.5, 0.0], [0.5, 1e308], [0.0, 0.0]],
+            [[0.0, 0.0], [0.5, -1e308], [0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0]] * 4]
+_INFINITE_IM_RHO = [[[0.25, math.inf if (i, j) == (0, 0) else 0.0] for j in range(4)]
+                    for i in range(4)]
+
+
+@pytest.mark.parametrize("state, message", [
+    ({"special": {"a": 0.0, "b": 1e308, "c": 0.5, "d": 0.0}},
+     "density matrix has an entry of modulus above 2"),
+    ({"bloch": {"s": [0, 0, 1e308], "r": [0, 0, 1e308], "T": _ZERO_T}},
+     "Bloch data has an entry of modulus above 2"),
+    ({"rho": _BIG_RHO}, "density matrix has an entry of modulus above 2"),
+    ({"rho": _INFINITE_IM_RHO}, "density matrix has a non-finite entry"),
+], ids=["special", "bloch", "rho", "rho_infinite_imaginary_part"])
+def test_analyze_huge_finite_entry_exit_code(tmp_path, state, message):
+    """A finite entry far outside any state (here 1e308), and an infinite
+    imaginary part under "rho", exit 2 with one error line and no warning:
+    the gates refuse them before a sum or product can overflow."""
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(state))  # json writes inf as its Infinity literal
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _in_process(["analyze", str(path)]) == (
+            EXIT_INVALID_STATE, "", f"error: invalid state: {message}\n")
+
+
 @pytest.mark.parametrize("bloch", [
     {"s": [0, 0], "r": [0, 0, 0], "T": _ZERO_T},
     {"s": [0, 0, 0, 5], "r": [0, 0, 0], "T": _ZERO_T},
@@ -401,6 +427,39 @@ def test_sweep_bad_range_exit_code(capsys):
     assert main(["sweep", "--model", "ku", "--N", "4",
                  "--param-range", "0:1"]) == EXIT_BAD_RANGE
     assert main(["sweep", "--model", "atomic", "--N", "4"]) == EXIT_BAD_RANGE
+
+
+def test_sweep_row_cap_gate():
+    """One sweep call builds at most cli._MAX_SWEEP_ROWS rows: the gate
+    alone passes the cap and refuses one row past it."""
+    cap = cli._MAX_SWEEP_ROWS
+    cli._check_rows(cap)
+    with pytest.raises(symsq.errors.SymsqError, match=f"at most {cap} rows, not {cap + 1}$"):
+        cli._check_rows(cap + 1)
+
+
+def test_sweep_past_the_row_cap_exits_bad_range(monkeypatch):
+    """Under a cap of 12 rows, steps times the N count and the N + 1 rows of
+    each Dicke grid are checked before any model is swept: a refused call
+    exits 4 with one error line and prints nothing."""
+    monkeypatch.setattr(cli, "_MAX_SWEEP_ROWS", 12)
+    swept = []
+    real_sweep = models.sweep
+    monkeypatch.setattr(models, "sweep", lambda *a: swept.append(a) or real_sweep(*a))
+    ku = ["sweep", "--model", "ku", "--N"]
+    dicke = ["sweep", "--model", "dicke", "--N"]
+    for argv, rows in ((ku + ["4", "--param-range", "0:1:12"], 12),
+                       (ku + ["4,6", "--param-range", "0:1:6"], 12),
+                       (ku + ["4", "--param-range", "0:1:13"], 13),
+                       (ku + ["4,6", "--param-range", "0:1:7"], 14),
+                       (dicke + ["10"], 11), (dicke + ["10,2"], 14), (dicke + ["12"], 13)):
+        swept.clear()
+        code, out, err = _in_process(argv)
+        if rows <= 12:
+            assert code == EXIT_OK and len(swept) == 1, argv
+        else:
+            assert (code, out, err, swept) == (
+                EXIT_BAD_RANGE, "", f"error: a sweep builds at most 12 rows, not {rows}\n", []), argv
 
 
 @st.composite

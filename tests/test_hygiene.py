@@ -354,7 +354,7 @@ def test_nan_in_a_numeric_parameter_raises(qual, name):
 
 # The collective-spin builders take any spin J = N/2 >= 1/2 (tests build the
 # J = 1/2 operators); every other qubit count is check_n's N >= 2.
-SPIN_FROM_ONE = {"oracle.build_j_operators", "oracle.rotation_pi2_about_2"}
+SPIN_FROM_ONE = {"oracle.build_j_operators"}
 
 INT_CASES = [(qual, name) for qual, fn in PUBLIC.items()
              for name in inspect.signature(fn).parameters if name in ("N", "n")]

@@ -6,6 +6,7 @@ from collections.abc import Sequence
 import numpy as np
 import pytest
 
+from symsq import models
 from symsq.collective import _check_m, classify_invariants, pair_from_moments, squeezing
 from symsq.covariance import bar_invariants
 from symsq.errors import DomainError, InvalidN, ParityViolation
@@ -23,9 +24,9 @@ from symsq.numerics import SIGN_TOL
 from symsq.oracle import (
     build_atomic_state,
     build_dicke_state,
+    build_j_operators,
     evolve_ku,
     moments_of,
-    rotation_pi2_about_2,
 )
 from symsq.states import from_bloch
 
@@ -43,6 +44,7 @@ def test_wigner_d_small_values():
     assert abs(abs(wigner_d_pi2(1, 1)) - 1 / np.sqrt(2)) < 1e-15
     assert abs(abs(wigner_d_pi2(1, -1)) - 1 / np.sqrt(2)) < 1e-15
     assert abs(wigner_d_pi2(1, 1) + wigner_d_pi2(1, -1)) < 1e-15  # opposite signs
+    assert abs(wigner_d_pi2(1, 1) + 1 / np.sqrt(2)) < 1e-15  # d^1_10(pi/2) = -1/sqrt(2)
     assert abs(wigner_d_pi2(0, 0) - 1.0) < 1e-15
 
 
@@ -53,12 +55,11 @@ def test_wigner_d_unitarity():
 
 
 def test_wigner_d_matches_rotation_oracle():
-    """Spectral exp(-i pi/2 J2) column agrees up to a global sign."""
+    """The closed form is the simulator's M' = 0 column of exp(-i pi/2 J2),
+    sign included, at every M."""
     for n in (2, 4, 6, 8):
-        rot = rotation_pi2_about_2(n)
-        col = np.real(rot[:, n // 2])
         closed = np.array([wigner_d_pi2(n / 2, n / 2 - i) for i in range(n + 1)])
-        assert min(np.max(np.abs(col - closed)), np.max(np.abs(col + closed))) < 1e-12
+        assert np.max(np.abs(build_j_operators(n).d_column - closed)) < 1e-12
 
 
 def test_wigner_d_domain_errors():
@@ -68,6 +69,39 @@ def test_wigner_d_domain_errors():
         wigner_d_pi2(-1, 0)
     with pytest.raises(DomainError):
         wigner_d_pi2(1.3, 0)
+
+
+def test_atomic_table_cap_gate():
+    """An atomic table holds N/2 + 1 weights per parameter point, at most
+    models._MAX_ATOMIC_WEIGHTS = 2^20 in all: the gate alone, at the cap and
+    one step past it in N and in the point count."""
+    cap = models._MAX_ATOMIC_WEIGHTS
+    assert cap == 2**20
+    for n, points in ((2 * cap - 2, 1), (2046, 1024), (0, cap)):
+        models._check_atomic_size(n, points)
+    for n, points in ((2 * cap, 1), (2046, 1025), (2048, 1024), (10**12, 3)):
+        with pytest.raises(InvalidN, match=f"at most {cap} in all: N = {n} at {points} points$"):
+            models._check_atomic_size(n, points)
+
+
+def test_atomic_table_cap_is_checked_before_any_table(monkeypatch):
+    """Under a cap of 6 weights, atomic_pair, wigner_d_pi2 and an atomic
+    sweep refuse a larger table, and the sweep checks every N before it
+    builds the first table."""
+    monkeypatch.setattr(models, "_MAX_ATOMIC_WEIGHTS", 6)
+    built = []
+    real_table = models._log_d_pi2_sq_table
+    monkeypatch.setattr(models, "_log_d_pi2_sq_table", lambda n: built.append(n) or real_table(n))
+    atomic_pair(10, 0.5)
+    atomic_pair(4, [0.2, 0.5])
+    wigner_d_pi2(5, 1)
+    assert len(sweep("atomic", [0.2, 0.5], [2, 4])) == 4
+    built.clear()
+    for call in (lambda: atomic_pair(12, 0.5), lambda: atomic_pair(6, [0.2, 0.5]),
+                 lambda: wigner_d_pi2(6, 0), lambda: sweep("atomic", [0.5], [4, 12])):
+        with pytest.raises(InvalidN, match="at most 6 in all"):
+            call()
+    assert built == []
 
 
 def test_wigner_d_large_j_is_finite():

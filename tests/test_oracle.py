@@ -1,6 +1,8 @@
 """Brute-force collective simulator: operator algebra, model states,
 moment extraction, full-Hilbert cross-check."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from symsq import oracle
 from symsq.collective import pair_from_moments
 from symsq.errors import InvalidN, ParityViolation
-from symsq.models import atomic_pair
+from symsq.models import atomic_pair, ku_pair
 from symsq.oracle import (
     CollectiveState,
     build_atomic_state,
@@ -19,7 +21,6 @@ from symsq.oracle import (
     moments_of,
     pair_state_of,
     reduced_pair_from_full,
-    rotation_pi2_about_2,
 )
 from symsq.states import TwoQubitState
 
@@ -85,10 +86,29 @@ def test_ku_initial_state_is_coherent():
     assert np.max(np.abs(np.abs(st.amplitudes) - amp)) < 1e-12
 
 
-def test_rotation_pi2_is_unitary():
-    for n in (2, 4, 6):
-        rot = rotation_pi2_about_2(n)
-        assert np.max(np.abs(rot @ rot.conj().T - np.eye(n + 1))) < 1e-12
+def test_d_column_is_a_unit_vector():
+    """The column of the unitary exp(-i pi/2 J2) has unit norm, is real, is
+    zero where J + M is odd, and starts at d^J_J0(pi/2) =
+    (-1)^J sqrt((2J)!)/(2^J J!), sign included, whatever sign eigh gives."""
+    for n in (*range(2, 41, 2), 150):
+        col = build_j_operators(n).d_column
+        assert col.dtype == float and abs(np.linalg.norm(col) - 1.0) < 1e-12
+        assert np.max(np.abs(col[1::2])) < 1e-12
+        j = n // 2
+        assert abs(col[0] - (-1) ** j * math.sqrt(math.comb(n, j)) / 2**j) < 1e-12, n
+
+
+@pytest.mark.parametrize("n", [700, 1000])
+def test_ku_matches_the_closed_forms_at_large_n(n):
+    """Over 100 chi_t in [0, pi] the simulator's KU pair data lie within
+    1e-12 of ku_pair, and <J3> within 2e-10 of -(N/2) cos^(N-1)(chi_t)."""
+    for ct in np.linspace(0.0, np.pi, 100):
+        m = moments_of(evolve_ku(n, float(ct)))
+        assert abs(m.j_mean[2] + 0.5 * n * np.cos(ct) ** (n - 1)) < 2e-10
+        s, t = pair_from_moments(m)
+        s_model, t_model, _ = ku_pair(n, float(ct))
+        assert np.max(np.abs(s - s_model)) < 1e-12
+        assert np.max(np.abs(t - t_model)) < 1e-12
 
 
 def test_atomic_state_is_r3_null_vector():
