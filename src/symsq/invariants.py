@@ -198,12 +198,12 @@ def separability_flags(inv: SymmetricInvariants, tol: float = SIGN_TOL) -> Separ
 # Residual proper rotations commuting with a nondegenerate diagonal T:
 # the identity and the pi rotations about each axis, which flip the signs
 # of the other two components of both s and r simultaneously.
-_FLIPS = (
-    np.array([1.0, 1.0, 1.0]),
-    np.array([1.0, -1.0, -1.0]),
-    np.array([-1.0, 1.0, -1.0]),
-    np.array([-1.0, -1.0, 1.0]),
-)
+_FLIPS = np.array([
+    [1.0, 1.0, 1.0],
+    [1.0, -1.0, -1.0],
+    [-1.0, 1.0, -1.0],
+    [-1.0, -1.0, 1.0],
+])
 
 
 @dataclass(frozen=True)
@@ -237,24 +237,12 @@ def canonical_form(state: TwoQubitState) -> CanonicalForm:
     concatenated (s, r) tuple lexicographically is returned, making the
     canonical data identical for locally equivalent states.
     """
-    s, r, t = state.s, state.r, state.T
-    o1, d, o2 = svd3(t)
-    degeneracy = _degeneracy_class(d)
-    s_c = o1 @ s
-    r_c = o2 @ r
-    best = None
-    for f in _FLIPS:
-        cand_s = f * s_c
-        cand_r = f * r_c
-        key = tuple(np.round(np.concatenate([cand_s, cand_r]), 9))
-        if best is None or key > best[0]:
-            best = (key, cand_s, cand_r)
-    return CanonicalForm(
-        t_diag=d,
-        s_canon=best[1],
-        r_canon=best[2],
-        degeneracy=degeneracy,
-    )
+    o1, d, o2 = svd3(state.T)
+    # (flip, s or r, component); ties go to the first flip.
+    cand = _FLIPS[:, None, :] * np.stack([o1 @ state.s, o2 @ state.r])
+    keys = np.round(cand.reshape(-1, 6), 9).tolist()
+    s_c, r_c = cand[keys.index(max(keys))]
+    return CanonicalForm(t_diag=d, s_canon=s_c, r_canon=r_c, degeneracy=_degeneracy_class(d))
 
 
 def locally_equivalent(s1: TwoQubitState, s2: TwoQubitState) -> bool:

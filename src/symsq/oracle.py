@@ -160,16 +160,10 @@ def moments_of(state: CollectiveState) -> CollectiveMoments:
     raised[:-1] = ops.ladder * psi[1:]
     lowered = np.zeros_like(psi)
     lowered[1:] = ops.ladder * psi[:-1]
-    vecs = [(raised + lowered) / 2.0, (raised - lowered) / 2.0j, ops.m * psi]
-    bra = psi.conj()
-    j_mean = np.array([np.real(bra @ vec) for vec in vecs])
-    j_second = np.empty((3, 3))
-    for i in range(3):
-        for k in range(i, 3):
-            val = np.real(np.vdot(vecs[i], vecs[k]))
-            j_second[i, k] = val
-            j_second[k, i] = val
-    return CollectiveMoments(N=state.N, j_mean=j_mean, j_second=j_second)
+    v = np.array([(raised + lowered) / 2.0, (raised - lowered) / 2.0j, ops.m * psi])  # J_i psi
+    j_second = np.real(v.conj() @ v.T)
+    return CollectiveMoments(N=state.N, j_mean=np.real(v @ psi.conj()),
+                             j_second=(j_second + j_second.T) / 2.0)
 
 
 def pair_state_of(state: CollectiveState) -> SymmetricTwoQubitState:

@@ -149,10 +149,16 @@ MUTANTS = (
            "np.logical_not(spin)",
            "~spin",
            ("tests/test_collective.py::test_mean_spin_skips_the_i1_test",)),
+    # The flip choice of the canonical form, as one array.
     Mutant("flips-entry-dropped", "invariants.py",
-           "    np.array([-1.0, -1.0, 1.0]),\n)",
-           ")",
-           ("tests/test_invariants.py::test_canonical_form_matches_under_local_unitaries",)),
+           "    [-1.0, -1.0, 1.0],\n])",
+           "])",
+           ("tests/test_invariants.py::test_canonical_form_matches_under_local_unitaries",
+            "tests/test_invariants.py::test_canonical_form_is_the_flip_loop")),
+    Mutant("flip-choice-min", "invariants.py",
+           "keys.index(max(keys))",
+           "keys.index(min(keys))",
+           ("tests/test_invariants.py::test_canonical_form_is_the_flip_loop",)),
     Mutant("svd3-no-null-flip", "numerics.py",
            "if d[0] <= SVD_NULL_TOL * max(1.0, d[-1]):",
            "if False:",
@@ -337,6 +343,16 @@ MUTANTS = (
            "return col",
            ("tests/test_oracle.py::test_d_column_is_a_unit_vector",
             "tests/test_oracle.py::test_cached_spectra_match_a_fresh_eigh[10]")),
+    # Both collective moments as matrix products.
+    Mutant("second-moments-unconjugated", "oracle.py",
+           "np.real(v.conj() @ v.T)",
+           "np.real(v @ v.T)",
+           ("tests/test_oracle.py::test_ladder_moments_match_dense_operators",)),
+    Mutant("mean-unconjugated", "oracle.py",
+           "np.real(v @ psi.conj())",
+           "np.real(v @ psi)",
+           ("tests/test_oracle.py::test_ku_mean_spin_closed_form",
+            "tests/test_oracle.py::test_ladder_moments_match_dense_operators")),
     Mutant("wigner-sign-j-minus-m", "models.py",
            "(-1.0) ** (jp // 2)",
            "(-1.0) ** ((n - jp) // 2)",
@@ -366,6 +382,24 @@ MUTANTS = (
            "        for n in n_values:\n            _check_atomic_size(_check_even_n(n), params.size)\n",
            "        pass\n",
            ("tests/test_models.py::test_atomic_table_cap_is_checked_before_any_table",)))),
+    # verify's witness check takes the library's own route, and the sample
+    # and term counts have caps.
+    Mutant("witness-check-c-against-itself", "cli.py",
+           "        crit = collective_criterion(state.s, state.T, 10, tol)\n"
+           "        witness_dev = max(witness_dev,\n"
+           "                          abs(np.linalg.eigvalsh(crit.witness_matrix)[0] - crit.min_eig))\n",
+           "        min_eig = c_negativity_test(state, tol)[0]\n"
+           "        c = state.T - np.outer(state.s, state.s)\n"
+           "        witness_dev = max(witness_dev, abs(np.linalg.eigvalsh(c)[0] - min_eig))\n",
+           ("tests/test_cli.py::test_ppt_c_suite_checks_the_witness_through_the_moments",)),
+    Mutant("suite-count-cap-dropped", "cli.py",
+           '_check_int(count, "count", 1, _MAX_SUITE_COUNT)',
+           '_check_int(count, "count", 1)',
+           ("tests/test_cli.py::test_suite_count_cap_gate",)),
+    Mutant("term-cap-dropped", "states.py",
+           '_check_int(n_terms, "n_terms", 1, _MAX_TERMS)',
+           '_check_int(n_terms, "n_terms", 1)',
+           ("tests/test_states.py::test_term_count_cap",)),
     # A finite entry far outside any state fails at its gate.
     Mutant("rho-entry-unbounded", "states.py",
            "(np.abs(a) <= _ENTRY_BOUND).all()", "np.isfinite(a).all()",

@@ -95,7 +95,8 @@ def test_criterion_03_separability_sign_theorem():
 def test_criterion_04_full_equivalence_theorem():
     disagreements, korbicz_dev, ok = suite_ppt_c(np.random.default_rng(4024), 10_000, TOL)
     _report(4, "PPT verdict equals C < 0 verdict on 10^4 symmetric states; "
-               "direction-minimized witness equals min eig(C) within 1e-10",
+               "witness minimum (N/4)(1 + (N-1) min eig(C)) at N = 10 equals eigvalsh "
+               "of the moment-built witness matrix within 1e-10",
             ok, f"{disagreements} disagreements, witness dev {korbicz_dev:.2e}")
 
 

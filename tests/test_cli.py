@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -686,6 +687,38 @@ def test_suites_reject_a_count_that_checks_nothing():
             with pytest.raises(DomainError):
                 suite(np.random.default_rng(0), count, 1e-9)
         suite(np.random.default_rng(0), np.int64(5), 1e-9)
+
+
+def test_suite_count_cap_gate():
+    """A suite call draws at most cli._MAX_SUITE_COUNT samples: the gate
+    alone passes the cap and refuses one sample past it, and every suite
+    refuses cap + 1 before it draws anything."""
+    cap = cli._MAX_SUITE_COUNT
+    assert cli._suite_args(cap, 1e-9) == (cap, 1e-9)
+    with pytest.raises(DomainError, match=f"<= {cap}$"):
+        cli._suite_args(cap + 1, 1e-9)
+    for suite in (cli.suite_invariance, cli.suite_ppt_c, cli.suite_xi_i5):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(DomainError):
+            suite(rng, cap + 1, 1e-9)
+        assert rng.bit_generator.state == before
+
+
+def test_ppt_c_suite_checks_the_witness_through_the_moments(monkeypatch):
+    """The witness deviation compares collective_criterion's minimum, read
+    from C, with eigvalsh of the witness matrix built from
+    moments_from_pair: a second moment moved by 1e-6 fails the suite."""
+    assert cli.suite_ppt_c(np.random.default_rng(4024), 20, 1e-9)[2]
+    exact = covariance.moments_from_pair
+
+    def moved(s, t, n):
+        m = exact(s, t, n)
+        return dataclasses.replace(m, j_second=m.j_second + 1e-6 * np.eye(3))
+
+    monkeypatch.setattr(covariance, "moments_from_pair", moved)
+    _, witness_dev, ok = cli.suite_ppt_c(np.random.default_rng(4024), 20, 1e-9)
+    assert not ok and witness_dev > 1e-7
 
 
 @settings(derandomize=True, deadline=None, max_examples=20)

@@ -1,24 +1,31 @@
-"""A grammar fuzzer for `symsq analyze`: every state file, --N list,
---format and SYMSQ_TOL it draws ends in a documented exit code.
+"""Grammar fuzzers for the CLI: every argv they draw for `symsq analyze`,
+`symsq sweep` and `symsq verify` ends in a documented exit code.
 
 State files come from a grammar: the three valid shapes ("special",
 "bloch", "rho") with hostile leaves (NaN and Infinity literals, which
 json reads, 10**400, bools, null, strings, extra nesting), wrong key
-sets, arbitrary JSON and text that is not JSON.  Every argv is well
-formed, so argparse never exits; its usage errors are pinned elsewhere.
-The property: main returns 0, 2, 3 or 4 and never raises, and a nonzero
-code prints exactly one "error:" line to stderr and nothing to stdout.
+sets, arbitrary JSON and text that is not JSON.  Sweeps draw a model,
+--N lists, --param-range strings (well formed, malformed, a negative lo,
+steps past the row cap) under each spelling of the option, --format and
+--out paths (fresh, a directory, a missing parent).  Verify draws
+--seed.  Every run draws SYMSQ_TOL.  Every argv is well formed, so
+argparse never exits; its usage errors are pinned elsewhere.  The
+property: main returns a documented code and never raises or warns, a
+nonzero code other than verify's 1 prints exactly one "error:" line to
+stderr and nothing to stdout, and verify returns 1 only when it prints a
+FAIL line.
 """
 
 import contextlib
 import io
 import json
 import os
+import warnings
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from symsq import cli
+from symsq import cli, models
 
 _HUGE = 10**400  # past the float range; json writes it as digits
 _HOSTILE = st.one_of(
@@ -113,9 +120,10 @@ _FILES = st.one_of(
     st.text(max_size=12),
 )
 
-_N_TOKEN = st.one_of(st.integers(2, 200).map(str), st.sampled_from([str(2**53), " 7 "]),
-                     st.sampled_from(["0", "1", "-3", str(2**53 + 1), str(_HUGE),
-                                      "4.5", "abc", "", " ", "1e3", "0x10"]))
+_N_EDGE = st.sampled_from([str(2**53), " 7 "])
+_N_BAD = st.sampled_from(["0", "1", "-3", str(2**53 + 1), str(_HUGE), "4.5", "abc", "", " ",
+                          "1e3", "0x10"])
+_N_TOKEN = st.one_of(st.integers(2, 200).map(str), _N_EDGE, _N_BAD)
 _N_LISTS = st.lists(_N_TOKEN, min_size=1, max_size=5).map(",".join)
 _TOLS = st.one_of(st.none(), st.sampled_from(
     ["1e-9", "0.5", " 1e-6 ", "3", "nan", "inf", "-inf", "0", "-1e-9", "abc", "", "1e400",
@@ -127,6 +135,30 @@ def work_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
+def _main(argv, tol):
+    """cli.main(argv) in process, with SYMSQ_TOL = tol (unset for None) and
+    every warning an error: (code, stdout, stderr)."""
+    saved = os.environ.pop("SYMSQ_TOL", None)
+    if tol is not None:
+        os.environ["SYMSQ_TOL"] = tol
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = cli.main(argv)
+    finally:
+        os.environ.pop("SYMSQ_TOL", None)
+        if saved is not None:
+            os.environ["SYMSQ_TOL"] = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_one_error_line(out, err, context):
+    lines = err.splitlines()
+    assert out == "" and len(lines) == 1 and lines[0].startswith("error: "), (context, err)
+
+
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(text=_FILES, n_list=st.one_of(st.none(), _N_LISTS),
        fmt=st.sampled_from([None, "json", "text"]), tol=_TOLS)
@@ -136,22 +168,82 @@ def test_analyze_ends_in_a_documented_exit_code(work_dir, text, n_list, fmt, tol
     argv = ["analyze", str(path)]
     argv += [] if n_list is None else [f"--N={n_list}"]
     argv += [] if fmt is None else ["--format", fmt]
-    saved = os.environ.pop("SYMSQ_TOL", None)
-    if tol is not None:
-        os.environ["SYMSQ_TOL"] = tol
-    out, err = io.StringIO(), io.StringIO()
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(argv)
-    finally:
-        os.environ.pop("SYMSQ_TOL", None)
-        if saved is not None:
-            os.environ["SYMSQ_TOL"] = saved
+    code, out, err = _main(argv, tol)
     assert code in (cli.EXIT_OK, cli.EXIT_INVALID_STATE, cli.EXIT_PARSE_ERROR,
                     cli.EXIT_BAD_RANGE), (argv, tol, text)
     if code == cli.EXIT_OK:
-        assert out.getvalue() and err.getvalue() == ""
+        assert out and err == ""
     else:
-        lines = err.getvalue().splitlines()
-        assert out.getvalue() == "" and len(lines) == 1 and lines[0].startswith("error: "), (
-            argv, tol, text, err.getvalue())
+        _assert_one_error_line(out, err, (argv, tol, text))
+
+
+# Sweep sizes stay at a few hundred rows: N up to 40 (and 2^53, which every
+# gate refuses to build), at most 40 steps, or steps past the row cap.  Half
+# the N lists are well formed.
+_SWEEP_N = st.integers(2, 40).map(str)
+_SWEEP_N_LISTS = st.one_of(
+    st.lists(_SWEEP_N, min_size=1, max_size=3),
+    st.lists(st.one_of(_SWEEP_N, _N_EDGE, _N_BAD), min_size=1, max_size=5),
+).map(",".join)
+_BOUND = st.one_of(st.floats(-1.5, 3.5).map(repr), st.sampled_from(
+    ["0", "1", "-1", "0.5", " 0.25", "nan", "inf", "-inf", "1e400", "abc", "", "1:"]))
+_STEPS = st.one_of(st.integers(1, 40).map(str), st.sampled_from(
+    ["0", "-2", "2.5", "1e3", "", " 3", str(cli._MAX_SWEEP_ROWS + 1), str(10**30)]))
+_RANGES = st.one_of(
+    st.tuples(st.floats(0.01, 0.49), st.floats(0.5, 0.99), st.integers(1, 40))
+    .map(lambda r: f"{r[0]!r}:{r[1]!r}:{r[2]}"),
+    st.tuples(_BOUND, _BOUND, _STEPS).map(":".join),
+    st.sampled_from(["", "0:1", "0:1:2:3", ":::", "0;1;2", "-1:1:5", "0.1:0.9:3"]))
+# Each spelling of the option: the full name, an abbreviation argparse
+# accepts, and the joined form.
+_RANGE_ARGS = st.one_of(
+    st.none(),
+    st.tuples(st.sampled_from(["--param-range", "--param", "--pa"]), _RANGES).map(list),
+    _RANGES.map(lambda raw: [f"--param-range={raw}"]),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(model=st.sampled_from(models.MODEL_NAMES),
+       n_list=st.one_of(st.none(), _SWEEP_N_LISTS),
+       range_args=_RANGE_ARGS, fmt=st.sampled_from([None, "csv", "json"]),
+       out_kind=st.sampled_from([None, "fresh", "directory", "missing parent"]), tol=_TOLS)
+def test_sweep_ends_in_a_documented_exit_code(work_dir, model, n_list, range_args, fmt,
+                                              out_kind, tol):
+    out_path = {None: None, "fresh": work_dir / "sweep.out", "directory": work_dir,
+                "missing parent": work_dir / "missing" / "sweep.out"}[out_kind]
+    if out_kind == "fresh" and out_path.exists():
+        out_path.unlink()
+    argv = ["sweep", "--model", model]
+    argv += [] if n_list is None else [f"--N={n_list}"]
+    argv += range_args or []
+    argv += [] if fmt is None else ["--format", fmt]
+    argv += [] if out_path is None else ["--out", str(out_path)]
+    code, out, err = _main(argv, tol)
+    assert code in (cli.EXIT_OK, cli.EXIT_INVALID_STATE, cli.EXIT_BAD_RANGE), (argv, tol)
+    if code != cli.EXIT_OK:
+        _assert_one_error_line(out, err, (argv, tol))
+    elif out_path is None:
+        assert out and err == ""
+    else:
+        assert out == "" and err == "" and out_path.read_text(encoding="utf-8")
+
+
+_SEEDS = st.one_of(st.integers(0, 2**64).map(str), st.sampled_from(["+7", " 42 ", "0"]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=6)
+@example(level="quick", seed=None, tol="0.5")  # PPT and C < 0 disagree at this tol: exit 1
+@given(level=st.sampled_from([None, "quick"]), seed=st.one_of(st.none(), _SEEDS), tol=_TOLS)
+def test_verify_ends_in_a_documented_exit_code(level, seed, tol):
+    argv = ["verify"]
+    argv += [] if level is None else ["--level", level]
+    argv += [] if seed is None else ["--seed", seed]
+    code, out, err = _main(argv, tol)
+    assert code in (cli.EXIT_OK, cli.EXIT_VERIFY_FAIL, cli.EXIT_INVALID_STATE), (argv, tol)
+    if code == cli.EXIT_INVALID_STATE:
+        _assert_one_error_line(out, err, (argv, tol))
+        return
+    verdicts = [line.split(" ", 1)[0] for line in out.splitlines()]
+    assert err == "" and len(verdicts) == 4 and set(verdicts) <= {"PASS", "FAIL"}, (argv, tol)
+    assert (code == cli.EXIT_VERIFY_FAIL) == ("FAIL" in verdicts), (argv, tol, out)

@@ -18,14 +18,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import symsq
-from symsq import models, oracle
-from symsq.collective import (
-    Branch,
-    CollectiveMoments,
-    classify_invariants,
-    moments_from_pair,
-    squeezing,
-)
+from symsq import models
+from symsq.collective import Branch, CollectiveMoments, classify_invariants, squeezing
 from symsq.covariance import bar_invariants, c_negativity_test, collective_criterion
 from symsq.errors import SymsqError
 from symsq.invariants import (
@@ -34,7 +28,7 @@ from symsq.invariants import (
     special_class_six,
     symmetric_six_from_bloch,
 )
-from symsq.numerics import SIGN_TOL, check_unitary_2x2, hermitian_eigh, su2_to_so3, svd3
+from symsq.numerics import SIGN_TOL
 from symsq.states import SpecialClassState, symmetric_from_special
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -189,41 +183,13 @@ def test_readme_tolerance_table_lists_every_tolerance():
     assert {name: float(value) for name, value in rows} == _module_tolerances()
 
 
-@pytest.mark.parametrize("call", [
-    lambda: collective_criterion([0, 0, np.nan], np.eye(3) / 3, 4),
-    lambda: hermitian_eigh(np.diag([1.0, np.inf])),
-    lambda: models.wigner_d_pi2(np.nan, 0),
-    lambda: models.wigner_d_pi2(2, np.nan),
-    lambda: models.dicke_pair(4, np.nan),
-    lambda: models.dicke_pair(4, np.inf),
-    lambda: oracle.build_dicke_state(4, np.nan),
-    lambda: oracle.build_dicke_state(4, np.inf),
-    lambda: oracle.evolve_ku(4, np.nan),
-    lambda: oracle.build_atomic_state(4, np.nan),
-    lambda: oracle.build_atomic_state(4, -np.inf),
-    lambda: models.ku_pair(4, np.nan),
-    lambda: models.atomic_pair(4, np.nan),
-    *(lambda m=m: models.sweep(m, [np.nan], [4]) for m in models.MODEL_NAMES),
-    lambda: classify_invariants(SymmetricInvariants(*[np.nan] * 6)),
-    lambda: separability_flags(SymmetricInvariants(*[np.nan] * 6)),
-    lambda: check_unitary_2x2(np.full((2, 2), np.nan)),
-    lambda: su2_to_so3(np.full((2, 2), np.nan)),
-    lambda: squeezing([np.nan, 0, 0.5], np.eye(3) / 3, 4),
-    lambda: moments_from_pair([np.nan, 0, 0.5], np.eye(3) / 3, 4),
-    lambda: moments_from_pair([0, 0, 0.5], np.full((3, 3), np.nan), 4),
-    lambda: svd3(np.full((3, 3), np.nan)),
-], ids=["collective_criterion", "hermitian_eigh", "wigner_d_pi2_J", "wigner_d_pi2_M", "dicke_pair_nan",
-        "dicke_pair_inf", "build_dicke_state_nan", "build_dicke_state_inf",
-        "evolve_ku", "build_atomic_state_nan", "build_atomic_state_inf", "ku_pair", "atomic_pair",
-        *(f"sweep_{m}" for m in models.MODEL_NAMES), "classify_invariants",
-        "separability_flags", "check_unitary_2x2", "su2_to_so3", "squeezing",
-        "moments_from_pair_s", "moments_from_pair_T", "svd3"])
-def test_non_finite_input_raises_symsq_error(call):
-    """Hand-picked non-finite calls.  The walk below feeds NaN, +inf and
-    -inf to every numeric parameter of every public function, so it repeats
-    each of these cases but sweep_atomic and sweep_dicke (it sweeps ku)."""
+@pytest.mark.parametrize("model", ["atomic", "dicke"], ids=lambda model: f"sweep_{model}")
+def test_non_finite_input_raises_symsq_error(model):
+    """A NaN parameter of an atomic or a Dicke sweep; the walk below feeds
+    NaN, +inf and -inf to every numeric parameter of every public function,
+    but sweeps ku only."""
     with pytest.raises(SymsqError):
-        call()
+        models.sweep(model, [np.nan], [4])
 
 
 def _is_function(obj) -> bool:
@@ -323,11 +289,10 @@ NAN_CASES = [(qual, name) for qual, fn in PUBLIC.items()
 
 # An int past the float range: float() and NumPy raise OverflowError on it.
 HUGE = 10**400
-# N, n and the counts get no HUGE: test_every_n_entry_shares_one_check and
-# test_n_past_the_float_range_exits_bad_range feed it to every N, and a
-# sample or term count has no upper bound yet, so HUGE would loop instead
-# of raising (ROADMAP item 11).  rank, bounded by 3, takes it here.
-COUNTS = {"N", "n", "count", "n_terms"}
+# N and n get no HUGE: test_every_n_entry_shares_one_check and
+# test_n_past_the_float_range_exits_bad_range feed it to every N.  The
+# sample and term counts, like rank, have an upper bound and take it here.
+COUNTS = {"N", "n"}
 
 
 def test_every_parameter_has_a_value_or_is_exempt():
@@ -342,7 +307,7 @@ def test_every_parameter_has_a_value_or_is_exempt():
 def test_nan_in_a_numeric_parameter_raises(qual, name):
     """Each public function runs on valid values, and raises a SymsqError
     once one numeric parameter, tol included, holds a NaN, +inf or -inf,
-    or, but for N, n and a count, an int past the float range (as a scalar
+    or, but for N and n, an int past the float range (as a scalar
     or as the last entry of a list)."""
     fn = PUBLIC[qual]
     values = _values(qual, name)

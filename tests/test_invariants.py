@@ -325,6 +325,35 @@ def _bell_diagonal(t_diag):
     return from_bloch([0, 0, 0], [0, 0, 0], np.diag(t_diag))
 
 
+def _canonical_by_the_flip_loop(state):
+    """The reference: canonical_form's choice as a loop over the four flips,
+    keeping the first whose 9-digit (s, r) tuple is largest."""
+    o1, d, o2 = numerics.svd3(state.T)
+    s_c, r_c = o1 @ state.s, o2 @ state.r
+    best = None
+    for f in ([1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]):
+        cand_s, cand_r = np.array(f) * s_c, np.array(f) * r_c
+        key = tuple(np.round(np.concatenate([cand_s, cand_r]), 9))
+        if best is None or key > best[0]:
+            best = (key, cand_s, cand_r)
+    return d, best[1], best[2]
+
+
+def test_canonical_form_is_the_flip_loop():
+    """canonical_form is bit for bit the loop over the flips on seeded
+    Ginibre states and on a state with s = r = 0, where the four flips
+    round equal and the first (the identity) wins."""
+    rng = np.random.default_rng(2028)
+    tie = _bell_diagonal([0.5, -0.3, 0.1])
+    for state in [tie, *(TwoQubitState(_ginibre_rho(rng)) for _ in range(300))]:
+        cf = canonical_form(state)
+        for got, want in zip((cf.t_diag, cf.s_canon, cf.r_canon),
+                             _canonical_by_the_flip_loop(state)):
+            assert got.tobytes() == want.tobytes()
+    cf = canonical_form(tie)
+    assert not np.signbit(cf.s_canon).any() and not np.signbit(cf.r_canon).any()
+
+
 def test_degeneracy_boundary_band_gets_a_label(rng):
     """A relative singular-value gap of 3e-8, just above DEGENERACY_REL_GAP,
     is an ordinary input: canonical_form labels it and the state is locally

@@ -234,6 +234,15 @@ def test_ladder_moments_match_dense_operators_property(n, seed):
     _assert_moments_match_dense(n, seed)
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 150])
+def test_second_moments_are_exactly_symmetric(n):
+    rng = np.random.default_rng(n)
+    amp = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+    for psi in (amp / np.linalg.norm(amp), evolve_ku(max(n, 2), 0.7).amplitudes):
+        m = moments_of(CollectiveState(N=psi.size - 1, amplitudes=psi))
+        assert np.array_equal(m.j_second, m.j_second.T)
+
+
 @pytest.mark.parametrize("n", [2, 10, 40, 150])
 def test_cached_spectra_match_a_fresh_eigh(n):
     ops = build_j_operators(n)

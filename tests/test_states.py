@@ -471,6 +471,23 @@ def test_sampler_validation():
                           random_separable_symmetric(3, seed=1).rho)
 
 
+def test_term_count_cap(monkeypatch):
+    """random_separable_symmetric mixes at most states._MAX_TERMS terms: at a
+    cap lowered to 3 it draws 3 terms and refuses 4, and at the real cap it
+    refuses cap + 1 before it draws anything."""
+    with monkeypatch.context() as patch:
+        patch.setattr(states, "_MAX_TERMS", 3)
+        random_separable_symmetric(3, seed=1)
+        with pytest.raises(DomainError, match="<= 3$"):
+            random_separable_symmetric(4, seed=1)
+    cap = states._MAX_TERMS
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(DomainError, match=f"<= {cap}$"):
+        random_separable_symmetric(cap + 1, rng)
+    assert rng.bit_generator.state == before
+
+
 # ----------------------------------------------------------------------
 # State files
 
