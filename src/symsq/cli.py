@@ -233,39 +233,59 @@ def _csv_cell(v) -> str:
     return "nan" if isinstance(v, float) and math.isnan(v) else _scalar_text(v)
 
 
-def _column_cells(col: list, json_out: bool) -> tuple:
-    """A sweep column's %-spec and the values that go into it.
+# The text %.17g writes for a float whose cell text differs, in CSV and in
+# JSON: an infinity, and in JSON a NaN or a negative zero.
+_ODD_TEXT = {False: frozenset({"inf", "-inf"}), True: frozenset({"nan", "inf", "-inf", "-0"})}
 
-    An all-finite float column goes in raw under %.17g, what _fmt_float
-    writes.  A float column with a NaN, an infinity or, in JSON, a negative
-    zero goes in as text, cell by cell.  A str or int column goes in as
-    text, rendered once per distinct value; a sweep column holds one type.
+
+def _column_cells(col: list, json_out: bool) -> tuple:
+    """A sweep column's piece of the row template and the values that go
+    into it, None for a piece of literal text.
+
+    A str or int column of one value is literal text, its '%' escaped; any
+    other goes in under %s, rendered once per distinct value.  A float
+    column goes in raw under %.17g, which writes _fmt_float's text for a
+    finite float and _csv_cell's for a NaN.  A float column with a cell
+    whose text differs (_ODD_TEXT) is formatted in bulk under %.17g, and
+    goes in under %s with only those cells replaced by the cell renderer's
+    text.
     """
     cell = _to_json if json_out else _csv_cell
     if not (col and isinstance(col[0], float)):
+        if col and col.count(col[0]) == len(col):
+            return cell(col[0]).replace("%", "%%"), None
         memo = {v: cell(v) for v in set(col)}
         return "%s", [memo[v] for v in col]
-    negative_zero = json_out and 0.0 in col and \
-        any(v == 0.0 and math.copysign(1.0, v) < 0.0 for v in col)
-    if not negative_zero and all(map(math.isfinite, col)):
+    if json_out:
+        raw = all(map(math.isfinite, col)) and 0.0 not in col
+    else:
+        raw = not any(map(math.isinf, col))
+    if raw:
         return "%.17g", col
-    return "%s", [cell(v) for v in col]
+    cells = (",".join(["%.17g"] * len(col)) % tuple(col)).split(",")
+    odd = _ODD_TEXT[json_out]
+    for i, text in enumerate(cells):
+        if text in odd:
+            cells[i] = cell(col[i])
+    return "%s", cells
 
 
 def _render_sweep(columns: dict, fmt: str) -> str:
     """CSV or JSON of sweep columns, byte for byte what _csv_cell and
-    _to_json write for the rows' as_record() dicts: one %-template filled
-    once per row."""
+    _to_json write for the rows' as_record() dicts: one %-template, with
+    the one-valued columns written into it, filled once per row."""
     fields = models.SWEEP_FIELDS
     specs, cols = zip(*(_column_cells(columns[k], fmt == "json") for k in fields))
+    # The float columns are never literal, so the rows are those of the rest.
+    values = zip(*[col for col in cols if col is not None])
     if fmt == "json":
-        if not cols[0]:
+        if not columns[fields[0]]:
             return "[]\n"
         row = "  {\n" + ",\n".join(f"    {json.dumps(k)}: {spec}"
                                     for k, spec in zip(fields, specs)) + "\n  }"
-        return "[\n" + ",\n".join([row % values for values in zip(*cols)]) + "\n]\n"
+        return "[\n" + ",\n".join([row % v for v in values]) + "\n]\n"
     row = ",".join(specs)
-    return "\n".join([",".join(fields)] + [row % values for values in zip(*cols)]) + "\n"
+    return "\n".join([",".join(fields)] + [row % v for v in values]) + "\n"
 
 
 def cmd_sweep(args) -> int:

@@ -150,8 +150,29 @@ def squeezing(s, T, N: int) -> SqueezingReport:
                            max_variance_ratio=_scalar(max_ratio))
 
 
-# Branch in declaration order, the order of classify_invariants' tests.
+# Branch in declaration order, the order of classify_invariants' tests,
+# and the branches' values in that order.
 _BRANCH_TABLE = np.array(list(Branch), dtype=object)
+_BRANCH_VALUES = np.array([b.value for b in Branch], dtype=object)
+# Which of the four tests applies with a mean spin.
+_TESTS_WITH_SPIN = np.array([True, True, True, False])
+
+
+def _branch_index(inv: SymmetricInvariants, tol: float):
+    """classify_invariants' branch as its index in Branch order, and its margin."""
+    tol = check_tol(tol)
+    inv.require_finite()
+    spin = _below(-inv.I3, tol)[0]
+    # The four tests in Branch order, then the separable signature's row,
+    # -inf, which always holds; a test on the other side of I3 = tol reads
+    # +inf, so it neither decides nor sets the margin.
+    tested = np.full((5,) + np.shape(spin), -np.inf)
+    tested[:4] = np.where(np.equal.outer(_TESTS_WITH_SPIN, spin),
+                          (inv.I5, inv.I4, inv.combo_I4_minus_I3sq, inv.I1), np.inf)
+    below, margins = _below(tested, tol)
+    margins[4] = -margins[:4].max(axis=0)
+    k = below.argmax(axis=0)
+    return k, np.take_along_axis(margins, k[None], axis=0)[0]
 
 
 def classify_invariants(inv: SymmetricInvariants, tol: float = SIGN_TOL) -> PairClassification:
@@ -165,19 +186,7 @@ def classify_invariants(inv: SymmetricInvariants, tol: float = SIGN_TOL) -> Pair
     (...) give a branch and margin of that shape (the branch an object
     array of Branch); float fields give one Branch.
     """
-    tol = check_tol(tol)
-    inv.require_finite()
-    spin = _below(-inv.I3, tol)[0]
-    # The four tests in Branch order; a test on the other side of
-    # I3 = tol reads +inf, so it neither decides nor sets the margin.
-    tested = np.where(np.array([spin, spin, spin, np.logical_not(spin)]),
-                      np.array([inv.I5, inv.I4, inv.combo_I4_minus_I3sq, inv.I1]), np.inf)
-    below, margins = _below(tested, tol)
-    # Row j holds where branch _BRANCH_TABLE[j] applies; the last row always does.
-    holds = np.concatenate([below, np.ones((1,) + tested.shape[1:], dtype=bool)])
-    margins = np.concatenate([margins, -margins.max(axis=0, keepdims=True)])
-    k = holds.argmax(axis=0)
-    margin = np.take_along_axis(margins, k[None], axis=0)[0]
+    k, margin = _branch_index(inv, tol)
     return PairClassification(branch=_BRANCH_TABLE[k], margin=_scalar(margin))
 
 

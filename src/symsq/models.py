@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collective import (INTEGER_TOL, _check_even_n, _check_m, _xi_sq_defined, check_n,
-                         classify_invariants, squeezing)
+from .collective import (_BRANCH_VALUES, INTEGER_TOL, _branch_index, _check_even_n, _check_m,
+                         _xi_sq_defined, check_n, squeezing)
 from .errors import DomainError, InvalidN, NormalizationFailure
 from .invariants import (
     SymmetricInvariants,
@@ -78,7 +78,10 @@ def wigner_d_pi2(J, M) -> float:
         d^J_{M0}(pi/2) = (-1)^((J+M)/2) sqrt((J+M)! (J-M)!)
                          / (2^J ((J+M)/2)! ((J-M)/2)!),
 
-    evaluated with log-factorials so large J stays finite.
+    evaluated with log-factorials so large J stays finite: four lgamma
+    calls in _log_d_pi2_sq_table's operation order, so it is that table's
+    entry bit for bit.  The table's cap bounds J, and with it the
+    cancellation in the log-factorial sum.
     """
     twoj = 2 * float(check_finite(J))
     n = round(twoj)
@@ -89,7 +92,10 @@ def wigner_d_pi2(J, M) -> float:
         # half-integer J (no M' = 0 level to project onto), or J + M odd
         return 0.0
     _check_atomic_size(n, 1)
-    return (-1.0) ** (jp // 2) * math.exp(0.5 * _log_d_pi2_sq_table(n)[jp // 2])
+    lg = math.lgamma
+    log_sq = (lg(jp + 1) + lg(n - jp + 1) - n * math.log(2.0)
+              - 2.0 * (lg(jp // 2 + 1) + lg((n - jp) // 2 + 1)))
+    return (-1.0) ** (jp // 2) * math.exp(0.5 * log_sq)
 
 
 # ----------------------------------------------------------------------
@@ -261,10 +267,13 @@ def sweep(model: str, params: Iterable[float], n_values: Iterable[int],
     columns = {k: [] for k in SWEEP_FIELDS + ("I6",)}
     for n in n_values:
         s, t, inv = _model_stack(model, n, params)
-        xi_sq = np.full(params.shape, np.nan)
         spin = _xi_sq_defined(inv.I3, tol)
-        if spin.any():
-            xi_sq[spin] = squeezing(s[spin], t[spin], n).xi_sq
+        if spin.all():
+            xi_sq = squeezing(s, t, n).xi_sq
+        else:
+            xi_sq = np.full(params.shape, np.nan)
+            if spin.any():
+                xi_sq[spin] = squeezing(s[spin], t[spin], n).xi_sq
         columns["model"] += [model] * len(param_list)
         columns["N"] += [int(n)] * len(param_list)
         columns["param"] += param_list
@@ -272,5 +281,5 @@ def sweep(model: str, params: Iterable[float], n_values: Iterable[int],
             columns[k] += getattr(inv, k).tolist()
         columns["I4mI3sq"] += inv.combo_I4_minus_I3sq.tolist()
         columns["xi_sq"] += xi_sq.tolist()
-        columns["branch"] += [b.value for b in classify_invariants(inv, tol).branch]
+        columns["branch"] += _BRANCH_VALUES[_branch_index(inv, tol)[0]].tolist()
     return SweepTable(columns)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidDensityMatrix, NotPositive, NotSymmetricState
+from .errors import DomainError, InvalidDensityMatrix, NotPositive, NotSymmetricState
 from .numerics import (
     DEFAULT_TOL,
     PAULI_PAIRS,
@@ -171,8 +171,15 @@ def _bloch_matrix(s, r, T) -> np.ndarray:
 
 
 def rho_from_bloch(s, r, T) -> np.ndarray:
-    """Assemble the 4x4 matrix of the Bloch parametrization (shapes and finiteness checked)."""
-    return np.tensordot(_bloch_matrix(s, r, T), PAULI_PAIRS, axes=2) / 4.0
+    """Assemble the 4x4 matrix of the Bloch parametrization (shapes and
+    finiteness checked); raises DomainError, with no warning, when the
+    Pauli sum leaves the float range."""
+    bloch = _bloch_matrix(s, r, T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = np.tensordot(bloch, PAULI_PAIRS, axes=2) / 4.0
+    if not np.isfinite(rho).all():
+        raise DomainError("the Pauli sum of the Bloch data leaves the float range")
+    return rho
 
 
 def from_bloch(s, r, T) -> TwoQubitState:

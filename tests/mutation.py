@@ -70,6 +70,8 @@ _POLES = "tests/test_collective.py::test_squeezing_is_exact_near_the_poles"
 _HUGE = "tests/test_cli.py::test_analyze_number_past_the_float_range_exit_code"
 _HOUSEHOLDER = "v = n0 + np.copysign(1.0, n0[..., 2:]) * _EYE3[2]"
 _BIG = "tests/test_cli.py::test_analyze_huge_finite_entry_exit_code"
+_RENDER = "tests/test_cli.py::test_render_sweep_matches_cell_renderers"
+_PAULI_RANGE = "tests/test_states.py::test_rho_from_bloch_fails_loudly_past_the_float_range"
 # The Tier-1 command, as pytest arguments; testpaths names tests/.
 _TIER1 = ("--continue-on-collection-errors",)
 
@@ -145,9 +147,9 @@ MUTANTS = (
            "_below(min_eig, tol, N / 4.0)",
            "_below(min_eig, tol)",
            (f"{_STRICT}[collective_criterion]",)),
-    Mutant("spin-complement-as-int", "collective.py",
-           "np.logical_not(spin)",
-           "~spin",
+    Mutant("i1-tested-with-spin", "collective.py",
+           "_TESTS_WITH_SPIN = np.array([True, True, True, False])",
+           "_TESTS_WITH_SPIN = np.array([True, True, True, True])",
            ("tests/test_collective.py::test_mean_spin_skips_the_i1_test",)),
     # The flip choice of the canonical form, as one array.
     Mutant("flips-entry-dropped", "invariants.py",
@@ -163,9 +165,13 @@ MUTANTS = (
            "if d[0] <= SVD_NULL_TOL * max(1.0, d[-1]):",
            "if False:",
            ("tests/test_numerics.py::test_svd3_rotations_diagonalization_and_sign_rule",)),
+    Mutant("separable-margin-min", "collective.py",
+           "margins[4] = -margins[:4].max(axis=0)",
+           "margins[4] = -margins[:4].min(axis=0)",
+           ("tests/test_collective.py::test_stacked_classification_is_the_if_chain",)),
     Mutant("classify-i5-i4-swapped", "collective.py",
-           "np.array([inv.I5, inv.I4, inv.combo_I4_minus_I3sq, inv.I1])",
-           "np.array([inv.I4, inv.I5, inv.combo_I4_minus_I3sq, inv.I1])",
+           "(inv.I5, inv.I4, inv.combo_I4_minus_I3sq, inv.I1)",
+           "(inv.I4, inv.I5, inv.combo_I4_minus_I3sq, inv.I1)",
            ("tests/test_collective.py::test_classification_takes_the_first_negative_test",)),
     Mutant("symmetry-tol-x100", "states.py",
            "symmetric = bool(np.max(np.abs(r - s)) <= DEFAULT_TOL",
@@ -412,6 +418,43 @@ MUTANTS = (
            "        rho.real, rho.imag = arr[..., 0], arr[..., 1]",
            "        rho = arr[..., 0] + 1j * arr[..., 1]",
            (f"{_BIG}[rho_infinite_imaginary_part]",)),
+    # A sweep row's text: odd float cells patched after bulk formatting,
+    # one-valued columns written into the template, branch text by index.
+    Mutant("sweep-odd-cell-unpatched", "cli.py",
+           "            cells[i] = cell(col[i])\n",
+           "            pass\n",
+           (_RENDER,)),
+    Mutant("sweep-literal-unescaped", "cli.py",
+           'return cell(col[0]).replace("%", "%%"), None',
+           "return cell(col[0]), None",
+           (_RENDER,)),
+    Mutant("sweep-csv-inf-raw", "cli.py",
+           "raw = not any(map(math.isinf, col))",
+           "raw = True",
+           (_RENDER,)),
+    Mutant("sweep-xi-unmasked-at-zero-spin", "models.py",
+           "        if spin.all():\n",
+           "        if spin.any():\n",
+           ("tests/test_models.py::test_stacked_sweep_matches_unbatched_calls[dicke]",)),
+    Mutant("sweep-branch-text-reversed", "collective.py",
+           "np.array([b.value for b in Branch], dtype=object)",
+           "np.array([b.value for b in reversed(Branch)], dtype=object)",
+           ("tests/test_models.py::test_stacked_sweep_matches_unbatched_calls",)),
+    # rho_from_bloch fails loudly past the float range, and warns nothing.
+    Mutant("rho-from-bloch-unchecked", "states.py",
+           "    if not np.isfinite(rho).all():\n"
+           '        raise DomainError("the Pauli sum of the Bloch data leaves the float range")\n',
+           "",
+           (_PAULI_RANGE,)),
+    Mutant("rho-from-bloch-warns", "states.py",
+           '    with np.errstate(over="ignore", invalid="ignore"):\n',
+           "    if True:\n",
+           (_PAULI_RANGE,)),
+    # wigner_d_pi2 is the table's entry in the table's operation order.
+    Mutant("wigner-d-regrouped", "models.py",
+           "lg(jp + 1) + lg(n - jp + 1) - n * math.log(2.0)",
+           "lg(jp + 1) + (lg(n - jp + 1) - n * math.log(2.0))",
+           ("tests/test_models.py::test_wigner_d_is_the_table_entry_bit_for_bit",)),
     # A tolerance moved without its README row.
     Mutant("readme-tol-stale", "numerics.py",
            "SVD_NULL_TOL = 1e-13",

@@ -598,11 +598,25 @@ def _raw_sweep_columns(draw):
     return columns
 
 
+def _finite_columns(**cols):
+    """Three rows of finite, nonzero floats, with the columns given replaced."""
+    columns = {k: [0.5, -1.25, 3e-7] for k in SWEEP_FIELDS}
+    columns.update(model=["ku"] * 3, N=[4, 5, 6], branch=["a", "b", "a"])
+    columns.update(cols)
+    return columns
+
+
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(columns=_raw_sweep_columns())
 @example(columns={k: [] for k in SWEEP_FIELDS})
 @example(columns={**{k: [math.nan] * 2 for k in SWEEP_FIELDS}, "model": ["ku"] * 2,
                   "N": [4, 4], "branch": ['"', "\u00e9"]})
+# One-valued columns, written into the template, one holding '%'.
+@example(columns=_finite_columns(model=["%s 100%"] * 3, N=[7] * 3, branch=["%d"] * 3))
+# One NaN and one infinity of each sign among finite floats.
+@example(columns=_finite_columns(xi_sq=[0.5, math.nan, 2.0], I1=[math.inf, 1.0, -math.inf]))
+# One negative zero, which JSON writes as -0.0 and CSV as -0.
+@example(columns=_finite_columns(I4=[1.0, -0.0, 0.5]))
 def test_render_sweep_matches_cell_renderers(columns):
     """The per-row %-templates write the bytes of _csv_cell and _to_json
     applied to each record, on any column values."""

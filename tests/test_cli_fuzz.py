@@ -8,12 +8,17 @@ sets, arbitrary JSON and text that is not JSON.  Sweeps draw a model,
 --N lists, --param-range strings (well formed, malformed, a negative lo,
 steps past the row cap) under each spelling of the option, --format and
 --out paths (fresh, a directory, a missing parent).  Verify draws
---seed.  Every run draws SYMSQ_TOL.  Every argv is well formed, so
-argparse never exits; its usage errors are pinned elsewhere.  The
-property: main returns a documented code and never raises or warns, a
-nonzero code other than verify's 1 prints exactly one "error:" line to
-stderr and nothing to stdout, and verify returns 1 only when it prints a
-FAIL line.
+--seed.  Every run draws SYMSQ_TOL.  These argv are well formed, so
+argparse never exits.  The property: main returns a documented code and
+never raises or warns, a nonzero code other than verify's 1 prints
+exactly one "error:" line to stderr and nothing to stdout, and verify
+returns 1 only when it prints a FAIL line.
+
+A last fuzzer draws malformed sweep argv (unknown, repeated and
+abbreviated options, missing values, bad --model and --format choices,
+stray positionals): main ends in argparse's SystemExit(2) or returns a
+documented code, never raises anything else or warns, and a nonzero end
+writes nothing to stdout.
 """
 
 import contextlib
@@ -137,7 +142,8 @@ def work_dir(tmp_path_factory):
 
 def _main(argv, tol):
     """cli.main(argv) in process, with SYMSQ_TOL = tol (unset for None) and
-    every warning an error: (code, stdout, stderr)."""
+    every warning an error: (code, stdout, stderr), where argparse's
+    SystemExit(c) gives the code ("usage", c)."""
     saved = os.environ.pop("SYMSQ_TOL", None)
     if tol is not None:
         os.environ["SYMSQ_TOL"] = tol
@@ -146,7 +152,10 @@ def _main(argv, tol):
         with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
                 contextlib.redirect_stderr(err):
             warnings.simplefilter("error")
-            code = cli.main(argv)
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse's usage error, as a code no command returns
+                code = ("usage", exc.code)
     finally:
         os.environ.pop("SYMSQ_TOL", None)
         if saved is not None:
@@ -247,3 +256,45 @@ def test_verify_ends_in_a_documented_exit_code(level, seed, tol):
     verdicts = [line.split(" ", 1)[0] for line in out.splitlines()]
     assert err == "" and len(verdicts) == 4 and set(verdicts) <= {"PASS", "FAIL"}, (argv, tol)
     assert (code == cli.EXIT_VERIFY_FAIL) == ("FAIL" in verdicts), (argv, tol, out)
+
+
+# Malformed sweep argv: units of one or two tokens, in any order and
+# number, so an option may repeat, lose its value to the next option or
+# take a value from the wrong option's choices.  No token abbreviates
+# --help.  --out values are relative paths, written in the work directory.
+_ARGV_OPTIONS = ["--model", "--mod", "--N", "--param-range", "--param", "--format", "--form",
+                 "--out", "--seed", "--level", "--bogus", "-N", "-m", "--", "--N=",
+                 "--model=ku", "--format=xml", "--format=json", "--param-range=-1:1:3"]
+_ARGV_VALUES = ["ku", "dicke", "atomic", "KU", "gauss", "csv", "json", "xml", "text", "4",
+                "3,5", "0", "abc", "0:1:3", "-1:1:3", "0.1:0.9:2", "1:0:3", "", "sweep.out",
+                "analyze"]
+_ARGV_UNITS = st.one_of(
+    st.sampled_from([["--model", "ku"], ["--model", "dicke"], ["--model", "atomic"],
+                     ["--N", "4"], ["--param-range", "0.1:0.9:3"], ["--format", "json"],
+                     ["--out", "sweep.out"]]),
+    st.tuples(st.sampled_from(_ARGV_OPTIONS), st.sampled_from(_ARGV_VALUES)).map(list),
+    st.sampled_from(_ARGV_OPTIONS).map(lambda tok: [tok]),
+    st.sampled_from(_ARGV_VALUES).map(lambda tok: [tok]),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@example(units=[["--model", "ku"], ["--N", "4"], ["--param-range", "0.1:0.9:3"]])  # exit 0
+@example(units=[["--model", "ku"], ["--N"]])  # a missing value
+@example(units=[["--model", "ku"], ["--model", "gauss"]])  # a bad choice, repeated
+@example(units=[["--model", "dicke"], ["--format", "xml"]])  # a bad format
+@example(units=[["--model", "dicke"], ["stray"]])  # a stray positional
+@example(units=[["--model", "dicke"], ["--bogus", "1"]])  # an unknown option
+@given(units=st.lists(_ARGV_UNITS, max_size=6))
+def test_malformed_sweep_argv_ends_in_a_usage_error_or_a_documented_code(work_dir, units):
+    argv = ["sweep"] + [tok for unit in units for tok in unit]
+    cwd = os.getcwd()
+    os.chdir(work_dir)
+    try:
+        code, out, err = _main(argv, None)
+    finally:
+        os.chdir(cwd)
+    assert code == ("usage", 2) or code in (cli.EXIT_OK, cli.EXIT_INVALID_STATE,
+                                             cli.EXIT_PARSE_ERROR, cli.EXIT_BAD_RANGE), argv
+    if code != cli.EXIT_OK:
+        assert out == "" and err, (argv, out)

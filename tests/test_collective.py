@@ -223,6 +223,44 @@ def test_mean_spin_skips_the_i1_test():
     assert cls.margin == min(inv.I5, inv.I4, inv.combo_I4_minus_I3sq) + SIGN_TOL
 
 
+def _if_chain(i1, i3, i4, i5, tol):
+    """classify_invariants on one pair as a chain of float tests: x < -tol
+    when its margin (0 - tol) - x is positive."""
+    def margin(x):
+        return (0.0 - tol) - x
+    if margin(-i3) > 0.0:
+        tests = ((Branch.I5_NEGATIVE, i5), (Branch.I4_NEGATIVE, i4),
+                 (Branch.I4_POS_COMBO_NEGATIVE, i4 - i3 * i3))
+    else:
+        tests = ((Branch.I3_ZERO_I1_NEGATIVE, i1),)
+    for branch, x in tests:
+        if margin(x) > 0.0:
+            return branch, margin(x)
+    return Branch.SEPARABLE_SIGNATURE, -max(margin(x) for _, x in tests)
+
+
+_EDGES = st.sampled_from([0.0, -0.0, SIGN_TOL, -SIGN_TOL, 2 * SIGN_TOL, -2 * SIGN_TOL,
+                          np.nextafter(-SIGN_TOL, 0.0), np.nextafter(-SIGN_TOL, -1.0), 0.25])
+_INVARIANT = st.one_of(_EDGES, st.floats(-1.0, 1.0))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(rows=st.lists(st.tuples(_INVARIANT, _EDGES | st.floats(0.0, 1.0), _INVARIANT, _INVARIANT),
+                     min_size=1, max_size=12))
+def test_stacked_classification_is_the_if_chain(rows):
+    """Over a stack, each pair's branch and margin are the if-chain's, bit
+    for bit, at and around the tol edges; so is a single pair's."""
+    i1, i3, i4, i5 = map(np.array, zip(*rows))
+    inv = SymmetricInvariants(I1=i1, I2=np.zeros_like(i1), I3=i3, I4=i4, I5=i5,
+                              I6=np.zeros_like(i1))
+    cls = classify_invariants(inv)
+    for k, row in enumerate(rows):
+        branch, margin = _if_chain(*row, SIGN_TOL)
+        assert cls.branch[k] is branch and cls.margin[k].hex() == margin.hex(), row
+        one = classify_invariants(SymmetricInvariants(row[0], 0.0, row[1], row[2], row[3], 0.0))
+        assert one.branch is branch and one.margin.hex() == margin.hex(), row
+
+
 def test_classification_complete_on_special_class(rng):
     """On the special class the four sign tests exactly decide
     entanglement (PPT verdict)."""

@@ -109,6 +109,21 @@ def test_wigner_d_large_j_is_finite():
     assert np.isfinite(val) and 0 < abs(val) < 1
 
 
+def test_wigner_d_is_the_table_entry_bit_for_bit():
+    """wigner_d_pi2's four lgamma calls give _log_d_pi2_sq_table's entry,
+    signed (-1)^((J+M)/2), bit for bit: on every M up to J = 32 and on the
+    ends and middle of the M range up to the cap's J = 2^20 - 1."""
+    cap_n = 2 * models._MAX_ATOMIC_WEIGHTS - 2
+    for n in (0, 2, 4, 6, 10, 64, 1000, 2**16 + 2, cap_n):
+        table = models._log_d_pi2_sq_table(n)
+        h = n // 2
+        entries = {i for i in (*range(40), *range(h // 2 - 20, h // 2 + 20), *range(h - 39, h + 1))
+                   if 0 <= i <= h}
+        for i in entries:
+            expected = (-1.0) ** i * math.exp(0.5 * table[i])
+            assert wigner_d_pi2(h, 2 * i - h).hex() == expected.hex(), (n, i)
+
+
 # ----------------------------------------------------------------------
 # Dicke model
 

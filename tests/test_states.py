@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -281,6 +282,20 @@ def test_rho_from_bloch_is_the_pauli_sum(rng):
             for j in range(3):
                 expected = expected + t[i, j] * np.kron(paulis[i], paulis[j])
         assert np.max(np.abs(rho_from_bloch(s, r, t) - expected / 4)) < 1e-15
+
+
+@pytest.mark.parametrize("big", [
+    ([1e308] * 3, [1e308] * 3, np.full((3, 3), 1e308)),   # every entry
+    ([0.0, 0.0, 1e308], [0.0, 0.0, 1e308], np.zeros((3, 3))),  # rho_00 = (1 + s3 + r3)/4
+    ([0.0] * 3, [0.0] * 3, np.diag([1e308, -1e308, 0.0])),  # rho_03 = (T11 - T22)/4
+], ids=["all", "s3_r3", "T11_T22"])
+def test_rho_from_bloch_fails_loudly_past_the_float_range(big):
+    """Finite Bloch entries whose Pauli sum leaves the float range raise
+    DomainError, with no RuntimeWarning, instead of NaN or inf entries."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="leaves the float range"):
+            rho_from_bloch(*big)
 
 
 def test_bloch_of_product_state(product_state):
