@@ -65,8 +65,6 @@ def _scalar_text(v) -> str:
     """A scalar as text; JSON adds quotes to strings and CSV writes NaN as nan."""
     if isinstance(v, bool):
         return "true" if v else "false"
-    if v is None:
-        return "null"
     if isinstance(v, (float, np.floating)):
         return _fmt_float(float(v))
     return str(v)
@@ -76,8 +74,6 @@ def _to_json(obj, indent: int = 0) -> str:
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
         items = [f'{inner}{json.dumps(str(k))}: {_to_json(v, indent + 1)}'
                  for k, v in obj.items()]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"

@@ -8,15 +8,14 @@ followed by a congruence that block-diagonalizes the partially transposed
 matrix into (1/2) diag(T - s s^T, 1).
 
 The collective witness of N such qubits is the same matrix seen through an
-affine map: <JJ>_sym - (1 - 1/N) <J><J>^T = (N/4)(I + (N - 1) C).  So one
-eigensolve of C per pair serves c_negativity_test, korbicz_minimum and
-collective_criterion at every N; the last C's least eigenvalue is memoized.
+affine map: <JJ>_sym - (1 - 1/N) <J><J>^T = (N/4)(I + (N - 1) C).  So the
+least eigenvalue of C decides c_negativity_test, korbicz_minimum and
+collective_criterion at every N.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -186,15 +185,8 @@ def korbicz_witness(s, T, k_hat) -> float:
 
 def korbicz_minimum(s, T) -> float:
     """Exact minimization of korbicz_witness over unit directions: the least
-    eigenvalue of C by LAPACK (symmetric_eigenvalues), memoized on C's bytes
-    for the last C asked about.  It passes (C + C^T)/2 to the solver's
-    symmetry gate: C can be an ulp less symmetric than T, whose asymmetry
-    the symmetry rule bounds."""
+    eigenvalue of C by LAPACK (symmetric_eigenvalues).  It passes
+    (C + C^T)/2 to the solver's symmetry gate: C can be an ulp less
+    symmetric than T, whose asymmetry the symmetry rule bounds."""
     c = _c(s, T)
-    c = (c + c.T) / 2.0
-    return _least_eigenvalue(c.shape, c.tobytes())
-
-
-@lru_cache(maxsize=1)
-def _least_eigenvalue(shape, data: bytes) -> float:
-    return float(symmetric_eigenvalues(np.frombuffer(data).reshape(shape))[0])
+    return float(symmetric_eigenvalues((c + c.T) / 2.0)[0])

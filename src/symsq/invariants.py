@@ -84,35 +84,30 @@ def makhlin_from_bloch(s, r, t) -> MakhlinInvariants:
     ttt2r = ttt @ tttr
     ts_left = t.T @ s     # T^T s
     tr = t @ r            # T r
-    vals = (
-        _triple(t[0], t[1], t[2]),               # I1 = det T
-        np.trace(ttt),                           # I2
-        np.trace(ttt @ ttt),                     # I3
-        s @ s,                                   # I4
-        s @ tts,                                 # I5
-        s @ tt2s,                                # I6
-        r @ r,                                   # I7
-        r @ tttr,                                # I8
-        r @ ttt2r,                               # I9
-        _triple(s, tts, tt2s),                   # I10
-        _triple(r, tttr, ttt2r),                 # I11
-        s @ tr,                                  # I12
-        s @ (tt @ tr),                           # I13
-        np.einsum("ijk,lmn,i,l,jm,kn->", EPS, EPS, s, r, t, t),  # I14
-        _triple(s, tts, tr),                     # I15
-        _triple(ts_left, r, tttr),               # I16
-        _triple(ts_left, ttt @ ts_left, r),      # I17
-        _triple(s, tr, tt @ tr),                 # I18
-    )
-    return MakhlinInvariants(tuple(map(float, vals)))
+    ttr = tt @ tr
+    # Row k of the stacks below is one invariant: the dot products
+    # (I4, I5, I6, I7, I8, I9, I12, I13) are u_k . v_k, one einsum, and the
+    # triple products (I1, I10, I11, I15, I16, I17, I18) are
+    # [a_k, b_k, c_k], one _triple.  Its last three rows are the rows of
+    # cof(T) r, since cof(T)_il = eps_ijk eps_lmn t_jm t_kn / 2, so that
+    # I14 = eps_ijk eps_lmn s_i r_l t_jm t_kn = 2 s . cof(T) r.
+    d = np.einsum("ki,ki->k",
+                  np.array([s, s, s, r, r, r, s, s]),
+                  np.array([s, tts, tt2s, r, tttr, ttt2r, tr, ttr])).tolist()
+    x = _triple(np.array([t[0], s, r, s, ts_left, ts_left, s, t[1], t[2], t[0]]),
+                np.array([t[1], tts, tttr, tts, r, ttt @ ts_left, tr, t[2], t[0], t[1]]),
+                np.array([t[2], tt2s, ttt2r, tr, tttr, r, ttr, r, r, r]))
+    i14 = 2.0 * float(s @ x[7:])
+    x = x.tolist()
+    # I2 = Tr T^T T and I3 = Tr (T^T T)^2, as sums of squares: T^T T is
+    # symmetric.
+    return MakhlinInvariants((x[0], float(np.vdot(t, t)), float(np.vdot(ttt, ttt)), *d[:6],
+                              x[1], x[2], d[6], d[7], i14, *x[3:7]))
 
 
 def makhlin_all(state: TwoQubitState) -> MakhlinInvariants:
-    """The 18 invariants of a state, computed once per state and kept in its memo."""
-    memo = state._memo
-    if "makhlin" not in memo:
-        memo["makhlin"] = makhlin_from_bloch(state.s, state.r, state.T)
-    return memo["makhlin"]
+    """The 18 invariants of a state."""
+    return makhlin_from_bloch(*state.bloch())
 
 
 def symmetric_six_from_bloch(s, t) -> SymmetricInvariants:

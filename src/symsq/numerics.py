@@ -8,7 +8,8 @@ complex density matrices (rho^Gamma, concurrence's rho, a rho that the
 Cholesky gate rejects) by cyclic complex Jacobi sweeps: simple, robust and
 accurate to machine precision; the second solves for the eigenvalues alone
 and builds no eigenvector matrix, with the same eigenvalues bit for bit.
-All three share one gate (finiteness, Hermiticity, symmetrization).  The
+All three share one gate, _hermitian_part: finiteness first, then one
+comparison of m with m^dag against DEFAULT_TOL, then (m + m^dag)/2.  The
 3x3 SVD (LAPACK's, with fixed sign and rotation conventions) and the
 SU(2) -> SO(3) covering map are the geometric workhorses for
 correlation-matrix manipulations; PAULI_PAIRS is the one Pauli basis that
@@ -25,6 +26,7 @@ count, the verify suites' sample count and every qubit count N.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -187,11 +189,15 @@ def _hermitian_part(m) -> np.ndarray:
     if a.dtype == object:
         # A Python int past int64, in a list, makes an object array.
         a = _as_array(a, complex)
-    if not np.all(np.isfinite(a)):
+    # Finiteness first: an infinite entry would make a - a^dag warn on
+    # inf - inf.  On a 3x3 or 4x4 the Python loop costs less than a ufunc
+    # and a reduction.
+    if not all(map(cmath.isfinite, a.ravel().tolist())):
         raise DomainError("matrix has a non-finite entry")
-    if np.max(np.abs(a - a.conj().T)) > DEFAULT_TOL:
+    ah = a.conj().T
+    if abs(a - ah).max() > DEFAULT_TOL:
         raise NonHermitian("matrix deviates from Hermiticity beyond DEFAULT_TOL")
-    return (a + a.conj().T) / 2.0
+    return (a + ah) / 2.0
 
 
 def hermitian_eigh(m):

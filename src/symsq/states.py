@@ -74,9 +74,8 @@ class TwoQubitState:
     `symmetric` says whether the state is exchange-symmetric: r = s,
     T = T^T and Tr T = 1, each within DEFAULT_TOL, as every later check of
     them.  It is decided once, on the state's own Bloch data, and every
-    operation that needs a symmetric state reads it.  `_memo` holds what
-    other modules compute once per state (makhlin_all's invariants); it
-    lives and dies with the state.  States compare and hash by identity.
+    operation that needs a symmetric state reads it.  States compare and
+    hash by identity.
     """
 
     rho: np.ndarray
@@ -84,7 +83,6 @@ class TwoQubitState:
     r: np.ndarray = field(init=False)
     T: np.ndarray = field(init=False)
     symmetric: bool = field(init=False, repr=False)
-    _memo: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         rho = _checked_rho(self.rho)
@@ -140,8 +138,7 @@ def _fill(state: TwoQubitState, rho: np.ndarray) -> None:
     symmetric = bool(np.max(np.abs(r - s)) <= DEFAULT_TOL
                      and np.max(np.abs(t - t.T)) <= DEFAULT_TOL
                      and abs(np.trace(t) - 1.0) <= DEFAULT_TOL)
-    fields = {"rho": _read_only(rho)[0], "s": s, "r": r, "T": t, "symmetric": symmetric,
-              "_memo": {}}
+    fields = {"rho": _read_only(rho)[0], "s": s, "r": r, "T": t, "symmetric": symmetric}
     for name, value in fields.items():
         object.__setattr__(state, name, value)
 

@@ -7,8 +7,9 @@ Each row of MUTANTS is one fault: a file of src/symsq, one exact snippet
 of it, the snippet's replacement and the test node ids expected to fail
 once it is applied.  The script refuses the table, before it runs
 anything, if a snippet is not found exactly once.  For each mutant it
-copies src/, tests/, pyproject.toml and README.md into a temporary
-directory, applies the mutant there and runs
+copies src/, tests/, perfbench/, pyproject.toml, README.md and
+BENCHMARK.json into a temporary directory, applies the mutant there and
+runs
 
     python -m pytest -q -x -p no:cacheprovider <the row's tests>
 
@@ -72,7 +73,11 @@ _HOUSEHOLDER = "v = n0 + np.copysign(1.0, n0[..., 2:]) * _EYE3[2]"
 _BIG = "tests/test_cli.py::test_analyze_huge_finite_entry_exit_code"
 _RENDER = "tests/test_cli.py::test_render_sweep_matches_cell_renderers"
 _PAULI_RANGE = "tests/test_states.py::test_rho_from_bloch_fails_loudly_past_the_float_range"
-# The Tier-1 command, as pytest arguments; testpaths names tests/.
+_GATE_FINITE = ("tests/test_numerics.py::"
+                "test_eigen_gate_refuses_a_non_finite_entry_before_hermiticity")
+_GATE_EDGE = "tests/test_numerics.py::test_eigen_gate_refuses_only_beyond_default_tol"
+# The Tier-1 command, as pytest arguments; testpaths names tests/ and
+# perfbench/.
 _TIER1 = ("--continue-on-collection-errors",)
 
 MUTANTS = (
@@ -208,14 +213,6 @@ MUTANTS = (
            "x = v * np.sqrt(np.clip(w, 0.0, None))",
            "x = v * np.sqrt(w)",
            ("tests/test_invariants.py::test_concurrence_is_invariant_under_local_unitaries",)),
-    Mutant("c-memo-keyed-on-s", "covariance.py",
-           "    return _least_eigenvalue(c.shape, c.tobytes())\n",
-           "    key = np.asarray(s, dtype=float).tobytes()\n"
-           "    if getattr(korbicz_minimum, 'key', None) != key:\n"
-           "        korbicz_minimum.key = key\n"
-           "        korbicz_minimum.least = float(symmetric_eigenvalues(c)[0])\n"
-           "    return korbicz_minimum.least\n",
-           ("tests/test_covariance.py::test_c_memo_follows_s_and_t",)),
     Mutant("psd-shift-unguarded", "states.py",
            "_PSD_SHIFT = FROM_BLOCH_PSD_TOL - _EDGE_GUARD",
            "_PSD_SHIFT = FROM_BLOCH_PSD_TOL",
@@ -225,13 +222,35 @@ MUTANTS = (
            "return np.linalg.eigvalsh(_hermitian_part(_as_array(m, float)))",
            "return np.linalg.eigvalsh(_hermitian_part(_as_array(m, float)))[::-1]",
            (_LAPACK,)),
+    # The shared eigen gate: finiteness first, then m - m^dag beyond
+    # DEFAULT_TOL.
+    Mutant("eigen-gate-hermiticity-first", "numerics.py",
+           "    if not all(map(cmath.isfinite, a.ravel().tolist())):\n"
+           '        raise DomainError("matrix has a non-finite entry")\n'
+           "    ah = a.conj().T\n"
+           "    if abs(a - ah).max() > DEFAULT_TOL:\n"
+           '        raise NonHermitian("matrix deviates from Hermiticity beyond DEFAULT_TOL")\n',
+           "    ah = a.conj().T\n"
+           "    if abs(a - ah).max() > DEFAULT_TOL:\n"
+           '        raise NonHermitian("matrix deviates from Hermiticity beyond DEFAULT_TOL")\n'
+           "    if not all(map(cmath.isfinite, a.ravel().tolist())):\n"
+           '        raise DomainError("matrix has a non-finite entry")\n',
+           (_GATE_FINITE,)),
+    Mutant("eigen-gate-flipped", "numerics.py",
+           "if abs(a - ah).max() > DEFAULT_TOL:",
+           "if abs(a - ah).max() < DEFAULT_TOL:",
+           (_GATE_EDGE,)),
+    Mutant("eigen-gate-not-strict", "numerics.py",
+           "if abs(a - ah).max() > DEFAULT_TOL:",
+           "if abs(a - ah).max() >= DEFAULT_TOL:",
+           (_GATE_EDGE,)),
     Mutant("symmetric-gate-dropped", "numerics.py",
            "return np.linalg.eigvalsh(_hermitian_part(_as_array(m, float)))",
            "a = check_finite(m)\n    return np.linalg.eigvalsh((a + a.T) / 2.0)",
            (_LAPACK,)),
     Mutant("korbicz-c-unsymmetrized", "covariance.py",
-           "    c = (c + c.T) / 2.0\n",
-           "",
+           "symmetric_eigenvalues((c + c.T) / 2.0)",
+           "symmetric_eigenvalues(c)",
            ("tests/test_covariance.py::test_c_an_ulp_less_symmetric_than_t_is_solved",)),
     # Huge numbers fail at the gates.
     Mutant("check-finite-overflows", "numerics.py",
@@ -270,16 +289,17 @@ MUTANTS = (
            "    v = np.where(pole, np.copysign(_EYE3[2], n0[..., 2:]), n0)\n"
            "    " + _HOUSEHOLDER.replace("n0 +", "v +"),
            (f"{_POLES}[1e-09-+e3]", f"{_POLES}[1e-09--e3]")),
-    # The 18 Makhlin formulas: T T^T and T^T T mixed, or an operand swapped.
+    # The 18 Makhlin formulas, as rows of the stacked kernel: T T^T and
+    # T^T T mixed, or an operand swapped.
     *(Mutant(f"makhlin-{name}", "invariants.py", snippet, replacement,
              ("tests/test_invariants.py::test_local_unitary_invariance",))
       for name, snippet, replacement in (
-          ("I12", "        s @ tr,  ", "        s @ (t.T @ r),  "),
-          ("I13", "s @ (tt @ tr),", "s @ (ttt @ tr),"),
-          ("I14", '"ijk,lmn,i,l,jm,kn->"', '"ijk,lmn,i,l,mj,kn->"'),
-          ("I16", "_triple(ts_left, r, tttr),", "_triple(ts_left, r, tt @ r),"),
-          ("I17", "_triple(ts_left, ttt @ ts_left, r),", "_triple(ts_left, tt @ ts_left, r),"),
-          ("I18", "_triple(s, tr, tt @ tr),", "_triple(s, tr, ttt @ tr),"))),
+          ("I12", "ttt2r, tr, ttr])", "ttt2r, t.T @ r, ttr])"),
+          ("I13", "tr, ttr])).tolist()", "tr, ttt @ tr])).tolist()"),
+          ("I14", "2.0 * float(s @ x[7:])", "2.0 * float(r @ x[7:])"),
+          ("I16", "ttt2r, tr, tttr, r,", "ttt2r, tr, tt @ r, r,"),
+          ("I17", "ttt @ ts_left, tr,", "tt @ ts_left, tr,"),
+          ("I18", "r, ttr, r, r, r]", "r, ttt @ tr, r, r, r]"))),
     # The spin-label rule, the samplers' rank, the local-unitary image and
     # the simulator's cache key.
     Mutant("m-parity-dropped", "collective.py",
@@ -295,10 +315,6 @@ MUTANTS = (
            "    _fill(image, _checked_rho(big @ state.rho @ big.conj().T))\n"
            "    return image\n",
            "    return TwoQubitState(big @ state.rho @ big.conj().T)\n",
-           ("tests/test_invariants.py::test_apply_local_unitaries_solves_no_eigenproblem",)),
-    Mutant("image-copies-the-parents-memo", "states.py",
-           "    return image\n",
-           "    object.__setattr__(image, '_memo', state._memo)\n    return image\n",
            ("tests/test_invariants.py::test_apply_local_unitaries_solves_no_eigenproblem",)),
     Mutant("j-ops-key-unnormalized", "oracle.py",
            "    return _build_j_operators(_check_oracle_n(N))\n",
@@ -473,10 +489,11 @@ def _check_table(mutants) -> list:
 
 def _copy_tree(dest: Path) -> None:
     ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
-    for name in ("src", "tests"):
+    for name in ("src", "tests", "perfbench"):
         shutil.copytree(ROOT / name, dest / name, ignore=ignore)
-    # README.md: test_readme_tolerance_table_lists_every_tolerance reads it.
-    for name in ("pyproject.toml", "README.md"):
+    # README.md: test_readme_tolerance_table_lists_every_tolerance reads it;
+    # BENCHMARK.json: perfbench's self-tests read it.
+    for name in ("pyproject.toml", "README.md", "BENCHMARK.json"):
         shutil.copy2(ROOT / name, dest / name)
 
 

@@ -225,26 +225,40 @@ def test_analyze_solves_a_rejected_rho_once(tmp_path, monkeypatch, capsys):
 
 
 def test_analyze_solves_c_once_for_every_n(tmp_path, monkeypatch, capsys):
-    """analyze --N 2,3,10,100 reads the C test and all four witness rows
-    from one solve of the state's C."""
+    """analyze --N 2,3,10,100 solves the state's C once for the C test and
+    once for each of the four witness rows, k + 1 solves for k values of
+    N, each of the same C, and every row reads its least eigenvalue."""
     path = tmp_path / "state.json"
     path.write_text(json.dumps(_rho_obj(_SYMMETRIC.rho)))
     solved = []
     solve = covariance.symmetric_eigenvalues
 
     def counted(m):
-        solved.append(np.shape(m))
+        solved.append(np.array(m))
         return solve(m)
 
     monkeypatch.setattr(covariance, "symmetric_eigenvalues", counted)
-    covariance._least_eigenvalue.cache_clear()
     assert main(["analyze", str(path), "--N", "2,3,10,100", "--format", "json"]) == EXIT_OK
-    assert solved == [(3, 3)]
+    assert len(solved) == 5 and solved[0].shape == (3, 3)
+    assert all(np.array_equal(m, solved[0]) for m in solved)
     report = json.loads(capsys.readouterr().out)
     c_min = report["c_min_eigenvalue"]
     for row in report["collective"]:
         n = row["N"]
         assert row["witness_min_eigenvalue"] == 0.25 * n * (1.0 + (n - 1) * c_min)
+
+
+def test_analyze_special_parameters_not_numbers_exit_code(tmp_path, capsys):
+    """A "special" state whose four parameters are lists of one length
+    reads as an array, not four numbers: a parse error, exit 3."""
+    path = tmp_path / "special.json"
+    path.write_text(json.dumps({"special": {"a": [0.25], "b": [0.0], "c": [0.25],
+                                            "d": [0.25]}}))
+    assert main(["analyze", str(path)]) == EXIT_PARSE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: cannot parse state file: 'special' parameters "
+                            "a, b, c, d must be numbers\n")
 
 
 def test_analyze_invalid_state_exit_code(tmp_path, capsys):

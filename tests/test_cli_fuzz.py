@@ -14,11 +14,12 @@ never raises or warns, a nonzero code other than verify's 1 prints
 exactly one "error:" line to stderr and nothing to stdout, and verify
 returns 1 only when it prints a FAIL line.
 
-A last fuzzer draws malformed sweep argv (unknown, repeated and
-abbreviated options, missing values, bad --model and --format choices,
-stray positionals): main ends in argparse's SystemExit(2) or returns a
-documented code, never raises anything else or warns, and a nonzero end
-writes nothing to stdout.
+The last fuzzers draw malformed argv for sweep, analyze and verify
+(unknown, repeated and abbreviated options, missing values, bad choices,
+stray positionals; for analyze also missing and unreadable paths): main
+ends in argparse's SystemExit(2) or returns a documented code, never
+raises anything else or warns, and a nonzero end writes nothing to
+stdout.
 """
 
 import contextlib
@@ -258,6 +259,16 @@ def test_verify_ends_in_a_documented_exit_code(level, seed, tol):
     assert (code == cli.EXIT_VERIFY_FAIL) == ("FAIL" in verdicts), (argv, tol, out)
 
 
+def _in_work_dir(work_dir, argv):
+    """_main(argv, None) run in work_dir, so relative paths land there."""
+    cwd = os.getcwd()
+    os.chdir(work_dir)
+    try:
+        return _main(argv, None)
+    finally:
+        os.chdir(cwd)
+
+
 # Malformed sweep argv: units of one or two tokens, in any order and
 # number, so an option may repeat, lose its value to the next option or
 # take a value from the wrong option's choices.  No token abbreviates
@@ -288,13 +299,76 @@ _ARGV_UNITS = st.one_of(
 @given(units=st.lists(_ARGV_UNITS, max_size=6))
 def test_malformed_sweep_argv_ends_in_a_usage_error_or_a_documented_code(work_dir, units):
     argv = ["sweep"] + [tok for unit in units for tok in unit]
-    cwd = os.getcwd()
-    os.chdir(work_dir)
-    try:
-        code, out, err = _main(argv, None)
-    finally:
-        os.chdir(cwd)
+    code, out, err = _in_work_dir(work_dir, argv)
     assert code == ("usage", 2) or code in (cli.EXIT_OK, cli.EXIT_INVALID_STATE,
                                              cli.EXIT_PARSE_ERROR, cli.EXIT_BAD_RANGE), argv
     if code != cli.EXIT_OK:
         assert out == "" and err, (argv, out)
+
+
+# Malformed analyze argv, drawn as the sweep ones are: a valid state file,
+# a missing one and a directory as paths, and tokens of the other
+# commands.  A valid draw runs analyze, which takes about a millisecond.
+_ANALYZE_OPTIONS = ["--N", "--format", "--form", "--fo", "-N", "--", "--N=", "--N=2,3",
+                    "--format=xml", "--format=json", "--bogus", "--level", "--seed", "--model",
+                    "--out"]
+_ANALYZE_VALUES = ["valid.json", "missing.json", ".", "", "json", "text", "xml", "2,3", "4",
+                   "0", "1", "abc", "-1", "2,,3", "analyze", "verify"]
+_ANALYZE_UNITS = st.one_of(
+    st.sampled_from([["valid.json"], ["--N", "2,10"], ["--format", "json"],
+                     ["--format", "text"]]),
+    st.tuples(st.sampled_from(_ANALYZE_OPTIONS), st.sampled_from(_ANALYZE_VALUES)).map(list),
+    st.sampled_from(_ANALYZE_OPTIONS).map(lambda tok: [tok]),
+    st.sampled_from(_ANALYZE_VALUES).map(lambda tok: [tok]),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@example(units=[["valid.json"], ["--N", "2,10"], ["--format", "json"]])  # exit 0
+@example(units=[["missing.json"]])  # exit 3
+@example(units=[["valid.json"], ["--N", "1"]])  # exit 4
+@example(units=[])  # no path
+@example(units=[["valid.json"], ["valid.json"]])  # a stray positional
+@example(units=[["valid.json"], ["--format"]])  # a missing value
+@example(units=[["valid.json"], ["--level", "quick"]])  # another command's option
+@given(units=st.lists(_ANALYZE_UNITS, max_size=5))
+def test_malformed_analyze_argv_ends_in_a_usage_error_or_a_documented_code(work_dir, units):
+    (work_dir / "valid.json").write_text(json.dumps(_VALID[1]), encoding="utf-8")
+    argv = ["analyze"] + [tok for unit in units for tok in unit]
+    code, out, err = _in_work_dir(work_dir, argv)
+    assert code == ("usage", 2) or code in (cli.EXIT_OK, cli.EXIT_INVALID_STATE,
+                                             cli.EXIT_PARSE_ERROR, cli.EXIT_BAD_RANGE), argv
+    if code != cli.EXIT_OK:
+        assert out == "" and err, (argv, out)
+
+
+# Malformed verify argv.  Each draw holds one unit that argparse refuses
+# wherever it stands (an unknown option, a bad --level or --seed, a stray
+# positional), so no draw runs the suites; the valid ones are
+# test_verify_ends_in_a_documented_exit_code's.
+_VERIFY_UNITS = st.one_of(
+    st.sampled_from([["--level", "quick"], ["--level", "full"], ["--seed", "7"],
+                     ["--lev", "quick"], ["--se", "3"], ["--"]]),
+    st.tuples(st.sampled_from(["--level", "--seed", "--level=", "--seed="]),
+              st.sampled_from(["quick", "full", "0", "+7", " 42 "])).map(list),
+    st.sampled_from(["--level", "--seed"]).map(lambda tok: [tok]),
+)
+_VERIFY_REFUSED = st.sampled_from([
+    ["--bogus"], ["--N", "4"], ["--format", "json"], ["stray"], ["-x"], ["--level", "slow"],
+    ["--level", "QUICK"], ["--level="], ["--seed", "abc"], ["--seed", "-3"], ["--seed", "1.5"],
+    ["--seed", ""], ["--seed=0x10"], ["--seed", "1e3"], ["--seed", str(_HUGE) + "x"],
+])
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@example(units=[], refused=["--bogus"], at=0)
+@example(units=[["--level", "quick"]], refused=["--seed", "-3"], at=1)
+@example(units=[["--seed"]], refused=["stray"], at=1)  # the stray token is the seed
+@given(units=st.lists(_VERIFY_UNITS, max_size=4), refused=_VERIFY_REFUSED,
+       at=st.integers(0, 4))
+def test_malformed_verify_argv_ends_in_a_usage_error(work_dir, units, refused, at):
+    units = units[:at] + [refused] + units[at:]
+    argv = ["verify"] + [tok for unit in units for tok in unit]
+    code, out, err = _in_work_dir(work_dir, argv)
+    assert code == ("usage", 2), argv
+    assert out == "" and err, (argv, out)

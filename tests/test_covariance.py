@@ -59,7 +59,6 @@ def test_c_an_ulp_less_symmetric_than_t_is_solved(perturbed_triplet):
     with pytest.raises(NonHermitian):
         numerics.symmetric_eigenvalues(c)
     least = numerics.symmetric_eigenvalues((c + c.T) / 2)[0]
-    covariance._least_eigenvalue.cache_clear()
     assert c_negativity_test(state)[0] == least
     assert collective_criterion(state.s, state.T, 10).min_eig == 2.5 * (1.0 + 9 * least)
 
@@ -185,7 +184,7 @@ def test_special_class_ppt_matches_closed_eigenvalues(rng):
 
 def _count_c_solves(monkeypatch):
     """The shapes of the matrices covariance hands to its symmetric
-    eigensolver, with the memo of the last C emptied first."""
+    eigensolver."""
     solved = []
     solve = covariance.symmetric_eigenvalues
 
@@ -194,13 +193,13 @@ def _count_c_solves(monkeypatch):
         return solve(m)
 
     monkeypatch.setattr(covariance, "symmetric_eigenvalues", counted)
-    covariance._least_eigenvalue.cache_clear()
     return solved
 
 
 def test_one_pair_solves_c_once_for_every_n(monkeypatch, rng):
-    """c_negativity_test and the collective witness at N = 2, 10 and 100
-    read one solve of the pair's C."""
+    """c_negativity_test, the collective witness at N = 2, 10 and 100 and
+    korbicz_minimum each solve the pair's C once, and all read its least
+    eigenvalue."""
     state = random_symmetric_state(3, rng)
     solved = _count_c_solves(monkeypatch)
     min_eig, _ = c_negativity_test(state)
@@ -208,18 +207,17 @@ def test_one_pair_solves_c_once_for_every_n(monkeypatch, rng):
         crit = collective_criterion(state.s, state.T, n)
         assert crit.min_eig == 0.25 * n * (1.0 + (n - 1) * min_eig)
     assert korbicz_minimum(state.s, state.T) == min_eig
-    assert solved == [(3, 3)]
+    assert solved == [(3, 3)] * 5
 
 
-def test_one_pair_item_makes_two_eigensolves(monkeypatch, rng):
+def test_one_pair_item_solves_rho_gamma_once_and_c_four_times(monkeypatch, rng):
     """One pair-verdicts item by hand (construct, 18 and 6 invariants, PPT,
     C test, bar invariants, branch, squeezing, witness at three N) solves
-    two eigenproblems, each for its values alone: its partial transpose by
-    Jacobi and C by LAPACK.  The constructor's positivity gate is a
-    Cholesky factorization and no verdict needs concurrence, so rho itself
-    is never solved."""
+    for eigenvalues alone: its partial transpose once, by Jacobi, and C
+    four times, by LAPACK, once for the C test and once for each witness.
+    The constructor's positivity gate is a Cholesky factorization and no
+    verdict needs concurrence, so rho itself is never solved."""
     rho = random_symmetric_state(3, rng).rho
-    covariance._least_eigenvalue.cache_clear()
     solved, vectors = [], []
     jacobi, lapack = numerics._jacobi_hermitian, np.linalg.eigvalsh
 
@@ -246,7 +244,7 @@ def test_one_pair_item_makes_two_eigensolves(monkeypatch, rng):
     squeezing(state.s, state.T, 2)
     for n in (2, 10, 100):
         collective_criterion(state.s, state.T, n)
-    assert solved == [("jacobi", (4, 4)), ("lapack", (3, 3))]
+    assert solved == [("jacobi", (4, 4))] + [("lapack", (3, 3))] * 4
     assert vectors == [False]
 
 
@@ -390,7 +388,6 @@ def test_symmetric_eigenvalues_agree_with_jacobi(kind, n, seed):
     assert np.max(np.abs(w - w_jacobi)) <= 1e-14 * max(1.0, np.linalg.norm(m, 2))
     least = w[0]
     if kind in ("triplet", "separable", "special"):
-        covariance._least_eigenvalue.cache_clear()
         least, entangled = c_negativity_test(_sampled_state(kind, seed))
         assert entangled == (least < -SIGN_TOL)
     if abs(w_jacobi[0]) > 10 * SIGN_TOL:

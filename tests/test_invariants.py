@@ -1,6 +1,7 @@
 """Local-unitary invariants: the 18-member set, symmetric reduction,
 special-class closed forms, sign tests, canonical form."""
 
+import copy
 import dataclasses
 from collections import Counter
 
@@ -78,6 +79,60 @@ def test_local_unitary_invariance(rng):
         out = apply_local_unitaries(state, haar_unitary_2x2(rng), haar_unitary_2x2(rng))
         a, b = makhlin_all(state).values, makhlin_all(out).values
         assert max(abs(x - y) for x, y in zip(a, b)) < 1e-12
+
+
+def _one_shot_makhlin(s, r, t) -> np.ndarray:
+    """I1..I18, each by its own products of (s, r, T), I14 by one
+    six-operand einsum: the formulas that makhlin_from_bloch stacks."""
+    eps = invariants.EPS
+
+    def triple(a, b, c):
+        return np.einsum("ijk,i,j,k->", eps, a, b, c)
+
+    tt, ttt = t @ t.T, t.T @ t
+    tts, tttr, ts_left, tr = tt @ s, ttt @ r, t.T @ s, t @ r
+    return np.array([
+        triple(t[0], t[1], t[2]), np.trace(ttt), np.trace(ttt @ ttt),
+        s @ s, s @ tts, s @ (tt @ tts), r @ r, r @ tttr, r @ (ttt @ tttr),
+        triple(s, tts, tt @ tts), triple(r, tttr, ttt @ tttr),
+        s @ tr, s @ (tt @ tr), np.einsum("ijk,lmn,i,l,jm,kn->", eps, eps, s, r, t, t),
+        triple(s, tts, tr), triple(ts_left, r, tttr), triple(ts_left, ttt @ ts_left, r),
+        triple(s, tr, tt @ tr),
+    ])
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(kind=st.sampled_from(["ginibre", "triplet", "image", "special"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_makhlin_is_the_one_shot_formulas(kind, seed):
+    """Each of the 18 invariants that the stacked contractions give lies
+    within 1e-15 (1 + |v|) of its one-shot formula's value v, on generic
+    states, symmetric ones, their local-unitary images and special-class
+    states (whose s and T have zero entries)."""
+    rng = np.random.default_rng(seed)
+    if kind == "ginibre":
+        state = TwoQubitState(_ginibre_rho(rng))
+    elif kind == "special":
+        state = states.symmetric_from_special(random_special_class(rng))
+    else:
+        state = random_symmetric_state(int(rng.integers(1, 4)), rng)
+        if kind == "image":
+            state = apply_local_unitaries(state, haar_unitary_2x2(rng), haar_unitary_2x2(rng))
+    want = _one_shot_makhlin(*state.bloch())
+    got = np.array(makhlin_all(state).values)
+    assert np.all(np.abs(got - want) <= 1e-15 * (1.0 + np.abs(want))), got - want
+
+
+def test_makhlin_names_past_i18_are_missing_attributes():
+    """MakhlinInvariants answers I1..I18 by name and raises AttributeError
+    for any other missing name, so hasattr and copy.deepcopy work."""
+    m = makhlin_from_bloch([0.1, 0.0, 0.2], [0.0, 0.3, 0.0], np.diag([0.5, -0.2, 0.1]))
+    assert [getattr(m, name) for name in MAKHLIN_NAMES] == list(m.values)
+    assert not hasattr(m, "I19") and not hasattr(m, "I0")
+    with pytest.raises(AttributeError):
+        m.I19
+    twin = copy.deepcopy(m)
+    assert twin == m and twin is not m and twin.I14 == m.I14
 
 
 def test_symmetric_degeneracies(rng):
@@ -287,8 +342,7 @@ def _fresh_factor_concurrence(rho):
 def test_locally_equivalent_generic_states(seed):
     """A generic (Ginibre) state and its copy under a Haar u1 (x) u2 agree
     on all 18 invariants within LOCAL_EQUIVALENCE_TOL.  concurrence
-    equals its formula on a fresh hermitian_eigh bit for bit, and
-    makhlin_all returns the one object it computed for the state.  The
+    equals its formula on a fresh hermitian_eigh bit for bit.  The
     singular values of tau = X^T (sy x sy) X give the concurrence that the
     spectrum of sqrt(rho) rho~ sqrt(rho) gives."""
     rng = np.random.default_rng(seed)
@@ -298,7 +352,6 @@ def test_locally_equivalent_generic_states(seed):
     for st_ in (state, rotated):
         assert concurrence(st_) == _fresh_factor_concurrence(st_.rho)
         assert abs(concurrence(st_) - _two_solve_concurrence(st_.rho)) < 1e-9
-        assert makhlin_all(st_) is makhlin_all(st_)
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -419,13 +472,14 @@ def _count_calls(monkeypatch):
     return counts
 
 
-def test_one_lu_item_solves_one_eigenproblem_and_two_makhlin_sets(monkeypatch, rng):
+def test_one_lu_item_solves_one_eigenproblem_and_four_makhlin_sets(monkeypatch, rng):
     """One lu_equivalence item by hand: the constructor and its
     local-unitary image solve no eigenproblem (positivity is a Cholesky
     factorization), and concurrence solves the one, hermitian_eigh(rho),
-    the item's only solve that builds eigenvectors; each state's 18
-    invariants are computed once, however many callers ask for them.  A
-    second concurrence call solves its own factor again: nothing is kept."""
+    the item's only solve that builds eigenvectors.  Each of the four
+    callers of a state's 18 invariants (makhlin_all twice, then
+    locally_equivalent for both states) computes its own set.  A second
+    concurrence call solves its own factor again: nothing is kept."""
     counts = _count_calls(monkeypatch)
     state = TwoQubitState(_ginibre_rho(rng))
     rotated = apply_local_unitaries(state, haar_unitary_2x2(rng), haar_unitary_2x2(rng))
@@ -435,25 +489,23 @@ def test_one_lu_item_solves_one_eigenproblem_and_two_makhlin_sets(monkeypatch, r
     assert locally_equivalent(state, rotated)
     assert counts["eigh"] == 0
     concurrence(state)
-    assert counts == {"eigh": 1, "vectors": 1, "makhlin": 2}
+    assert counts == {"eigh": 1, "vectors": 1, "makhlin": 4}
     concurrence(state)
-    assert counts == {"eigh": 2, "vectors": 2, "makhlin": 2}
+    assert counts == {"eigh": 2, "vectors": 2, "makhlin": 4}
 
 
 def test_apply_local_unitaries_solves_no_eigenproblem(monkeypatch, rng):
     """The image inherits positivity from its parent, also an image's image,
-    so it runs no positivity gate, neither a solve nor a factorization.  It
-    does not inherit the Makhlin set: that comes from its own Bloch data."""
+    so it runs no positivity gate, neither a solve nor a factorization.  Its
+    Bloch data are its own: its Makhlin set is a fresh state's of its rho."""
     state = TwoQubitState(_ginibre_rho(rng))
-    parent = makhlin_all(state)
     counts = _count_calls(monkeypatch)
     factored, cholesky = [], np.linalg.cholesky
     monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.append(a) or cholesky(a))
     rotated = apply_local_unitaries(state, haar_unitary_2x2(rng), haar_unitary_2x2(rng))
     apply_local_unitaries(rotated, haar_unitary_2x2(rng), haar_unitary_2x2(rng))
     assert counts["eigh"] == 0 and factored == []
-    assert makhlin_all(rotated) is not parent
-    assert makhlin_all(rotated).values == makhlin_from_bloch(*rotated.bloch()).values
+    assert makhlin_all(rotated).values == makhlin_all(TwoQubitState(rotated.rho)).values
 
 
 def _rank_one_triplet_rho(rng):

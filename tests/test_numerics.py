@@ -8,14 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from symsq import numerics
-from symsq.errors import NoConvergence, NonHermitian, NonSquare
+from symsq.errors import DomainError, NoConvergence, NonHermitian, NonSquare
 from symsq.numerics import (
+    DEFAULT_TOL,
     PAULI_PAIRS,
     SVD_NULL_TOL,
     hermitian_eigenvalues,
     hermitian_eigh,
     su2_to_so3,
     svd3,
+    symmetric_eigenvalues,
 )
 
 _I2 = np.eye(2, dtype=complex)
@@ -55,6 +57,46 @@ def test_hermitian_eigh_rejects_bad_input():
         hermitian_eigh(np.ones((2, 3)))
     with pytest.raises(NonHermitian):
         hermitian_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+_SOLVERS = pytest.mark.parametrize(
+    "solve", [hermitian_eigh, hermitian_eigenvalues, symmetric_eigenvalues],
+    ids=["hermitian_eigh", "hermitian_eigenvalues", "symmetric_eigenvalues"])
+
+
+@_SOLVERS
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400],
+                         ids=["nan", "inf", "-inf", "10**400"])
+@pytest.mark.parametrize("where", [(2, 2), (0, 2)], ids=["diagonal", "off_diagonal"])
+def test_eigen_gate_refuses_a_non_finite_entry_before_hermiticity(solve, bad, where):
+    """A non-finite entry, or an int past the float range, fails the shared
+    gate with DomainError, on or off the diagonal, never NonHermitian and
+    with no RuntimeWarning (an error under the Tier-1 warning filter)."""
+    m = [[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 3.0]]
+    m[where[0]][where[1]] = bad
+    with pytest.raises(DomainError):
+        solve(m)
+
+
+@_SOLVERS
+def test_eigen_gate_refuses_only_beyond_default_tol(solve):
+    """m - m^dag at exactly DEFAULT_TOL passes the gate, which solves
+    (m + m^dag)/2; one ulp more raises NonHermitian."""
+    edge = np.array([[1.0, 0.0], [-DEFAULT_TOL, 3.0]])
+    assert np.max(np.abs(edge - edge.T)) == DEFAULT_TOL
+    half = (edge + edge.T) / 2
+    want = np.linalg.eigvalsh(half)
+    got = solve(edge)
+    assert np.max(np.abs((got[0] if isinstance(got, tuple) else got) - want)) < 1e-14
+    edge[1, 0] = -np.nextafter(DEFAULT_TOL, 1.0)
+    with pytest.raises(NonHermitian):
+        solve(edge)
+
+
+def test_svd3_refuses_a_non_3x3():
+    for shape in ((2, 2), (3,), (3, 4), (4, 4), (1, 3, 3)):
+        with pytest.raises(NonSquare):
+            svd3(np.ones(shape))
 
 
 def test_svd3_reconstruction_and_conventions(rng):
